@@ -7,7 +7,7 @@ independent numeric route.
 """
 
 from .__about__ import VERSION as __version__
-from .dynamics import charging_unitary, evolve, evolved_state_closed_form
+from .dynamics import charging_unitaries, charging_unitary, evolve, evolved_state_closed_form
 from .exceptions import (
     EigenConvergenceError,
     NotHermitianError,
@@ -28,6 +28,7 @@ from .metrics import (
     MetricsSample,
     capacity_closed_form,
     capacity_definitional,
+    compute_curve,
     compute_sample,
     ergotropy,
     ergotropy_closed_form,
@@ -76,8 +77,10 @@ __all__ = [
     "build_full_hamiltonian",
     "capacity_closed_form",
     "capacity_definitional",
+    "charging_unitaries",
     "charging_unitary",
     "check_density_matrix",
+    "compute_curve",
     "compute_sample",
     "ergotropy",
     "ergotropy_closed_form",

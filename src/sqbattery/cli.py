@@ -16,14 +16,13 @@ import sys
 from pathlib import Path
 
 from . import output
+from .dynamics import MODES
 from .exceptions import UnknownPresetError
 from .metrics import DEFAULT_METRICS, ORACLE_METRICS
 from .model import BatteryParams
 from .sweep import PRESET_NAMES, SweepConfig, figure_preset, run_sweep
 from .tolerances import from_env
 from .verify import run_verification
-
-MODE_CHOICES = ("corrected", "verbatim", "oracle-only")
 
 EPILOG = (
     "Numeric tolerances may be overridden through the SQBATTERY_TOLERANCES "
@@ -39,7 +38,7 @@ def _add_param_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--temp", type=float, default=None, help="reservoir temperature (> 0)")
     sp.add_argument("--config", type=str, default=None,
                     help="flat key-value JSON file; flags override its entries")
-    sp.add_argument("--mode", choices=MODE_CHOICES, default=None,
+    sp.add_argument("--mode", choices=MODES, default=None,
                     help="closed-form variant (default: corrected; figure presets default to verbatim)")
     sp.add_argument("--oracle", action="store_true",
                     help="add numeric-oracle columns to the output")
@@ -66,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figure", help="reproduce one figure preset", epilog=EPILOG)
     p_fig.add_argument("name", choices=PRESET_NAMES)
-    p_fig.add_argument("--mode", choices=MODE_CHOICES, default=None,
+    p_fig.add_argument("--mode", choices=MODES, default=None,
                        help="closed-form variant (presets default to verbatim)")
     p_fig.add_argument("--oracle", action="store_true")
     p_fig.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")

@@ -20,12 +20,12 @@ import math
 import numpy as np
 
 from .exceptions import NotUnitaryError
-from .linalg import is_unitary, max_abs
 from .model import BatteryParams, thermal_entries
 from .tolerances import Tolerances, resolve
 
 __all__ = [
     "MODES",
+    "charging_unitaries",
     "charging_unitary",
     "evolve",
     "evolved_state_closed_form",
@@ -56,15 +56,33 @@ def charging_unitary(tau: float) -> np.ndarray:
     )
 
 
+def charging_unitaries(taus) -> np.ndarray:
+    """Stack ``(N, 4, 4)`` of :func:`charging_unitary`, one per tau.
+
+    Built from the scalar closed form per tau, so every matrix is
+    bit-identical to the one ``charging_unitary`` returns on its own.
+    """
+    return np.array([charging_unitary(float(t)) for t in taus]).reshape(-1, 4, 4)
+
+
 def evolve(state: np.ndarray, u: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
-    """Conjugate a state by a unitary: u state u†."""
+    """Conjugate a state by a unitary: u state u†.
+
+    ``state`` and ``u`` are single matrices or stacks ``(N, n, n)`` that
+    broadcast against each other; every unitary is checked on its own.
+    """
     tol = resolve(tol)
-    if not is_unitary(u, tol.unitary):
-        dev = max_abs(u @ u.conj().T - np.eye(u.shape[0]))
+    u = np.asarray(u)
+    u_dag = u.conj().swapaxes(-1, -2)
+    dev = np.abs(u @ u_dag - np.eye(u.shape[-1])).max(axis=(-2, -1))
+    if np.any(dev > tol.unitary):
+        i = int(np.argmax(dev))
+        which = f"matrix {i} of the stack" if dev.ndim else "matrix"
         raise NotUnitaryError(
-            f"matrix deviates from unitarity by {dev:.3e} (tolerance {tol.unitary:.1e})"
+            f"{which} deviates from unitarity by {float(dev.flat[i]):.3e} "
+            f"(tolerance {tol.unitary:.1e})"
         )
-    return u @ state @ u.conj().T
+    return u @ state @ u_dag
 
 
 def evolved_state_closed_form(

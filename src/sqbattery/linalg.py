@@ -1,16 +1,15 @@
 """Dense complex linear algebra for small Hermitian matrices.
 
-Self-contained kernel: a cyclic Jacobi eigensolver for complex Hermitian
-matrices (intended for dimensions up to ~16), spectral matrix functions,
-and the matrix exponential ``exp(-i h t)`` built in the eigenbasis. numpy
-is used as the array carrier only; no LAPACK eigensolver is involved.
+Self-contained kernel: a parallel-order complex Jacobi eigensolver that
+decomposes a whole stack of Hermitian matrices per call (intended for
+dimensions up to ~16), spectral matrix functions, and the matrix
+exponential ``exp(-i h t)`` built in the eigenbasis. numpy is used as the
+array carrier only; no LAPACK eigensolver is involved.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -29,6 +28,10 @@ __all__ = [
     "unitary_from_hamiltonian",
 ]
 
+# matrices decomposed together; larger stacks are split into chunks of this
+# size, which bounds the kernel's temporaries
+MAX_STACK = 512
+
 
 def max_abs(m: np.ndarray) -> float:
     """Largest entry magnitude, i.e. the max-norm used by the tolerances."""
@@ -46,123 +49,199 @@ def is_unitary(m: np.ndarray, tol: float) -> bool:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and matching orthonormal eigenvector columns."""
+    """Eigenvalues (ascending) and matching orthonormal eigenvector columns.
+
+    For a stack of matrices both arrays carry the stack axis first:
+    eigenvalues ``(N, n)`` and eigenvectors ``(N, n, n)``.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _round_robin(n: int) -> list[tuple[np.ndarray, ...]]:
+    """Rounds of disjoint (p, q) pairs, p < q, covering every pair once.
+
+    Circle ordering: index 0 stays put while the others rotate. Odd n gets
+    a dummy index n, and pairs with it are dropped. Each round is
+    ``(p, q, pq, qp)`` with ``pq`` = p then q and ``qp`` = q then p, so
+    ``a[:, pq, qp]`` are its pivot entries and ``a[:, pq, pq]`` their
+    diagonals.
+    """
+    m = n + n % 2
+    ring = list(range(1, m))
+    rounds = []
+    for _ in range(m - 1):
+        seats = [0] + ring
+        pairs = sorted(
+            (min(a, b), max(a, b))
+            for a, b in zip(seats[: m // 2], reversed(seats[m // 2:]))
+            if max(a, b) < n
+        )
+        if pairs:
+            p, q = np.array(pairs).T
+            rounds.append((p, q, np.concatenate([p, q]), np.concatenate([q, p])))
+        ring = ring[-1:] + ring[:-1]
+    return rounds
+
+
+def _offdiag_norm(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix's off-diagonal part."""
+    off = a[:, ~np.eye(a.shape[-1], dtype=bool)]
+    return np.sqrt((off.real**2 + off.imag**2).sum(axis=-1))
+
+
+def _jacobi_sweep(av: np.ndarray, skip: np.ndarray, rounds) -> None:
+    """One sweep of rotations in place on ``av``: the matrices stacked over
+    their eigenvector accumulators, shape ``(N, 2n, n)``.
+
+    Each round rotates its disjoint pairs at once. A pair whose off-diagonal
+    entry is at most ``skip`` keeps its old bits (selected, not rotated by
+    the identity), so a matrix's result does not depend on the other
+    matrices of the stack.
+    """
+    a = av[:, : av.shape[-1]]
+    for p, q, pq, qp in rounds:
+        beta = a[:, p, q]
+        absb = np.abs(beta)
+        rot = absb > skip[:, None]
+        if not rot.any():
+            continue
+        absb = np.where(rot, absb, 1.0)
+        phase = beta / absb
+        # rotation angle for the 2x2 block [[app, |b|], [|b|, aqq]]
+        theta = (a[:, q, q].real - a[:, p, p].real) / (2.0 * absb)
+        t = -np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(1.0, theta))
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        s = t * c
+        sp, spc = s * phase, s * phase.conj()
+
+        # columns p,q of the rotation: [[c, -s*phase], [s*conj(phase), c]]
+        mp, mq = av[:, :, p], av[:, :, q]
+        cc, spr, spcr, on = c[:, None, :], sp[:, None, :], spc[:, None, :], rot[:, None, :]
+        av[:, :, p] = np.where(on, cc * mp + spcr * mq, mp)
+        av[:, :, q] = np.where(on, cc * mq - spr * mp, mq)
+
+        mp, mq = a[:, p, :], a[:, q, :]
+        cc, spr, spcr, on = c[:, :, None], sp[:, :, None], spc[:, :, None], rot[:, :, None]
+        a[:, p, :] = np.where(on, cc * mp + spr * mq, mp)
+        a[:, q, :] = np.where(on, cc * mq - spcr * mp, mq)
+
+        # the rotated pivots are exactly zero, their diagonals exactly real
+        rot2 = np.concatenate([rot, rot], axis=1)
+        a[:, pq, qp] = np.where(rot2, 0.0, a[:, pq, qp])
+        a[:, pq, pq] = np.where(rot2, a[:, pq, pq].real, a[:, pq, pq])
 
 
 def hermitian_eigendecomposition(
     m: np.ndarray, tol: Tolerances | None = None
 ) -> SpectralDecomposition:
-    """Diagonalize a Hermitian matrix with cyclic complex Jacobi rotations.
+    """Diagonalize one Hermitian matrix ``(n, n)`` or a stack ``(N, n, n)``.
 
-    Raises ``NotHermitianError`` when the input is not Hermitian within
-    tolerance and ``EigenConvergenceError`` if the sweep budget is exhausted.
-    The result is deterministic for identical input; within a degenerate
-    eigenspace the basis is whatever the rotation sequence produces, so
-    consumers must not rely on a particular basis there.
+    Parallel-order complex Jacobi (Brent & Luk 1985): each round rotates
+    disjoint index pairs together, vectorised over the stack, and a matrix
+    stops rotating once its own off-diagonal norm meets the target. Every
+    matrix is scaled by a power of two near its largest entry before
+    rotating and the eigenvalues are scaled back after, so entries near the
+    float64 range neither overflow nor lose the convergence test. Each
+    matrix's result is bit-identical whether it is decomposed alone or
+    inside any stack; stacks larger than ``MAX_STACK`` are split into
+    chunks. Nothing is memoized and the returned arrays are fresh.
 
-    Results are memoized on the matrix bytes (sweeps re-decompose the same
-    Hamiltonian hundreds of times); the returned arrays are read-only.
+    Per matrix, raises ``ValueError`` for non-finite entries,
+    ``NotHermitianError`` when it is not Hermitian within ``tol.hermitian``
+    and ``EigenConvergenceError`` if the sweep budget is exhausted before
+    the off-diagonal norm drops to ``tol.jacobi_offdiag`` relative to the
+    matrix. Eigenvalues are ascending. Within a degenerate eigenspace the
+    basis is whatever the rotation sequence produces, so consumers must not
+    rely on a particular basis there.
     """
     tol = resolve(tol)
-    m = np.ascontiguousarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return _eigh_cached(
-        m.tobytes(), m.shape[0],
-        tol.hermitian, tol.jacobi_offdiag, tol.jacobi_max_sweeps,
-    )
+    m = np.asarray(m, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.size == 0:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    single = m.ndim == 2
+    stack = m[None] if single else m
+    parts = [
+        _decompose(stack[i:i + MAX_STACK], i, tol)
+        for i in range(0, len(stack), MAX_STACK)
+    ]
+    w = np.concatenate([w for w, _ in parts])
+    v = np.concatenate([v for _, v in parts])
+    return SpectralDecomposition(w[0], v[0]) if single else SpectralDecomposition(w, v)
 
 
-@lru_cache(maxsize=512)
-def _eigh_cached(
-    data: bytes, n: int, herm_tol: float, offdiag_tol: float, max_sweeps: int
-) -> SpectralDecomposition:
-    m = np.frombuffer(data, dtype=complex).reshape(n, n)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    dev = max_abs(m - m.conj().T)
-    if dev > herm_tol:
+def _decompose(m: np.ndarray, offset: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of one chunk; ``offset`` numbers its matrices."""
+    count, n = m.shape[0], m.shape[-1]
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if not finite.all():
+        raise ValueError(
+            f"matrix {offset + int(np.argmin(finite))} of the stack has non-finite entries"
+        )
+    with np.errstate(over="ignore"):
+        dev = np.abs(m - _dagger(m)).max(axis=(-2, -1))
+    if np.any(dev > tol.hermitian):
+        i = int(np.argmax(dev))
         raise NotHermitianError(
-            f"matrix deviates from Hermitian by {dev:.3e} (tolerance {herm_tol:.1e})"
+            f"matrix {offset + i} of the stack deviates from Hermitian by "
+            f"{dev[i]:.3e} (tolerance {tol.hermitian:.1e})"
         )
 
-    a = (m + m.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        w = np.array([a[0, 0].real])
-        w.flags.writeable = False
-        v.flags.writeable = False
-        return SpectralDecomposition(w, v)
+    # scale by 2**-e, with 2**e just above the largest real or imaginary part
+    top = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1))
+    e = np.frexp(top)[1][:, None, None]
+    scaled = np.empty_like(m)
+    scaled.real = np.ldexp(m.real, -e)
+    scaled.imag = np.ldexp(m.imag, -e)
+    av = np.empty((count, 2 * n, n), dtype=complex)
+    a, v = av[:, :n], av[:, n:]
+    a[:] = (scaled + _dagger(scaled)) / 2.0
+    v[:] = np.eye(n)
 
-    # threshold scales with the matrix norm so large inputs converge too
-    target = offdiag_tol * max(1.0, float(np.linalg.norm(a)))
+    # target relative to the (scaled) matrix norm
+    norm = np.sqrt((a.real**2 + a.imag**2).sum(axis=(-2, -1)))
+    target = tol.jacobi_offdiag * np.maximum(1.0, norm)
     # entries this small cannot push the off-diagonal norm above target
     skip = target / (2.0 * n)
-    converged = False
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= target:
-            converged = True
+    rounds = _round_robin(n)
+    done = _offdiag_norm(a) <= target
+    for _ in range(tol.jacobi_max_sweeps):
+        if done.all():
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = a[p, q]
-                absb = abs(beta)
-                if absb <= skip:
-                    continue
-                phase = beta / absb
-                # rotation angle for the 2x2 block [[app, |b|], [|b|, aqq]]
-                theta = (a[q, q].real - a[p, p].real) / (2.0 * absb)
-                t = -math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(1.0 + theta * theta)
-                )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # columns p,q of the rotation: [[c, -s*phase], [s*conj(phase), c]]
-                col_p = c * a[:, p] + s * np.conj(phase) * a[:, q]
-                col_q = -s * phase * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-                row_p = c * a[p, :] + s * phase * a[q, :]
-                row_q = -s * np.conj(phase) * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = row_p, row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vcol_p = c * v[:, p] + s * np.conj(phase) * v[:, q]
-                vcol_q = -s * phase * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vcol_p, vcol_q
-    else:
-        converged = _offdiag_norm(a) <= target
-    if not converged:
+        live = np.flatnonzero(~done)
+        sub = av[live]
+        _jacobi_sweep(sub, skip[live], rounds)
+        av[live] = sub
+        done[live] = _offdiag_norm(sub[:, :n]) <= target[live]
+    if not done.all():
+        i = int(np.argmin(done))
         raise EigenConvergenceError(
-            f"Jacobi sweeps exhausted ({max_sweeps}) with off-diagonal "
-            f"norm {_offdiag_norm(a):.3e} above target {target:.3e}"
+            f"Jacobi sweeps exhausted ({tol.jacobi_max_sweeps}) for matrix "
+            f"{offset + i} of the stack: off-diagonal norm "
+            f"{_offdiag_norm(a[i:i + 1])[0]:.3e} above target {target[i]:.3e} "
+            f"(both relative to its largest entry)"
         )
 
-    eigenvalues = np.diag(a).real.copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vectors = np.ascontiguousarray(v[:, order])
-    eigenvalues.flags.writeable = False
-    vectors.flags.writeable = False
-    return SpectralDecomposition(eigenvalues, vectors)
+    eigenvalues = np.diagonal(a, axis1=-2, axis2=-1).real
+    order = np.argsort(eigenvalues, axis=-1, kind="stable")
+    eigenvalues = np.ldexp(np.take_along_axis(eigenvalues, order, axis=-1), e[:, 0])
+    vectors = np.take_along_axis(v, order[:, None, :], axis=-1)
+    return eigenvalues, vectors
 
 
 def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
-    """Rebuild the matrix sum(e_i v_i v_i†) from a decomposition."""
-    return (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
+    """Rebuild the matrix sum(e_i v_i v_i†) from a decomposition (or a stack)."""
+    v = dec.eigenvectors
+    return (v * dec.eigenvalues[..., None, :]) @ _dagger(v)
 
 
 def spectral_function(

@@ -10,6 +10,10 @@ closed form equals xic minus the thermal mean energy. Both are kept.
 
 Closed forms accept a mode: ``corrected`` (matches the numeric oracle; the
 default) or ``verbatim`` (the originally published expressions; see README).
+
+The numeric routes take stacks: :func:`compute_curve` evaluates one
+parameter set over a whole tau grid, with every numeric column computed on
+one stack of evolved states, and :func:`compute_sample` is its one-tau case.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import charging_unitary, evolve, evolved_state_closed_form, validate_mode
+from .dynamics import charging_unitaries, evolve, evolved_state_closed_form, validate_mode
 from .linalg import hermitian_eigendecomposition
 from .model import (
     BatteryParams,
@@ -36,6 +40,7 @@ __all__ = [
     "MetricsSample",
     "capacity_closed_form",
     "capacity_definitional",
+    "compute_curve",
     "compute_sample",
     "ergotropy",
     "ergotropy_closed_form",
@@ -60,31 +65,41 @@ def passive_state(state: np.ndarray, h: np.ndarray, tol: Tolerances | None = Non
     return (dec_h.eigenvectors * populations) @ dec_h.eigenvectors.conj().T
 
 
-def ergotropy(state: np.ndarray, h: np.ndarray, tol: Tolerances | None = None) -> float:
+def _trace_real(m: np.ndarray):
+    """Real part of the trace of a matrix (float) or of each matrix of a stack."""
+    t = np.trace(m, axis1=-2, axis2=-1).real
+    return float(t) if t.ndim == 0 else t
+
+
+def ergotropy(state: np.ndarray, h: np.ndarray, tol: Tolerances | None = None):
     """Maximum cyclic-unitary work: tr(state h) - tr(passive h).
 
     Computed from sorted spectra (descending populations against ascending
     energies), which makes the value independent of basis choices inside
-    degenerate eigenspaces.
+    degenerate eigenspaces. ``state`` may be a stack ``(N, n, n)``, giving
+    an array of N values; the states and h are decomposed in one call.
     """
-    dec_h = hermitian_eigendecomposition(h, tol)
-    dec_s = hermitian_eigendecomposition(state, tol)
-    passive_energy = float(np.sum(dec_s.eigenvalues[::-1] * dec_h.eigenvalues))
-    return float(np.trace(state @ h).real) - passive_energy
+    state = np.asarray(state, dtype=complex)
+    states = state.reshape(-1, *state.shape[-2:])
+    h = np.asarray(h, dtype=complex)
+    spectra = hermitian_eigendecomposition(np.concatenate([states, h[None]]), tol).eigenvalues
+    passive_energy = (spectra[:-1, ::-1] * spectra[-1]).sum(axis=-1)
+    values = _trace_real(states @ h) - passive_energy
+    return float(values[0]) if state.ndim == 2 else values
 
 
 def ergotropy_vs_reference(
     state: np.ndarray, reference: np.ndarray, h: np.ndarray
-) -> float:
+):
     """tr((state - reference) h): extractable work against a fixed reference."""
-    return float(np.trace((state - reference) @ h).real)
+    return _trace_real((state - reference) @ h)
 
 
 def work_extracted(
     state: np.ndarray, final_state: np.ndarray, h: np.ndarray
-) -> float:
+):
     """tr((state - final) h): work when the protocol lands on final_state."""
-    return float(np.trace((state - final_state) @ h).real)
+    return _trace_real((state - final_state) @ h)
 
 
 def ergotropy_closed_form(
@@ -143,24 +158,38 @@ def power_closed_form(
     )
 
 
+def _fd_grid(taus: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference nodes: every tau + step, then every tau - step."""
+    return np.concatenate([taus + step, taus - step])
+
+
+def _central_difference(energies: np.ndarray, step: float) -> np.ndarray:
+    """Derivatives from energies on :func:`_fd_grid` nodes."""
+    half = len(energies) // 2
+    return (energies[:half] - energies[half:]) / (2.0 * step)
+
+
 def power_fd(
     p: BatteryParams,
-    tau: float,
+    tau,
     step: float | None = None,
     tol: Tolerances | None = None,
-) -> float:
-    """Central-difference dE/dtau through the fully numeric ergotropy route."""
+):
+    """Central-difference dE/dtau through the fully numeric ergotropy route.
+
+    ``tau`` is one charging time (gives a float) or an array of them (gives
+    an array); all evolved states go through one stacked ergotropy call.
+    """
     tol = resolve(tol)
     step = tol.fd_step if step is None else step
     if step <= 0:
         raise ValueError("finite-difference step must be positive")
     h = build_degenerate_hamiltonian(p)
     rho = gibbs_state_numeric(h, p.temperature, tol)
-
-    def energy(t: float) -> float:
-        return ergotropy(evolve(rho, charging_unitary(t), tol), h, tol)
-
-    return (energy(tau + step) - energy(tau - step)) / (2.0 * step)
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    states = evolve(rho, charging_unitaries(_fd_grid(taus, step)), tol)
+    fd = _central_difference(ergotropy(states, h, tol), step)
+    return float(fd[0]) if np.ndim(tau) == 0 else fd
 
 
 def capacity_definitional(h: np.ndarray) -> float:
@@ -179,11 +208,17 @@ def capacity_closed_form(p: BatteryParams, tol: Tolerances | None = None) -> flo
     )
 
 
-def l1_coherence(state: np.ndarray) -> float:
-    """Sum of off-diagonal entry magnitudes in the computational basis."""
-    mags = np.abs(np.asarray(state)).copy()
-    np.fill_diagonal(mags, 0.0)
-    return float(mags.sum())
+def l1_coherence(state: np.ndarray):
+    """Sum of off-diagonal entry magnitudes in the computational basis.
+
+    A stack ``(N, n, n)`` gives an array of N values.
+    """
+    mags = np.abs(np.asarray(state))
+    n = mags.shape[-1]
+    mags[..., range(n), range(n)] = 0.0
+    if mags.ndim == 2:
+        return float(mags.sum())
+    return mags.sum(axis=(-2, -1))
 
 
 ALL_METRICS = (
@@ -233,10 +268,28 @@ def compute_sample(
 ) -> MetricsSample:
     """Evaluate the selected metrics at one (params, tau) cell.
 
-    In oracle-only mode the closed-form metrics are skipped and coherence is
-    taken from the numerically evolved state; otherwise coherence is read
-    off the mode's closed-form state. Overflow is recorded in-band via the
-    sample's flag rather than raised.
+    The one-tau case of :func:`compute_curve`, so a cell recomputed alone is
+    bit-identical to the same cell of a whole curve.
+    """
+    return compute_curve(p, (tau,), mode, metrics, tol)[0]
+
+
+def compute_curve(
+    p: BatteryParams,
+    taus,
+    mode: str = "corrected",
+    metrics: tuple[str, ...] = DEFAULT_METRICS,
+    tol: Tolerances | None = None,
+) -> tuple[MetricsSample, ...]:
+    """Evaluate the selected metrics at every tau of one parameter set.
+
+    The Hamiltonian and its Gibbs state are built once. The numeric columns
+    (``ergotropy_numeric``, ``power_fd`` at tau +/- ``fd_step``, and
+    coherence in oracle-only mode) come from one stack of evolved states
+    and one stacked ergotropy call; the closed-form columns are evaluated
+    per cell. In oracle-only mode the closed-form metrics are skipped;
+    otherwise coherence is read off the mode's closed-form state. Overflow
+    is recorded in-band via each sample's flag rather than raised.
     """
     validate_mode(mode, allow_oracle_only=True)
     unknown = set(metrics) - set(ALL_METRICS)
@@ -246,35 +299,61 @@ def compute_sample(
     if mode == "oracle-only":
         metrics = tuple(m for m in metrics if m not in
                         ("ergotropy_closed", "power_closed", "capacity_closed"))
-
-    values: dict[str, float] = {}
+    taus = [float(t) for t in taus]
+    h = build_degenerate_hamiltonian(p)
     try:
-        h = build_degenerate_hamiltonian(p)
-        rho_numeric = None
-        if "ergotropy_numeric" in metrics or (
-            "coherence_l1" in metrics and mode == "oracle-only"
-        ):
-            rho_numeric = gibbs_state_numeric(h, p.temperature, tol)
-        if "ergotropy_numeric" in metrics:
-            evolved = evolve(rho_numeric, charging_unitary(tau), tol)
-            values["ergotropy_numeric"] = ergotropy(evolved, h, tol)
-        if "ergotropy_closed" in metrics:
-            values["ergotropy_closed"] = ergotropy_closed_form(p, tau, mode, tol)
-        if "power_closed" in metrics:
-            values["power_closed"] = power_closed_form(p, tau, mode, tol)
-        if "power_fd" in metrics:
-            values["power_fd"] = power_fd(p, tau, tol=tol)
-        if "capacity_definitional" in metrics:
-            values["capacity_definitional"] = capacity_definitional(h)
-        if "capacity_closed" in metrics:
-            values["capacity_closed"] = capacity_closed_form(p, tol)
-        if "coherence_l1" in metrics:
-            if mode == "oracle-only":
-                state = evolve(rho_numeric, charging_unitary(tau), tol)
-            else:
-                state = evolved_state_closed_form(p, tau, mode, tol)
-            values["coherence_l1"] = l1_coherence(state)
+        numeric = _numeric_columns(p, h, np.array(taus), mode, metrics, tol)
     except OverflowError:
-        # covers ParameterOverflowError and raw float overflow alike
-        return MetricsSample(tau=tau, flag="overflow")
-    return MetricsSample(tau=tau, **values)
+        return tuple(MetricsSample(tau=tau, flag="overflow") for tau in taus)
+
+    samples = []
+    for i, tau in enumerate(taus):
+        values = {name: float(column[i]) for name, column in numeric.items()}
+        try:
+            if "ergotropy_closed" in metrics:
+                values["ergotropy_closed"] = ergotropy_closed_form(p, tau, mode, tol)
+            if "power_closed" in metrics:
+                values["power_closed"] = power_closed_form(p, tau, mode, tol)
+            if "capacity_definitional" in metrics:
+                values["capacity_definitional"] = capacity_definitional(h)
+            if "capacity_closed" in metrics:
+                values["capacity_closed"] = capacity_closed_form(p, tol)
+            if "coherence_l1" in metrics and mode != "oracle-only":
+                values["coherence_l1"] = l1_coherence(
+                    evolved_state_closed_form(p, tau, mode, tol)
+                )
+        except OverflowError:
+            # covers ParameterOverflowError and raw float overflow alike
+            samples.append(MetricsSample(tau=tau, flag="overflow"))
+            continue
+        samples.append(MetricsSample(tau=tau, **values))
+    return tuple(samples)
+
+
+def _numeric_columns(
+    p: BatteryParams,
+    h: np.ndarray,
+    taus: np.ndarray,
+    mode: str,
+    metrics: tuple[str, ...],
+    tol: Tolerances,
+) -> dict[str, np.ndarray]:
+    """The oracle columns of one curve, each an array over ``taus``."""
+    want_coherence = "coherence_l1" in metrics and mode == "oracle-only"
+    want_power = "power_fd" in metrics
+    if not (want_coherence or want_power or "ergotropy_numeric" in metrics):
+        return {}
+    rho = gibbs_state_numeric(h, p.temperature, tol)
+    grid = np.concatenate([taus, _fd_grid(taus, tol.fd_step)]) if want_power else taus
+    states = evolve(rho, charging_unitaries(grid), tol)
+    count = len(taus)
+    columns = {}
+    if want_coherence:
+        columns["coherence_l1"] = l1_coherence(states[:count])
+    if want_power or "ergotropy_numeric" in metrics:
+        energies = ergotropy(states, h, tol)
+        if "ergotropy_numeric" in metrics:
+            columns["ergotropy_numeric"] = energies[:count]
+        if want_power:
+            columns["power_fd"] = _central_difference(energies[count:], tol.fd_step)
+    return columns

@@ -268,20 +268,25 @@ def gibbs_state_closed_form(p: BatteryParams, tol: Tolerances | None = None) -> 
 
 
 def gibbs_state_numeric(
-    h: np.ndarray, temperature: float, tol: Tolerances | None = None
+    h: np.ndarray, temperature, tol: Tolerances | None = None
 ) -> np.ndarray:
     """Thermal state exp(-H/T)/Z via the eigensolver.
 
-    Weights are computed as exp(-(e - e_min)/T) and normalized by their sum,
-    which keeps the evaluation finite at any temperature > 0.
+    ``h`` may be a stack ``(N, n, n)``, with one temperature or one per
+    matrix; all of them are decomposed in one call. Weights are computed as
+    exp(-(e - e_min)/T) and normalized by their sum, which keeps the
+    evaluation finite at any temperature > 0.
     """
-    if temperature <= 0:
+    temperature = np.asarray(temperature, dtype=float)
+    if np.any(temperature <= 0):
         raise ValueError("temperature must be positive")
     dec = hermitian_eigendecomposition(h, tol)
-    w = np.exp(-(dec.eigenvalues - dec.eigenvalues[0]) / temperature)
-    w /= w.sum()
-    rho = (dec.eigenvectors * w) @ dec.eigenvectors.conj().T
-    return (rho + rho.conj().T) / 2.0
+    e = dec.eigenvalues
+    w = np.exp(-(e - e[..., :1]) / temperature[..., None])
+    w /= w.sum(axis=-1, keepdims=True)
+    v = dec.eigenvectors
+    rho = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (rho + rho.conj().swapaxes(-1, -2)) / 2.0
 
 
 def check_density_matrix(

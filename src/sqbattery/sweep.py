@@ -1,8 +1,10 @@
 """Grid evaluation over tau and physical parameters, plus figure presets.
 
-Cells are pure functions of (params, tau, mode, metrics) and are evaluated
-independently in a fixed order, so results are deterministic and any single
-cell can be recomputed in isolation bit-for-bit.
+Cells are pure functions of (params, tau, mode, metrics). Each curve is
+evaluated by one ``compute_curve`` call over the tau grid; the numeric
+columns are computed on stacks whose every matrix is handled independently,
+so results are deterministic and any single cell can be recomputed in
+isolation bit-for-bit.
 """
 
 from __future__ import annotations
@@ -16,11 +18,7 @@ import numpy as np
 from . import __about__
 from .dynamics import validate_mode
 from .exceptions import UnknownPresetError
-from .metrics import (
-    DEFAULT_METRICS,
-    MetricsSample,
-    compute_sample,
-)
+from .metrics import DEFAULT_METRICS, MetricsSample, compute_curve
 from .model import BatteryParams, build_degenerate_hamiltonian, gibbs_state_numeric
 from .tolerances import Tolerances, resolve
 
@@ -163,10 +161,7 @@ def run_sweep(cfg: SweepConfig, tol: Tolerances | None = None) -> SweepResult:
     taus = cfg.tau_grid()
     curves = []
     for label, params in _curve_cases(cfg):
-        samples = tuple(
-            compute_sample(params, float(t), cfg.mode, cfg.metrics, tol)
-            for t in taus
-        )
+        samples = compute_curve(params, taus, cfg.mode, cfg.metrics, tol)
         summary = summarize_curve(params, samples, taus, cfg.mode, tol)
         curves.append(Curve(label=label, params=params, samples=samples, summary=summary))
     provenance = {

@@ -101,12 +101,11 @@ def _tau_grid(count: int) -> np.ndarray:
 
 
 def _suite_gibbs(param_sets, tol: Tolerances) -> SuiteResult:
-    worst = 0.0
-    for p in param_sets:
-        h = model.build_degenerate_hamiltonian(p)
-        closed = model.gibbs_state_closed_form(p, tol)
-        numeric = model.gibbs_state_numeric(h, p.temperature, tol)
-        worst = max(worst, float(np.max(np.abs(closed - numeric))))
+    hs = np.array([model.build_degenerate_hamiltonian(p) for p in param_sets])
+    temperatures = np.array([p.temperature for p in param_sets])
+    numeric = model.gibbs_state_numeric(hs, temperatures, tol)
+    closed = np.array([model.gibbs_state_closed_form(p, tol) for p in param_sets])
+    worst = float(np.max(np.abs(closed - numeric)))
     return SuiteResult(
         name="thermal state closed form vs numeric",
         passed=worst <= tol.gibbs_equivalence,
@@ -116,16 +115,22 @@ def _suite_gibbs(param_sets, tol: Tolerances) -> SuiteResult:
     )
 
 
+def _evolved_numeric(p: BatteryParams, taus, tol: Tolerances):
+    """Hamiltonian, numeric Gibbs state and the stack of its evolved states."""
+    h = model.build_degenerate_hamiltonian(p)
+    rho = model.gibbs_state_numeric(h, p.temperature, tol)
+    return h, rho, dynamics.evolve(rho, dynamics.charging_unitaries(taus), tol)
+
+
 def _suite_evolved(param_sets, taus, tol: Tolerances) -> SuiteResult:
     worst = 0.0
     for p in param_sets:
-        h = model.build_degenerate_hamiltonian(p)
-        rho = model.gibbs_state_numeric(h, p.temperature, tol)
-        for tau in taus:
-            u = dynamics.charging_unitary(float(tau))
-            numeric = dynamics.evolve(rho, u, tol)
-            closed = dynamics.evolved_state_closed_form(p, float(tau), "corrected", tol)
-            worst = max(worst, float(np.max(np.abs(closed - numeric))))
+        _, _, numeric = _evolved_numeric(p, taus, tol)
+        closed = np.array([
+            dynamics.evolved_state_closed_form(p, float(tau), "corrected", tol)
+            for tau in taus
+        ])
+        worst = max(worst, float(np.max(np.abs(closed - numeric))))
     return SuiteResult(
         name="evolved state closed form vs numeric",
         passed=worst <= tol.evolved_equivalence,
@@ -135,23 +140,23 @@ def _suite_evolved(param_sets, taus, tol: Tolerances) -> SuiteResult:
     )
 
 
+def _closed_series(fn, p: BatteryParams, taus, tol: Tolerances) -> np.ndarray:
+    return np.array([fn(p, float(tau), "corrected", tol) for tau in taus])
+
+
 def _suite_ergotropy(param_sets, taus, tol: Tolerances) -> SuiteResult:
     worst = 0.0
     for p in param_sets:
-        h = model.build_degenerate_hamiltonian(p)
-        rho = model.gibbs_state_numeric(h, p.temperature, tol)
-        for tau in taus:
-            u = dynamics.charging_unitary(float(tau))
-            state = dynamics.evolve(rho, u, tol)
-            e_spectral = metrics.ergotropy(state, h, tol)
-            e_reference = metrics.ergotropy_vs_reference(state, rho, h)
-            e_closed = metrics.ergotropy_closed_form(p, float(tau), "corrected", tol)
-            worst = max(
-                worst,
-                abs(e_spectral - e_reference),
-                abs(e_spectral - e_closed),
-                abs(e_reference - e_closed),
-            )
+        h, rho, states = _evolved_numeric(p, taus, tol)
+        e_spectral = metrics.ergotropy(states, h, tol)
+        e_reference = metrics.ergotropy_vs_reference(states, rho, h)
+        e_closed = _closed_series(metrics.ergotropy_closed_form, p, taus, tol)
+        worst = max(
+            worst,
+            float(np.max(np.abs(e_spectral - e_reference))),
+            float(np.max(np.abs(e_spectral - e_closed))),
+            float(np.max(np.abs(e_reference - e_closed))),
+        )
     return SuiteResult(
         name="ergotropy: spectral vs thermal-reference vs closed form",
         passed=worst <= tol.ergotropy_equivalence,
@@ -164,19 +169,9 @@ def _suite_ergotropy(param_sets, taus, tol: Tolerances) -> SuiteResult:
 def _suite_power(param_sets, taus, tol: Tolerances) -> SuiteResult:
     worst = 0.0
     for p in param_sets:
-        h = model.build_degenerate_hamiltonian(p)
-        rho = model.gibbs_state_numeric(h, p.temperature, tol)
-
-        def energy(t: float) -> float:
-            state = dynamics.evolve(rho, dynamics.charging_unitary(t), tol)
-            return metrics.ergotropy(state, h, tol)
-
-        for tau in taus:
-            fd = (energy(float(tau) + tol.fd_step) - energy(float(tau) - tol.fd_step)) / (
-                2.0 * tol.fd_step
-            )
-            closed = metrics.power_closed_form(p, float(tau), "corrected", tol)
-            worst = max(worst, abs(closed - fd))
+        fd = metrics.power_fd(p, taus, tol=tol)
+        closed = _closed_series(metrics.power_closed_form, p, taus, tol)
+        worst = max(worst, float(np.max(np.abs(closed - fd))))
     return SuiteResult(
         name="power closed form vs finite-difference derivative",
         passed=worst <= tol.power_equivalence,
