@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .exceptions import NotUnitaryError
-from .model import BatteryParams, thermal_entries
+from .model import BatteryParams, thermal_entries, thermal_terms
 from .tolerances import Tolerances, resolve
 
 __all__ = [
@@ -41,28 +41,39 @@ def validate_mode(mode: str, allow_oracle_only: bool = False) -> str:
     return mode
 
 
+def per_tau(fn, tau) -> np.ndarray:
+    """The scalar expression ``fn`` at every tau, as a 1-D float array.
+
+    Trigonometric tau factors go through Python's ``math`` functions and
+    float power rather than numpy's array loops, which differ from them in
+    the last bit (``x ** 2`` is libm ``pow``, not ``x * x``); every element
+    thus keeps the bits of the scalar expression, which the pinned figure
+    files (tests/test_golden.py) were produced with.
+    """
+    return np.array([fn(t) for t in np.atleast_1d(np.asarray(tau, dtype=float)).tolist()])
+
+
+def _matrix_stack(rows) -> np.ndarray:
+    """C-contiguous ``(N, 4, 4)`` complex stack from a 4x4 grid of length-N arrays."""
+    return np.ascontiguousarray(np.array(rows, dtype=complex).transpose(2, 0, 1))
+
+
 def charging_unitary(tau: float) -> np.ndarray:
     """Closed-form exp(-i Hc tau) for the collective x-drive at Omega = 1.
 
     Diagonal a = cos^2(tau), anti-diagonal b = -sin^2(tau), remaining
-    entries c = -i sin(tau) cos(tau).
+    entries c = -i sin(tau) cos(tau). The one-tau case of
+    :func:`charging_unitaries`.
     """
-    a = math.cos(tau) ** 2
-    b = -math.sin(tau) ** 2
-    c = -1j * math.sin(tau) * math.cos(tau)
-    return np.array(
-        [[a, c, c, b], [c, a, b, c], [c, b, a, c], [b, c, c, a]],
-        dtype=complex,
-    )
+    return charging_unitaries([tau])[0]
 
 
 def charging_unitaries(taus) -> np.ndarray:
-    """Stack ``(N, 4, 4)`` of :func:`charging_unitary`, one per tau.
-
-    Built from the scalar closed form per tau, so every matrix is
-    bit-identical to the one ``charging_unitary`` returns on its own.
-    """
-    return np.array([charging_unitary(float(t)) for t in taus]).reshape(-1, 4, 4)
+    """Stack ``(N, 4, 4)`` of :func:`charging_unitary`, one per tau."""
+    a = per_tau(lambda x: math.cos(x) ** 2, taus)
+    b = -per_tau(lambda x: math.sin(x) ** 2, taus)
+    c = -1j * per_tau(math.sin, taus) * per_tau(math.cos, taus)
+    return _matrix_stack([[a, c, c, b], [c, a, b, c], [c, b, a, c], [b, c, c, a]])
 
 
 def evolve(state: np.ndarray, u: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
@@ -87,18 +98,22 @@ def evolve(state: np.ndarray, u: np.ndarray, tol: Tolerances | None = None) -> n
 
 def evolved_state_closed_form(
     p: BatteryParams,
-    tau: float,
+    tau,
     mode: str = "corrected",
     tol: Tolerances | None = None,
 ) -> np.ndarray:
-    """Closed-form evolved state at charging time tau."""
+    """Closed-form evolved state at charging time tau.
+
+    ``tau`` is one charging time (gives a (4, 4) matrix) or an array of them
+    (gives an ``(N, 4, 4)`` stack); the thermal terms are evaluated once.
+    """
     validate_mode(mode)
-    if mode == "corrected":
-        return _evolved_corrected(p, tau, tol)
-    return _evolved_verbatim(p, tau, tol)
+    evolved = _evolved_corrected if mode == "corrected" else _evolved_verbatim
+    states = evolved(p, tau, tol)
+    return states[0] if np.ndim(tau) == 0 else states
 
 
-def _evolved_corrected(p: BatteryParams, tau: float, tol: Tolerances | None) -> np.ndarray:
+def _evolved_corrected(p: BatteryParams, tau, tol: Tolerances | None) -> np.ndarray:
     """Exact entries of U(tau) R U(tau)†.
 
     Conjugating the thermal state (which commutes with X(x)X) by the
@@ -108,11 +123,11 @@ def _evolved_corrected(p: BatteryParams, tau: float, tol: Tolerances | None) -> 
     state with the collective drive.
     """
     p11, p12, p13, p14, p22, p23 = thermal_entries(p, tol)
-    c4 = math.cos(4 * tau)
+    c4 = per_tau(lambda x: math.cos(4 * x), tau)
     f1 = (3.0 + c4) / 4.0
     f2 = (c4 - 1.0) / 4.0
     f3 = (1.0 - c4) / 8.0
-    f4 = math.sin(4 * tau) / 4.0
+    f4 = per_tau(lambda x: math.sin(4 * x), tau) / 4.0
     diag_gap = (p11 + p14) - (p22 + p23)
 
     r11 = f1 * p11 + f2 * p14 + 2 * f3 * (p22 + p23)
@@ -124,31 +139,26 @@ def _evolved_corrected(p: BatteryParams, tau: float, tol: Tolerances | None) -> 
     r13 = f1 * p13 + f2 * p12 + off + 1j * f4 * diag_gap
     r24 = f1 * p13 + f2 * p12 + off - 1j * f4 * diag_gap
     r34 = f1 * p12 + f2 * p13 + off - 1j * f4 * diag_gap
-    return np.array(
-        [
-            [r11, r12, r13, r14],
-            [np.conj(r12), r22, r23, r24],
-            [np.conj(r13), np.conj(r23), r22, r34],
-            [r14, np.conj(r24), np.conj(r34), r11],
-        ],
-        dtype=complex,
-    )
+    return _matrix_stack([
+        [r11, r12, r13, r14],
+        [np.conj(r12), r22, r23, r24],
+        [np.conj(r13), np.conj(r23), r22, r34],
+        [r14, np.conj(r24), np.conj(r34), r11],
+    ])
 
 
-def _evolved_verbatim(p: BatteryParams, tau: float, tol: Tolerances | None) -> np.ndarray:
+def _evolved_verbatim(p: BatteryParams, tau, tol: Tolerances | None) -> np.ndarray:
     """Originally published element expressions, evaluated unchanged.
 
     All entries are real as printed; the matrix is symmetric but its trace
     is 1 + (xi1+xi2) sin(2 tau) B+/(alpha+ (A+ + A-)), i.e. not a density
     matrix away from multiples of tau = pi/2.
     """
-    from .model import thermal_terms
-
     t = thermal_terms(p, tol)
     x1, x2, xc = p.xi1, p.xi2, p.xic
-    s2 = math.sin(2 * tau)
-    c2 = math.cos(2 * tau)
-    c4 = math.cos(4 * tau)
+    s2 = per_tau(lambda x: math.sin(2 * x), tau)
+    c2 = per_tau(lambda x: math.cos(2 * x), tau)
+    c4 = per_tau(lambda x: math.cos(4 * x), tau)
     c2sq = c2 * c2
 
     r11 = -(
@@ -199,12 +209,9 @@ def _evolved_verbatim(p: BatteryParams, tau: float, tol: Tolerances | None) -> n
         + (x1 - x2) * t.rs_minus
         - (x1 + x2) * t.rs_plus
     ) / 4.0
-    return np.array(
-        [
-            [r11, r12, r13, r14],
-            [r12, r22, r23, r24],
-            [r13, r23, r33, r34],
-            [r14, r24, r34, r11],
-        ],
-        dtype=complex,
-    )
+    return _matrix_stack([
+        [r11, r12, r13, r14],
+        [r12, r22, r23, r24],
+        [r13, r23, r33, r34],
+        [r14, r24, r34, r11],
+    ])

@@ -11,9 +11,9 @@ closed form equals xic minus the thermal mean energy. Both are kept.
 Closed forms accept a mode: ``corrected`` (matches the numeric oracle; the
 default) or ``verbatim`` (the originally published expressions; see README).
 
-The numeric routes take stacks: :func:`compute_curve` evaluates one
-parameter set over a whole tau grid, with every numeric column computed on
-one stack of evolved states, and :func:`compute_sample` is its one-tau case.
+The closed forms take tau arrays and the numeric routes take stacks:
+:func:`compute_curve` evaluates one parameter set over a whole tau grid,
+every column once per curve, and :func:`compute_sample` is its one-tau case.
 """
 
 from __future__ import annotations
@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import charging_unitaries, evolve, evolved_state_closed_form, validate_mode
+from .dynamics import (
+    charging_unitaries,
+    evolve,
+    evolved_state_closed_form,
+    per_tau,
+    validate_mode,
+)
 from .linalg import hermitian_eigendecomposition
 from .model import (
     BatteryParams,
@@ -104,10 +110,10 @@ def work_extracted(
 
 def ergotropy_closed_form(
     p: BatteryParams,
-    tau: float,
+    tau,
     mode: str = "corrected",
     tol: Tolerances | None = None,
-) -> float:
+):
     """Closed-form ergotropy of the charged thermal state at time tau.
 
     corrected: 4 xic^2 (B+/alpha+) sin^2(2 tau) / (A+ + A-), which matches
@@ -118,44 +124,52 @@ def ergotropy_closed_form(
     cosh factor resolved to (A+ - A-); with that reading the published
     power is exactly its tau derivative. It does not agree with the
     numeric route (see README).
+
+    ``tau`` is one charging time (gives a float) or an array of them (gives
+    an array); the thermal terms are evaluated once.
     """
     validate_mode(mode)
     t = thermal_terms(p, tol)
     if mode == "corrected":
-        return 4.0 * p.xic**2 * t.rs_plus * math.sin(2 * tau) ** 2
-    xc = p.xic
-    return math.sin(tau) ** 2 * (
-        4 * xc * (
-            xc * math.cos(2 * tau) * (t.rs_minus + t.rs_plus)
-            + math.cos(tau) ** 2 * (t.ra_plus - t.ra_minus)
+        values = 4.0 * p.xic**2 * t.rs_plus * per_tau(lambda x: math.sin(2 * x) ** 2, tau)
+    else:
+        xc = p.xic
+        values = per_tau(lambda x: math.sin(x) ** 2, tau) * (
+            4 * xc * (
+                xc * per_tau(lambda x: math.cos(2 * x), tau) * (t.rs_minus + t.rs_plus)
+                + per_tau(lambda x: math.cos(x) ** 2, tau) * (t.ra_plus - t.ra_minus)
+            )
+            + t.alpha_minus * t.rb_minus
+            + t.alpha_plus * t.rb_plus
         )
-        + t.alpha_minus * t.rb_minus
-        + t.alpha_plus * t.rb_plus
-    )
+    return float(values[0]) if np.ndim(tau) == 0 else values
 
 
 def power_closed_form(
     p: BatteryParams,
-    tau: float,
+    tau,
     mode: str = "corrected",
     tol: Tolerances | None = None,
-) -> float:
+):
     """Closed-form instantaneous charging power dE/dtau.
 
     Each variant is the exact tau derivative of the matching ergotropy
-    closed form; no additional scale factor is involved.
+    closed form; no additional scale factor is involved. Takes one tau or an
+    array of them, like :func:`ergotropy_closed_form`.
     """
     validate_mode(mode)
     t = thermal_terms(p, tol)
     if mode == "corrected":
-        return 8.0 * p.xic**2 * t.rs_plus * math.sin(4 * tau)
-    xc, x1, x2 = p.xic, p.xi1, p.xi2
-    c2 = math.cos(2 * tau)
-    return math.sin(2 * tau) * (
-        4 * xc * c2 * (t.ra_plus - t.ra_minus)
-        + t.rs_plus * (8 * xc * xc * c2 + (x1 + x2) ** 2)
-        + t.rs_minus * (8 * xc * xc * c2 + (x1 - x2) ** 2)
-    )
+        values = 8.0 * p.xic**2 * t.rs_plus * per_tau(lambda x: math.sin(4 * x), tau)
+    else:
+        xc, x1, x2 = p.xic, p.xi1, p.xi2
+        c2 = per_tau(lambda x: math.cos(2 * x), tau)
+        values = per_tau(lambda x: math.sin(2 * x), tau) * (
+            4 * xc * c2 * (t.ra_plus - t.ra_minus)
+            + t.rs_plus * (8 * xc * xc * c2 + (x1 + x2) ** 2)
+            + t.rs_minus * (8 * xc * xc * c2 + (x1 - x2) ** 2)
+        )
+    return float(values[0]) if np.ndim(tau) == 0 else values
 
 
 def _fd_grid(taus: np.ndarray, step: float) -> np.ndarray:
@@ -283,13 +297,16 @@ def compute_curve(
 ) -> tuple[MetricsSample, ...]:
     """Evaluate the selected metrics at every tau of one parameter set.
 
-    The Hamiltonian and its Gibbs state are built once. The numeric columns
-    (``ergotropy_numeric``, ``power_fd`` at tau +/- ``fd_step``, and
-    coherence in oracle-only mode) come from one stack of evolved states
-    and one stacked ergotropy call; the closed-form columns are evaluated
-    per cell. In oracle-only mode the closed-form metrics are skipped;
-    otherwise coherence is read off the mode's closed-form state. Overflow
-    is recorded in-band via each sample's flag rather than raised.
+    Every column is evaluated once per curve. The Hamiltonian and its Gibbs
+    state are built once; the numeric columns (``ergotropy_numeric``,
+    ``power_fd`` at tau +/- ``fd_step``, and coherence in oracle-only mode)
+    come from one stack of evolved states and one stacked ergotropy call;
+    each closed form is one call over the whole tau array, and the
+    tau-independent capacities are computed once and broadcast. In
+    oracle-only mode the closed-form metrics are skipped; otherwise
+    coherence is read off the mode's closed-form states. Overflow is
+    recorded in-band via each sample's flag rather than raised; it comes
+    from the tau-independent thermal terms, so it flags the whole curve.
     """
     validate_mode(mode, allow_oracle_only=True)
     unknown = set(metrics) - set(ALL_METRICS)
@@ -300,34 +317,43 @@ def compute_curve(
         metrics = tuple(m for m in metrics if m not in
                         ("ergotropy_closed", "power_closed", "capacity_closed"))
     taus = [float(t) for t in taus]
+    tau_array = np.array(taus)
     h = build_degenerate_hamiltonian(p)
     try:
-        numeric = _numeric_columns(p, h, np.array(taus), mode, metrics, tol)
+        columns = _numeric_columns(p, h, tau_array, mode, metrics, tol)
+        columns.update(_closed_columns(p, h, tau_array, mode, metrics, tol))
     except OverflowError:
+        # covers ParameterOverflowError and raw float overflow alike
         return tuple(MetricsSample(tau=tau, flag="overflow") for tau in taus)
+    names = list(columns)
+    series = [np.broadcast_to(columns[name], len(taus)).tolist() for name in names]
+    return tuple(
+        MetricsSample(tau, **dict(zip(names, values)))
+        for tau, *values in zip(taus, *series)
+    )
 
-    samples = []
-    for i, tau in enumerate(taus):
-        values = {name: float(column[i]) for name, column in numeric.items()}
-        try:
-            if "ergotropy_closed" in metrics:
-                values["ergotropy_closed"] = ergotropy_closed_form(p, tau, mode, tol)
-            if "power_closed" in metrics:
-                values["power_closed"] = power_closed_form(p, tau, mode, tol)
-            if "capacity_definitional" in metrics:
-                values["capacity_definitional"] = capacity_definitional(h)
-            if "capacity_closed" in metrics:
-                values["capacity_closed"] = capacity_closed_form(p, tol)
-            if "coherence_l1" in metrics and mode != "oracle-only":
-                values["coherence_l1"] = l1_coherence(
-                    evolved_state_closed_form(p, tau, mode, tol)
-                )
-        except OverflowError:
-            # covers ParameterOverflowError and raw float overflow alike
-            samples.append(MetricsSample(tau=tau, flag="overflow"))
-            continue
-        samples.append(MetricsSample(tau=tau, **values))
-    return tuple(samples)
+
+def _closed_columns(
+    p: BatteryParams,
+    h: np.ndarray,
+    taus: np.ndarray,
+    mode: str,
+    metrics: tuple[str, ...],
+    tol: Tolerances,
+) -> dict:
+    """The closed-form columns of one curve: arrays over ``taus`` or constants."""
+    columns = {}
+    if "ergotropy_closed" in metrics:
+        columns["ergotropy_closed"] = ergotropy_closed_form(p, taus, mode, tol)
+    if "power_closed" in metrics:
+        columns["power_closed"] = power_closed_form(p, taus, mode, tol)
+    if "capacity_definitional" in metrics:
+        columns["capacity_definitional"] = capacity_definitional(h)
+    if "capacity_closed" in metrics:
+        columns["capacity_closed"] = capacity_closed_form(p, tol)
+    if "coherence_l1" in metrics and mode != "oracle-only":
+        columns["coherence_l1"] = l1_coherence(evolved_state_closed_form(p, taus, mode, tol))
+    return columns
 
 
 def _numeric_columns(

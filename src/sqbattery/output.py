@@ -12,11 +12,11 @@ import dataclasses
 import json
 from pathlib import Path
 
-from .metrics import MetricsSample
 from .sweep import Curve, SweepConfig, SweepResult
 
 __all__ = [
     "PANELS",
+    "csv_text",
     "figure_file_names",
     "format_float",
     "manifest_object",
@@ -25,9 +25,10 @@ __all__ = [
     "write_figure_files",
 ]
 
-BASE_COLUMNS = ("label", "xi1", "xi2", "xic", "temperature", "tau")
+CURVE_COLUMNS = ("label", "xi1", "xi2", "xic", "temperature")
 MAIN_COLUMNS = ("ergotropy", "power", "capacity", "coherence_l1")
 ORACLE_COLUMNS = ("ergotropy_numeric", "power_fd", "capacity_definitional")
+SAMPLE_KEYS = ("tau", "flag") + MAIN_COLUMNS + ORACLE_COLUMNS
 
 # panel letter -> (title metric column, oracle companion column)
 PANELS = (
@@ -42,67 +43,45 @@ def format_float(x: float | None) -> str:
     return "" if x is None else format(float(x), ".17g")
 
 
-def _main_values(curve: Curve, sample: MetricsSample, mode: str) -> dict:
-    if mode == "oracle-only":
-        return {
-            "ergotropy": sample.ergotropy_numeric,
-            "power": sample.power_fd,
-            "capacity": None if sample.flag else curve.summary.capacity,
-            "coherence_l1": sample.coherence_l1,
-        }
-    return {
-        "ergotropy": sample.ergotropy_closed,
-        "power": sample.power_closed,
-        "capacity": sample.capacity_closed,
-        "coherence_l1": sample.coherence_l1,
-    }
+# main columns that are not sample fields of the same name; in oracle-only
+# mode capacity (None here) is the curve summary's reconciled value
+_CLOSED_FIELDS = {"ergotropy": "ergotropy_closed", "power": "power_closed",
+                  "capacity": "capacity_closed"}
+_ORACLE_ONLY_FIELDS = {"ergotropy": "ergotropy_numeric", "power": "power_fd",
+                       "capacity": None}
 
 
-def _row(curve: Curve, sample: MetricsSample, mode: str, columns) -> list[str]:
-    p = curve.params
-    named = {
-        "label": curve.label,
-        "xi1": format_float(p.xi1),
-        "xi2": format_float(p.xi2),
-        "xic": format_float(p.xic),
-        "temperature": format_float(p.temperature),
-        "tau": format_float(sample.tau),
-        "flag": sample.flag,
-    }
-    main = _main_values(curve, sample, mode)
-    for name in MAIN_COLUMNS:
-        named[name] = format_float(main[name])
-    for name in ORACLE_COLUMNS:
-        named[name] = format_float(getattr(sample, name))
-    return [named[c] for c in columns]
+def _column(curve: Curve, name: str, mode: str) -> list:
+    """Values of one output column over a curve's samples."""
+    fields = _ORACLE_ONLY_FIELDS if mode == "oracle-only" else _CLOSED_FIELDS
+    field = fields.get(name, name)
+    if field is None:
+        return [None if s.flag else curve.summary.capacity for s in curve.samples]
+    return [getattr(s, field) for s in curve.samples]
 
 
-def _columns(metric_columns, include_oracle: bool, oracle_columns) -> tuple[str, ...]:
-    cols = BASE_COLUMNS + tuple(metric_columns)
-    if include_oracle:
-        cols += tuple(oracle_columns)
-    return cols + ("flag",)
+def csv_text(result: SweepResult, metric_columns: tuple[str, ...]) -> str:
+    """One CSV document: curve columns, tau, the given metric columns, flag.
+
+    The curve columns (label and parameters) are formatted once per curve,
+    every other column once per sample.
+    """
+    columns = ("tau",) + metric_columns
+    lines = [",".join(CURVE_COLUMNS + columns + ("flag",))]
+    for curve in result.curves:
+        p = curve.params
+        prefix = ",".join([curve.label] + [format_float(v) for v in
+                          (p.xi1, p.xi2, p.xic, p.temperature)])
+        fields = [[format_float(v) for v in _column(curve, name, result.config.mode)]
+                  for name in columns]
+        fields.append(_column(curve, "flag", result.config.mode))
+        lines.extend(",".join((prefix, *row)) for row in zip(*fields))
+    return "\n".join(lines) + "\n"
 
 
 def sweep_csv_text(result: SweepResult, include_oracle: bool = False) -> str:
     """Full sweep as one CSV document (all main metric columns)."""
-    columns = _columns(MAIN_COLUMNS, include_oracle, ORACLE_COLUMNS)
-    lines = [",".join(columns)]
-    for curve in result.curves:
-        for sample in curve.samples:
-            lines.append(",".join(_row(curve, sample, result.config.mode, columns)))
-    return "\n".join(lines) + "\n"
-
-
-def panel_csv_text(result: SweepResult, metric: str, oracle: str | None,
-                   include_oracle: bool) -> str:
-    columns = _columns((metric,), include_oracle and oracle is not None,
-                       (oracle,) if oracle else ())
-    lines = [",".join(columns)]
-    for curve in result.curves:
-        for sample in curve.samples:
-            lines.append(",".join(_row(curve, sample, result.config.mode, columns)))
-    return "\n".join(lines) + "\n"
+    return csv_text(result, MAIN_COLUMNS + (ORACLE_COLUMNS if include_oracle else ()))
 
 
 def _params_object(p) -> dict:
@@ -121,32 +100,24 @@ def config_object(cfg: SweepConfig) -> dict:
     }
 
 
-def _sample_object(curve: Curve, sample: MetricsSample, mode: str) -> dict:
-    obj = {"tau": sample.tau, "flag": sample.flag}
-    obj.update(_main_values(curve, sample, mode))
-    for name in ORACLE_COLUMNS:
-        obj[name] = getattr(sample, name)
-    return obj
-
-
-def sweep_json_object(result: SweepResult, include_samples: bool = True) -> dict:
-    obj = {
-        "config": config_object(result.config),
-        "provenance": result.provenance,
-        "curves": [],
-    }
+def sweep_json_object(result: SweepResult, sample_keys=SAMPLE_KEYS) -> dict:
+    """Config, provenance and curves; ``sample_keys=None`` leaves out the samples."""
+    curves = []
     for curve in result.curves:
         entry = {
             "label": curve.label,
             "params": _params_object(curve.params),
             "summary": dataclasses.asdict(curve.summary),
         }
-        if include_samples:
-            entry["samples"] = [
-                _sample_object(curve, s, result.config.mode) for s in curve.samples
-            ]
-        obj["curves"].append(entry)
-    return obj
+        if sample_keys is not None:
+            columns = [_column(curve, key, result.config.mode) for key in sample_keys]
+            entry["samples"] = [dict(zip(sample_keys, values)) for values in zip(*columns)]
+        curves.append(entry)
+    return {
+        "config": config_object(result.config),
+        "provenance": result.provenance,
+        "curves": curves,
+    }
 
 
 def json_text(obj) -> str:
@@ -158,19 +129,7 @@ def sweep_json_text(result: SweepResult) -> str:
 
 
 def manifest_object(result: SweepResult, files: list[str]) -> dict:
-    return {
-        "config": config_object(result.config),
-        "provenance": result.provenance,
-        "files": files,
-        "curves": [
-            {
-                "label": c.label,
-                "params": _params_object(c.params),
-                "summary": dataclasses.asdict(c.summary),
-            }
-            for c in result.curves
-        ],
-    }
+    return dict(sweep_json_object(result, sample_keys=None), files=files)
 
 
 def figure_file_names(name: str, fmt: str) -> list[str]:
@@ -194,19 +153,11 @@ def write_figure_files(
     file_names = figure_file_names(name, fmt)
     for (letter, metric, oracle), fname in zip(PANELS, file_names):
         path = out / fname
+        companion = (oracle,) if include_oracle and oracle else ()
         if fmt == "csv":
-            text = panel_csv_text(result, metric, oracle, include_oracle)
+            text = csv_text(result, (metric,) + companion)
         else:
-            obj = sweep_json_object(result, include_samples=True)
-            keep = {"tau", "flag", metric}
-            if include_oracle and oracle:
-                keep.add(oracle)
-            for curve in obj["curves"]:
-                curve["samples"] = [
-                    {k: v for k, v in s.items() if k in keep}
-                    for s in curve["samples"]
-                ]
-            text = json_text(obj)
+            text = json_text(sweep_json_object(result, ("tau", "flag", metric) + companion))
         path.write_text(text, encoding="utf-8", newline="")
         paths.append(path)
     manifest = out / file_names[-1]

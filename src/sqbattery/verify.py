@@ -126,10 +126,7 @@ def _suite_evolved(param_sets, taus, tol: Tolerances) -> SuiteResult:
     worst = 0.0
     for p in param_sets:
         _, _, numeric = _evolved_numeric(p, taus, tol)
-        closed = np.array([
-            dynamics.evolved_state_closed_form(p, float(tau), "corrected", tol)
-            for tau in taus
-        ])
+        closed = dynamics.evolved_state_closed_form(p, taus, "corrected", tol)
         worst = max(worst, float(np.max(np.abs(closed - numeric))))
     return SuiteResult(
         name="evolved state closed form vs numeric",
@@ -140,17 +137,13 @@ def _suite_evolved(param_sets, taus, tol: Tolerances) -> SuiteResult:
     )
 
 
-def _closed_series(fn, p: BatteryParams, taus, tol: Tolerances) -> np.ndarray:
-    return np.array([fn(p, float(tau), "corrected", tol) for tau in taus])
-
-
 def _suite_ergotropy(param_sets, taus, tol: Tolerances) -> SuiteResult:
     worst = 0.0
     for p in param_sets:
         h, rho, states = _evolved_numeric(p, taus, tol)
         e_spectral = metrics.ergotropy(states, h, tol)
         e_reference = metrics.ergotropy_vs_reference(states, rho, h)
-        e_closed = _closed_series(metrics.ergotropy_closed_form, p, taus, tol)
+        e_closed = metrics.ergotropy_closed_form(p, taus, "corrected", tol)
         worst = max(
             worst,
             float(np.max(np.abs(e_spectral - e_reference))),
@@ -170,7 +163,7 @@ def _suite_power(param_sets, taus, tol: Tolerances) -> SuiteResult:
     worst = 0.0
     for p in param_sets:
         fd = metrics.power_fd(p, taus, tol=tol)
-        closed = _closed_series(metrics.power_closed_form, p, taus, tol)
+        closed = metrics.power_closed_form(p, taus, "corrected", tol)
         worst = max(worst, float(np.max(np.abs(closed - fd))))
     return SuiteResult(
         name="power closed form vs finite-difference derivative",
