@@ -46,6 +46,7 @@ __all__ = [
     "MetricsSample",
     "capacity_closed_form",
     "capacity_definitional",
+    "capacity_reconciled",
     "compute_curve",
     "compute_sample",
     "ergotropy",
@@ -97,15 +98,15 @@ def ergotropy(state: np.ndarray, h: np.ndarray, tol: Tolerances | None = None):
 def ergotropy_vs_reference(
     state: np.ndarray, reference: np.ndarray, h: np.ndarray
 ):
-    """tr((state - reference) h): extractable work against a fixed reference."""
+    """tr((state - reference) h): extractable work against a fixed reference.
+
+    Also exported as ``work_extracted(state, final_state, h)``, the work when
+    the protocol lands on final_state.
+    """
     return _trace_real((state - reference) @ h)
 
 
-def work_extracted(
-    state: np.ndarray, final_state: np.ndarray, h: np.ndarray
-):
-    """tr((state - final) h): work when the protocol lands on final_state."""
-    return _trace_real((state - final_state) @ h)
+work_extracted = ergotropy_vs_reference
 
 
 def ergotropy_closed_form(
@@ -172,15 +173,27 @@ def power_closed_form(
     return float(values[0]) if np.ndim(tau) == 0 else values
 
 
-def _fd_grid(taus: np.ndarray, step: float) -> np.ndarray:
+def fd_grid(taus: np.ndarray, step: float) -> np.ndarray:
     """Central-difference nodes: every tau + step, then every tau - step."""
     return np.concatenate([taus + step, taus - step])
 
 
-def _central_difference(energies: np.ndarray, step: float) -> np.ndarray:
-    """Derivatives from energies on :func:`_fd_grid` nodes."""
+def central_difference(energies: np.ndarray, step: float) -> np.ndarray:
+    """Derivatives from energies on :func:`fd_grid` nodes."""
     half = len(energies) // 2
     return (energies[:half] - energies[half:]) / (2.0 * step)
+
+
+def _numeric_route(p: BatteryParams, taus, tol: Tolerances):
+    """How a parameter set becomes (H, rho_th, evolved stack).
+
+    H is the degeneracy-point Hamiltonian, rho_th its Gibbs state through
+    the eigensolver, and the stack holds U(tau) rho_th U(tau)^dagger for
+    every tau of ``taus`` (empty for no taus).
+    """
+    h = build_degenerate_hamiltonian(p)
+    rho = gibbs_state_numeric(h, p.temperature, tol)
+    return h, rho, evolve(rho, charging_unitaries(taus), tol)
 
 
 def power_fd(
@@ -198,11 +211,9 @@ def power_fd(
     step = tol.fd_step if step is None else step
     if step <= 0:
         raise ValueError("finite-difference step must be positive")
-    h = build_degenerate_hamiltonian(p)
-    rho = gibbs_state_numeric(h, p.temperature, tol)
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    states = evolve(rho, charging_unitaries(_fd_grid(taus, step)), tol)
-    fd = _central_difference(ergotropy(states, h, tol), step)
+    h, _, states = _numeric_route(p, fd_grid(taus, step), tol)
+    fd = central_difference(ergotropy(states, h, tol), step)
     return float(fd[0]) if np.ndim(tau) == 0 else fd
 
 
@@ -220,6 +231,14 @@ def capacity_closed_form(p: BatteryParams, tol: Tolerances | None = None) -> flo
     return p.xic + 0.5 * (
         t.alpha_minus * t.rb_minus + t.alpha_plus * t.rb_plus
     )
+
+
+def capacity_reconciled(p: BatteryParams, h: np.ndarray, rho: np.ndarray) -> float:
+    """xic - tr(h rho) for the Hamiltonian h of p and its Gibbs state rho.
+
+    The numeric counterpart of :func:`capacity_closed_form`.
+    """
+    return p.xic - _trace_real(h @ rho)
 
 
 def l1_coherence(state: np.ndarray):
@@ -252,6 +271,17 @@ DEFAULT_METRICS = (
     "coherence_l1",
 )
 ORACLE_METRICS = ("ergotropy_numeric", "power_fd")
+# the sample field behind each main output column: the closed forms, or in
+# oracle-only mode their numeric counterparts, where the capacity (None) is
+# the curve summary's reconciled value
+CLOSED_FIELDS = {"ergotropy": "ergotropy_closed", "power": "power_closed",
+                 "capacity": "capacity_closed"}
+NUMERIC_FIELDS = {"ergotropy": "ergotropy_numeric", "power": "power_fd", "capacity": None}
+
+
+def main_fields(mode: str) -> dict:
+    """:data:`CLOSED_FIELDS`, or :data:`NUMERIC_FIELDS` in oracle-only mode."""
+    return NUMERIC_FIELDS if mode == "oracle-only" else CLOSED_FIELDS
 
 
 @dataclass(frozen=True)
@@ -303,10 +333,11 @@ def compute_curve(
     come from one stack of evolved states and one stacked ergotropy call;
     each closed form is one call over the whole tau array, and the
     tau-independent capacities are computed once and broadcast. In
-    oracle-only mode the closed-form metrics are skipped; otherwise
-    coherence is read off the mode's closed-form states. Overflow is
-    recorded in-band via each sample's flag rather than raised; it comes
-    from the tau-independent thermal terms, so it flags the whole curve.
+    oracle-only mode each closed-form metric gives way to its numeric
+    counterpart in :data:`NUMERIC_FIELDS`; otherwise coherence is read off
+    the mode's closed-form states. Overflow is recorded in-band via each
+    sample's flag rather than raised; it comes from the tau-independent
+    thermal terms, so it flags the whole curve.
     """
     validate_mode(mode, allow_oracle_only=True)
     unknown = set(metrics) - set(ALL_METRICS)
@@ -314,14 +345,13 @@ def compute_curve(
         raise ValueError(f"unknown metrics: {sorted(unknown)}")
     tol = resolve(tol)
     if mode == "oracle-only":
-        metrics = tuple(m for m in metrics if m not in
-                        ("ergotropy_closed", "power_closed", "capacity_closed"))
+        counterparts = dict(zip(CLOSED_FIELDS.values(), NUMERIC_FIELDS.values()))
+        metrics = tuple(filter(None, (counterparts.get(m, m) for m in metrics)))
     taus = [float(t) for t in taus]
     tau_array = np.array(taus)
-    h = build_degenerate_hamiltonian(p)
     try:
-        columns = _numeric_columns(p, h, tau_array, mode, metrics, tol)
-        columns.update(_closed_columns(p, h, tau_array, mode, metrics, tol))
+        columns = _numeric_columns(p, tau_array, mode, metrics, tol)
+        columns.update(_closed_columns(p, tau_array, mode, metrics, tol))
     except OverflowError:
         # covers ParameterOverflowError and raw float overflow alike
         return tuple(MetricsSample(tau=tau, flag="overflow") for tau in taus)
@@ -335,7 +365,6 @@ def compute_curve(
 
 def _closed_columns(
     p: BatteryParams,
-    h: np.ndarray,
     taus: np.ndarray,
     mode: str,
     metrics: tuple[str, ...],
@@ -348,7 +377,7 @@ def _closed_columns(
     if "power_closed" in metrics:
         columns["power_closed"] = power_closed_form(p, taus, mode, tol)
     if "capacity_definitional" in metrics:
-        columns["capacity_definitional"] = capacity_definitional(h)
+        columns["capacity_definitional"] = capacity_definitional(build_degenerate_hamiltonian(p))
     if "capacity_closed" in metrics:
         columns["capacity_closed"] = capacity_closed_form(p, tol)
     if "coherence_l1" in metrics and mode != "oracle-only":
@@ -358,7 +387,6 @@ def _closed_columns(
 
 def _numeric_columns(
     p: BatteryParams,
-    h: np.ndarray,
     taus: np.ndarray,
     mode: str,
     metrics: tuple[str, ...],
@@ -369,9 +397,8 @@ def _numeric_columns(
     want_power = "power_fd" in metrics
     if not (want_coherence or want_power or "ergotropy_numeric" in metrics):
         return {}
-    rho = gibbs_state_numeric(h, p.temperature, tol)
-    grid = np.concatenate([taus, _fd_grid(taus, tol.fd_step)]) if want_power else taus
-    states = evolve(rho, charging_unitaries(grid), tol)
+    grid = np.concatenate([taus, fd_grid(taus, tol.fd_step)]) if want_power else taus
+    h, _, states = _numeric_route(p, grid, tol)
     count = len(taus)
     columns = {}
     if want_coherence:
@@ -381,5 +408,5 @@ def _numeric_columns(
         if "ergotropy_numeric" in metrics:
             columns["ergotropy_numeric"] = energies[:count]
         if want_power:
-            columns["power_fd"] = _central_difference(energies[count:], tol.fd_step)
+            columns["power_fd"] = central_difference(energies[count:], tol.fd_step)
     return columns

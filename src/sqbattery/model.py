@@ -275,14 +275,17 @@ def gibbs_state_numeric(
     ``h`` may be a stack ``(N, n, n)``, with one temperature or one per
     matrix; all of them are decomposed in one call. Weights are computed as
     exp(-(e - e_min)/T) and normalized by their sum, which keeps the
-    evaluation finite at any temperature > 0.
+    evaluation finite at any temperature > 0; at subnormal T the gaps over T
+    overflow to inf, whose weight 0 is the ground-state limit.
     """
     temperature = np.asarray(temperature, dtype=float)
     if np.any(temperature <= 0):
         raise ValueError("temperature must be positive")
     dec = hermitian_eigendecomposition(h, tol)
     e = dec.eigenvalues
-    w = np.exp(-(e - e[..., :1]) / temperature[..., None])
+    with np.errstate(over="ignore"):
+        scaled = (e - e[..., :1]) / temperature[..., None]
+    w = np.exp(-scaled)
     w /= w.sum(axis=-1, keepdims=True)
     v = dec.eigenvectors
     rho = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)

@@ -12,6 +12,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+from .metrics import main_fields
 from .sweep import Curve, SweepConfig, SweepResult
 
 __all__ = [
@@ -43,18 +44,9 @@ def format_float(x: float | None) -> str:
     return "" if x is None else format(float(x), ".17g")
 
 
-# main columns that are not sample fields of the same name; in oracle-only
-# mode capacity (None here) is the curve summary's reconciled value
-_CLOSED_FIELDS = {"ergotropy": "ergotropy_closed", "power": "power_closed",
-                  "capacity": "capacity_closed"}
-_ORACLE_ONLY_FIELDS = {"ergotropy": "ergotropy_numeric", "power": "power_fd",
-                       "capacity": None}
-
-
 def _column(curve: Curve, name: str, mode: str) -> list:
     """Values of one output column over a curve's samples."""
-    fields = _ORACLE_ONLY_FIELDS if mode == "oracle-only" else _CLOSED_FIELDS
-    field = fields.get(name, name)
+    field = main_fields(mode).get(name, name)
     if field is None:
         return [None if s.flag else curve.summary.capacity for s in curve.samples]
     return [getattr(s, field) for s in curve.samples]

@@ -18,8 +18,15 @@ import numpy as np
 from . import __about__
 from .dynamics import validate_mode
 from .exceptions import UnknownPresetError
-from .metrics import DEFAULT_METRICS, MetricsSample, compute_curve
-from .model import BatteryParams, build_degenerate_hamiltonian, gibbs_state_numeric
+from .metrics import (
+    DEFAULT_METRICS,
+    MetricsSample,
+    _numeric_route,
+    capacity_reconciled,
+    compute_curve,
+    main_fields,
+)
+from .model import BatteryParams
 from .tolerances import Tolerances, resolve
 
 __all__ = [
@@ -105,20 +112,10 @@ def _curve_cases(cfg: SweepConfig):
         yield label, params
 
 
-def _series(samples, field):
-    return [getattr(s, field) for s in samples]
-
-
 def _argmax_first(values) -> int | None:
-    best = None
-    best_i = None
-    for i, v in enumerate(values):
-        if v is None:
-            continue
-        if best is None or v > best:
-            best = v
-            best_i = i
-    return best_i
+    """Index of the first largest value that is not None; None if there is none."""
+    present = (i for i, v in enumerate(values) if v is not None)
+    return max(present, key=values.__getitem__, default=None)
 
 
 def summarize_curve(
@@ -134,19 +131,17 @@ def summarize_curve(
     oracle-only mode, where the numeric columns take over; ties in the
     argmax go to the earliest tau.
     """
-    e_field = "ergotropy_numeric" if mode == "oracle-only" else "ergotropy_closed"
-    p_field = "power_fd" if mode == "oracle-only" else "power_closed"
-    energies = _series(samples, e_field)
-    powers = _series(samples, p_field)
+    fields = main_fields(mode)
+    energies = [getattr(s, fields["ergotropy"]) for s in samples]
+    powers = [getattr(s, fields["power"]) for s in samples]
     i = _argmax_first(energies)
     max_e = energies[i] if i is not None else None
     tau_at = float(taus[i]) if i is not None else None
     j = _argmax_first(powers)
     max_p = powers[j] if j is not None else None
     if mode == "oracle-only":
-        h = build_degenerate_hamiltonian(params)
-        rho = gibbs_state_numeric(h, params.temperature, resolve(tol))
-        capacity = params.xic - float(np.trace(h @ rho).real)
+        h, rho, _ = _numeric_route(params, (), resolve(tol))
+        capacity = capacity_reconciled(params, h, rho)
     else:
         caps = [s.capacity_closed for s in samples if s.capacity_closed is not None]
         capacity = caps[0] if caps else None

@@ -18,7 +18,7 @@ class Tolerances:
     # matrix predicates
     hermitian: float = 1e-10        # max |m - m†| allowed for Hermitian inputs
     unitary: float = 1e-8           # max |u u† - I| allowed by evolve()
-    # eigensolver (cyclic Jacobi)
+    # eigensolver (parallel-order Jacobi)
     jacobi_offdiag: float = 1e-13   # off-diagonal Frobenius target, relative to norm
     jacobi_max_sweeps: int = 100
     # state invariants

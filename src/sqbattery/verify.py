@@ -9,7 +9,6 @@ resolved (see README, "Known discrepancies in the original closed forms").
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import dynamics, metrics, model
 from .model import BatteryParams
-from .sweep import PRESET_NAMES, figure_preset
+from .sweep import PRESET_NAMES, _curve_cases, figure_preset
 from .tolerances import Tolerances, resolve
 
 __all__ = ["SuiteResult", "VerificationReport", "preset_param_sets", "run_verification"]
@@ -77,139 +76,78 @@ class VerificationReport:
 
 def preset_param_sets() -> list[BatteryParams]:
     """The sixteen parameter sets spanned by the four figure presets."""
-    params = []
-    for name in PRESET_NAMES:
-        cfg = figure_preset(name)
-        vary, values = cfg.varied[0]
-        for v in values:
-            params.append(dataclasses.replace(cfg.base, **{vary: v}))
-    return params
+    return [p for name in PRESET_NAMES for _, p in _curve_cases(figure_preset(name))]
 
 
-def random_cloud(count: int, seed: int = 20260809) -> list[BatteryParams]:
+def random_cloud(count: int, seed: int | np.random.Generator = 20260809) -> list[BatteryParams]:
+    """Random parameter cloud: xi in [0, 3], T in [0.05, 5]; ``seed`` may be a Generator."""
     rng = np.random.default_rng(seed)
-    cloud = []
-    for _ in range(count):
-        x1, x2, xc = rng.uniform(0.0, 3.0, 3)
-        temp = rng.uniform(0.05, 5.0)
-        cloud.append(BatteryParams(xi1=x1, xi2=x2, xic=xc, temperature=temp))
-    return cloud
+    return [BatteryParams(*rng.uniform(0.0, 3.0, 3), temperature=rng.uniform(0.05, 5.0))
+            for _ in range(count)]
 
 
-def _tau_grid(count: int) -> np.ndarray:
-    return np.linspace(0.0, 2.0 * np.pi, count)
+def _suite(name: str, residuals: list, tolerance: float, detail: str) -> SuiteResult:
+    """A suite's verdict on all its residuals; a NaN anywhere makes it fail."""
+    worst = float(np.max(np.concatenate([np.ravel(r) for r in residuals])))
+    return SuiteResult(name, bool(worst <= tolerance), worst, tolerance, detail)
 
 
-def _suite_gibbs(param_sets, tol: Tolerances) -> SuiteResult:
+def run_verification(level: str = "quick", tol: Tolerances | None = None) -> VerificationReport:
+    """Run the five suites as reductions over one numeric pass per parameter set.
+
+    The thermal suite decomposes every Hamiltonian (presets and cloud) in
+    one stacked call; each preset's Gibbs state is then evolved once over
+    tau, tau + fd_step and tau - fd_step, and one stacked ergotropy call
+    serves both the ergotropy and the power suite.
+    """
+    if level not in ("quick", "full"):
+        raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
+    tol = resolve(tol)
+    presets = preset_param_sets()
+    param_sets = presets + random_cloud(1000 if level == "full" else 100)
+    taus = np.linspace(0.0, 2.0 * np.pi, 401 if level == "full" else 81)
+    n, step = len(taus), tol.fd_step
+
     hs = np.array([model.build_degenerate_hamiltonian(p) for p in param_sets])
-    temperatures = np.array([p.temperature for p in param_sets])
-    numeric = model.gibbs_state_numeric(hs, temperatures, tol)
-    closed = np.array([model.gibbs_state_closed_form(p, tol) for p in param_sets])
-    worst = float(np.max(np.abs(closed - numeric)))
-    return SuiteResult(
-        name="thermal state closed form vs numeric",
-        passed=worst <= tol.gibbs_equivalence,
-        max_residual=worst,
-        tolerance=tol.gibbs_equivalence,
-        detail=f"{len(param_sets)} parameter sets",
-    )
+    rhos = model.gibbs_state_numeric(hs, [p.temperature for p in param_sets], tol)
+    closed_rhos = np.array([model.gibbs_state_closed_form(p, tol) for p in param_sets])
+    gibbs = [np.abs(closed_rhos - rhos)]
 
-
-def _evolved_numeric(p: BatteryParams, taus, tol: Tolerances):
-    """Hamiltonian, numeric Gibbs state and the stack of its evolved states."""
-    h = model.build_degenerate_hamiltonian(p)
-    rho = model.gibbs_state_numeric(h, p.temperature, tol)
-    return h, rho, dynamics.evolve(rho, dynamics.charging_unitaries(taus), tol)
-
-
-def _suite_evolved(param_sets, taus, tol: Tolerances) -> SuiteResult:
-    worst = 0.0
-    for p in param_sets:
-        _, _, numeric = _evolved_numeric(p, taus, tol)
-        closed = dynamics.evolved_state_closed_form(p, taus, "corrected", tol)
-        worst = max(worst, float(np.max(np.abs(closed - numeric))))
-    return SuiteResult(
-        name="evolved state closed form vs numeric",
-        passed=worst <= tol.evolved_equivalence,
-        max_residual=worst,
-        tolerance=tol.evolved_equivalence,
-        detail=f"{len(param_sets)} parameter sets x {len(taus)} tau points",
-    )
-
-
-def _suite_ergotropy(param_sets, taus, tol: Tolerances) -> SuiteResult:
-    worst = 0.0
-    for p in param_sets:
-        h, rho, states = _evolved_numeric(p, taus, tol)
-        e_spectral = metrics.ergotropy(states, h, tol)
-        e_reference = metrics.ergotropy_vs_reference(states, rho, h)
+    evolved, ergotropies, powers, capacities = [], [], [], []
+    unitaries = dynamics.charging_unitaries(np.concatenate([taus, metrics.fd_grid(taus, step)]))
+    for p, h, rho in zip(presets, hs, rhos):
+        states = dynamics.evolve(rho, unitaries, tol)
+        energies = metrics.ergotropy(states, h, tol)
+        closed_states = dynamics.evolved_state_closed_form(p, taus, "corrected", tol)
+        evolved.append(np.abs(closed_states - states[:n]))
+        e_spectral = energies[:n]
+        e_reference = metrics.ergotropy_vs_reference(states[:n], rho, h)
         e_closed = metrics.ergotropy_closed_form(p, taus, "corrected", tol)
-        worst = max(
-            worst,
-            float(np.max(np.abs(e_spectral - e_reference))),
-            float(np.max(np.abs(e_spectral - e_closed))),
-            float(np.max(np.abs(e_reference - e_closed))),
-        )
-    return SuiteResult(
-        name="ergotropy: spectral vs thermal-reference vs closed form",
-        passed=worst <= tol.ergotropy_equivalence,
-        max_residual=worst,
-        tolerance=tol.ergotropy_equivalence,
-        detail=f"pairwise over {len(param_sets)} parameter sets x {len(taus)} tau points",
-    )
-
-
-def _suite_power(param_sets, taus, tol: Tolerances) -> SuiteResult:
-    worst = 0.0
-    for p in param_sets:
-        fd = metrics.power_fd(p, taus, tol=tol)
-        closed = metrics.power_closed_form(p, taus, "corrected", tol)
-        worst = max(worst, float(np.max(np.abs(closed - fd))))
-    return SuiteResult(
-        name="power closed form vs finite-difference derivative",
-        passed=worst <= tol.power_equivalence,
-        max_residual=worst,
-        tolerance=tol.power_equivalence,
-        detail=f"central difference h={tol.fd_step:g}, global scale 1.0",
-    )
-
-
-def _suite_capacity(param_sets, tol: Tolerances) -> SuiteResult:
-    worst = 0.0
-    for p in param_sets:
-        h = model.build_degenerate_hamiltonian(p)
-        rho = model.gibbs_state_numeric(h, p.temperature, tol)
-        reconciled = p.xic - float(np.trace(h @ rho).real)
-        closed = metrics.capacity_closed_form(p, tol)
-        worst = max(worst, abs(closed - reconciled))
-        worst = max(worst, abs(metrics.capacity_definitional(h) - 0.0))
+        ergotropies += [np.abs(e_spectral - e_reference), np.abs(e_spectral - e_closed),
+                        np.abs(e_reference - e_closed)]
+        fd = metrics.central_difference(energies[n:], step)
+        powers.append(np.abs(metrics.power_closed_form(p, taus, "corrected", tol) - fd))
+        closed_capacity = metrics.capacity_closed_form(p, tol)
+        capacities += [abs(closed_capacity - metrics.capacity_reconciled(p, h, rho)),
+                       abs(metrics.capacity_definitional(h) - 0.0)]
     # xic = 0 and equal Josephson energies: capacity collapses to xi tanh(xi/2T)
     for xi in (0.5, 1.5, 2.5):
         for temp in (0.1, 0.5, 2.0):
             p = BatteryParams(xi1=xi, xi2=xi, xic=0.0, temperature=temp)
             closed = metrics.capacity_closed_form(p, tol)
-            worst = max(worst, abs(closed - xi * math.tanh(xi / (2 * temp))))
-    return SuiteResult(
-        name="capacity reconciliation and limits",
-        passed=worst <= tol.capacity_equivalence,
-        max_residual=worst,
-        tolerance=tol.capacity_equivalence,
-        detail="closed vs xic - tr(H R_th); gap definition = 0; tanh limit",
-    )
+            capacities.append(abs(closed - xi * math.tanh(xi / (2 * temp))))
 
-
-def run_verification(level: str = "quick", tol: Tolerances | None = None) -> VerificationReport:
-    if level not in ("quick", "full"):
-        raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
-    tol = resolve(tol)
-    presets = preset_param_sets()
-    cloud = random_cloud(1000 if level == "full" else 100)
-    taus = _tau_grid(401 if level == "full" else 81)
     suites = (
-        _suite_gibbs(presets + cloud, tol),
-        _suite_evolved(presets, taus, tol),
-        _suite_ergotropy(presets, taus, tol),
-        _suite_power(presets, taus, tol),
-        _suite_capacity(presets, tol),
+        _suite("thermal state closed form vs numeric", gibbs, tol.gibbs_equivalence,
+               f"{len(param_sets)} parameter sets"),
+        _suite("evolved state closed form vs numeric", evolved, tol.evolved_equivalence,
+               f"{len(presets)} parameter sets x {n} tau points"),
+        _suite("ergotropy: spectral vs thermal-reference vs closed form", ergotropies,
+               tol.ergotropy_equivalence,
+               f"pairwise over {len(presets)} parameter sets x {n} tau points"),
+        _suite("power closed form vs finite-difference derivative", powers,
+               tol.power_equivalence, f"central difference h={step:g}, global scale 1.0"),
+        _suite("capacity reconciliation and limits", capacities, tol.capacity_equivalence,
+               "closed vs xic - tr(H R_th); gap definition = 0; tanh limit"),
     )
     return VerificationReport(level=level, suites=suites, decisions=dict(RESOLVED_DECISIONS))

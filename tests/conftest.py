@@ -1,21 +1,7 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from sqbattery import BatteryParams
-from sqbattery.sweep import PRESET_NAMES, figure_preset
-
-
-def preset_param_sets() -> list[BatteryParams]:
-    """All sixteen parameter sets spanned by the figure presets."""
-    out = []
-    for name in PRESET_NAMES:
-        cfg = figure_preset(name)
-        vary, values = cfg.varied[0]
-        for v in values:
-            out.append(dataclasses.replace(cfg.base, **{vary: v}))
-    return out
+from sqbattery.verify import preset_param_sets, random_cloud  # noqa: F401
 
 
 @pytest.fixture(scope="session")
@@ -26,16 +12,6 @@ def preset_params():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-def random_params(rng, count):
-    """Random parameter cloud: xi in [0, 3], T in [0.05, 5]."""
-    for _ in range(count):
-        x1, x2, xc = rng.uniform(0.0, 3.0, 3)
-        yield BatteryParams(
-            xi1=float(x1), xi2=float(x2), xic=float(xc),
-            temperature=float(rng.uniform(0.05, 5.0)),
-        )
 
 
 def random_hermitian(rng, n):

@@ -103,6 +103,26 @@ def test_sweep_command_csv(tmp_path):
     assert {r["label"] for r in rows} == {"xi2=0.5", "xi2=1.0"}
 
 
+ORACLE_ONLY_SWEEP = (
+    "sweep", "--mode", "oracle-only", "--xi1", "1.5", "--xi2", "0.5", "--xic", "0.5",
+    "--temp", "0.1", "--tau-count", "9", "--tau-stop", "3.0",
+)
+
+
+def test_oracle_only_main_columns_carry_the_numeric_route():
+    plain = run_cli(*ORACLE_ONLY_SWEEP)
+    oracle = run_cli(*ORACLE_ONLY_SWEEP, "--oracle")
+    assert plain.returncode == 0 and oracle.returncode == 0, plain.stderr + oracle.stderr
+    rows, oracle_rows = parse_csv(plain.stdout), parse_csv(oracle.stdout)
+    assert all(row["ergotropy"] and row["power"] for row in rows)
+    assert [r["ergotropy"] for r in rows] == [r["ergotropy_numeric"] for r in oracle_rows]
+    assert [r["power"] for r in rows] == [r["power_fd"] for r in oracle_rows]
+    as_json = json.loads(run_cli(*ORACLE_ONLY_SWEEP, "--format", "json").stdout)
+    summary = as_json["curves"][0]["summary"]
+    assert summary["max_ergotropy"] == max(float(r["ergotropy"]) for r in rows)
+    assert summary["max_power"] == max(float(r["power"]) for r in rows)
+
+
 def test_figure_writes_panels_and_manifest(tmp_path):
     proc = run_cli("figure", "fig1", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr

@@ -15,7 +15,7 @@ from sqbattery import (
     hermitian_eigendecomposition,
     thermal_terms,
 )
-from conftest import random_params
+from conftest import random_cloud
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -159,6 +159,15 @@ def test_gibbs_numeric_zero_hamiltonian_and_high_t():
     assert np.max(np.abs(gibbs_state_numeric(h, p.temperature) - np.eye(4) / 4)) < 1e-6
 
 
+def test_gibbs_numeric_at_subnormal_temperature_is_the_ground_state():
+    # gaps over T overflow to inf at T = 4e-324; under warnings-as-errors the
+    # overflow must stay silent and the weights must be the ground-state limit
+    h = build_degenerate_hamiltonian(BatteryParams(xi1=1.5, xi2=0.5, xic=0.5, temperature=1.0))
+    rho = gibbs_state_numeric(h, 4e-324)
+    ground = np.linalg.eigh(h)[1][:, 0]
+    assert np.max(np.abs(rho - np.outer(ground, ground.conj()))) <= 1e-14
+
+
 def test_gibbs_numeric_diagonal_example():
     # xi1 = xi2 = 0, xic = 0.5, T = 0.5: weights exp(-/+1) on the diagonal
     p = BatteryParams(xi1=0, xi2=0, xic=0.5, temperature=0.5)
@@ -172,7 +181,7 @@ def test_gibbs_numeric_diagonal_example():
 
 def test_gibbs_closed_matches_numeric_on_cloud(rng, preset_params):
     worst = 0.0
-    for p in list(random_params(rng, 300)) + preset_params:
+    for p in random_cloud(300, seed=rng) + preset_params:
         h = build_degenerate_hamiltonian(p)
         closed = gibbs_state_closed_form(p)
         numeric = gibbs_state_numeric(h, p.temperature)
@@ -214,7 +223,7 @@ def test_partition_function_consistency(preset_params):
 
 
 def test_thermal_mean_energy_identity(rng, preset_params):
-    for p in list(random_params(rng, 100)) + preset_params:
+    for p in random_cloud(100, seed=rng) + preset_params:
         h = build_degenerate_hamiltonian(p)
         rho = gibbs_state_numeric(h, p.temperature)
         t = thermal_terms(p)
