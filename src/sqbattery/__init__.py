@@ -25,6 +25,7 @@ from .linalg import (
     unitary_from_hamiltonian,
 )
 from .metrics import (
+    CurveColumns,
     MetricsSample,
     capacity_closed_form,
     capacity_definitional,
@@ -58,6 +59,7 @@ from .verify import run_verification
 __all__ = [
     "BatteryParams",
     "Curve",
+    "CurveColumns",
     "CurveSummary",
     "DEFAULT_TOLERANCES",
     "EigenConvergenceError",

@@ -154,6 +154,12 @@ def _emit(text: str, out: str | None) -> int:
     return 0
 
 
+def _emit_result(result, args) -> int:
+    if args.fmt == "csv":
+        return _emit(output.sweep_csv_text(result, include_oracle=args.oracle), args.out)
+    return _emit(output.sweep_json_text(result), args.out)
+
+
 def _cmd_point(args, tol) -> int:
     config = _load_config(args.config)
     params = _params_from(args, config)
@@ -169,16 +175,11 @@ def _cmd_point(args, tol) -> int:
         mode=mode,
     )
     result = run_sweep(cfg, tol)
-    sample = result.curves[0].samples[0]
-    if sample.flag == "overflow":
+    if result.curves[0].samples.flag == "overflow":
         print("error: parameter regime overflows the thermal closed forms",
               file=sys.stderr)
         return 3
-    if args.fmt == "csv":
-        text = output.sweep_csv_text(result, include_oracle=args.oracle)
-    else:
-        text = output.sweep_json_text(result)
-    return _emit(text, args.out)
+    return _emit_result(result, args)
 
 
 def _cmd_sweep(args, tol) -> int:
@@ -194,12 +195,7 @@ def _cmd_sweep(args, tol) -> int:
         metrics=_metric_selection(args.oracle),
         mode=mode,
     )
-    result = run_sweep(cfg, tol)
-    if args.fmt == "csv":
-        text = output.sweep_csv_text(result, include_oracle=args.oracle)
-    else:
-        text = output.sweep_json_text(result)
-    return _emit(text, args.out)
+    return _emit_result(run_sweep(cfg, tol), args)
 
 
 def _cmd_figure(args, tol) -> int:

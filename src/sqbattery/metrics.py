@@ -19,6 +19,7 @@ every column once per curve, and :func:`compute_sample` is its one-tau case.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ __all__ = [
     "ALL_METRICS",
     "DEFAULT_METRICS",
     "ORACLE_METRICS",
+    "CurveColumns",
     "MetricsSample",
     "capacity_closed_form",
     "capacity_definitional",
@@ -288,8 +290,10 @@ def main_fields(mode: str) -> dict:
 class MetricsSample:
     """All figures of merit at one grid point; None marks a skipped metric.
 
-    ``flag`` is empty for a clean cell and "overflow" when the parameter
-    regime defeated the hyperbolic terms (the cell is kept in-band).
+    ``flag`` is empty for a clean cell, "overflow" when the parameter
+    regime defeated the hyperbolic terms, and "ill_conditioned" for a
+    numeric-route cell whose max |H_ij| * eps exceeds the ergotropy tolerance,
+    where cancellation can swamp the result (the cell is kept in-band).
     """
 
     tau: float
@@ -301,6 +305,32 @@ class MetricsSample:
     capacity_closed: float | None = None
     coherence_l1: float | None = None
     flag: str = ""
+
+
+@dataclass(frozen=True, eq=False)
+class CurveColumns(Sequence):
+    """One curve: ``columns`` maps a :class:`MetricsSample` field to an array
+    over ``taus`` (one value if tau-independent); ``capacity`` is the numeric
+    route's reconciled capacity in oracle-only mode. As a sequence it yields
+    one :class:`MetricsSample` per tau, built on access.
+    """
+
+    taus: np.ndarray
+    columns: dict
+    flag: str = ""
+    capacity: float | None = None
+
+    def __len__(self) -> int:
+        return len(self.taus)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        cell = {k: float(v[i]) if isinstance(v, np.ndarray) else v for k, v in self.columns.items()}
+        return MetricsSample(float(self.taus[i]), **cell, flag=self.flag)
+
+    def __eq__(self, other):  # as the tuple of samples it stands for
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
 
 
 def compute_sample(
@@ -324,7 +354,7 @@ def compute_curve(
     mode: str = "corrected",
     metrics: tuple[str, ...] = DEFAULT_METRICS,
     tol: Tolerances | None = None,
-) -> tuple[MetricsSample, ...]:
+) -> CurveColumns:
     """Evaluate the selected metrics at every tau of one parameter set.
 
     Every column is evaluated once per curve. The Hamiltonian and its Gibbs
@@ -332,12 +362,12 @@ def compute_curve(
     ``power_fd`` at tau +/- ``fd_step``, and coherence in oracle-only mode)
     come from one stack of evolved states and one stacked ergotropy call;
     each closed form is one call over the whole tau array, and the
-    tau-independent capacities are computed once and broadcast. In
-    oracle-only mode each closed-form metric gives way to its numeric
-    counterpart in :data:`NUMERIC_FIELDS`; otherwise coherence is read off
-    the mode's closed-form states. Overflow is recorded in-band via each
-    sample's flag rather than raised; it comes from the tau-independent
-    thermal terms, so it flags the whole curve.
+    tau-independent capacities are computed once. In oracle-only mode each
+    closed-form metric gives way to its numeric counterpart in
+    :data:`NUMERIC_FIELDS`; otherwise coherence is read off the mode's
+    closed-form states. Overflow is recorded in-band via the curve's flag
+    rather than raised; it comes from the tau-independent thermal terms, so
+    it flags the whole curve.
     """
     validate_mode(mode, allow_oracle_only=True)
     unknown = set(metrics) - set(ALL_METRICS)
@@ -347,20 +377,14 @@ def compute_curve(
     if mode == "oracle-only":
         counterparts = dict(zip(CLOSED_FIELDS.values(), NUMERIC_FIELDS.values()))
         metrics = tuple(filter(None, (counterparts.get(m, m) for m in metrics)))
-    taus = [float(t) for t in taus]
-    tau_array = np.array(taus)
+    taus = np.array(taus, dtype=float)
     try:
-        columns = _numeric_columns(p, tau_array, mode, metrics, tol)
-        columns.update(_closed_columns(p, tau_array, mode, metrics, tol))
+        numeric = _numeric_columns(p, taus, mode, metrics, tol)
+        numeric.columns.update(_closed_columns(p, taus, mode, metrics, tol))
     except OverflowError:
         # covers ParameterOverflowError and raw float overflow alike
-        return tuple(MetricsSample(tau=tau, flag="overflow") for tau in taus)
-    names = list(columns)
-    series = [np.broadcast_to(columns[name], len(taus)).tolist() for name in names]
-    return tuple(
-        MetricsSample(tau, **dict(zip(names, values)))
-        for tau, *values in zip(taus, *series)
-    )
+        return CurveColumns(taus, {}, "overflow")
+    return numeric
 
 
 def _closed_columns(
@@ -391,22 +415,27 @@ def _numeric_columns(
     mode: str,
     metrics: tuple[str, ...],
     tol: Tolerances,
-) -> dict[str, np.ndarray]:
-    """The oracle columns of one curve, each an array over ``taus``."""
-    want_coherence = "coherence_l1" in metrics and mode == "oracle-only"
+) -> CurveColumns:
+    """The oracle columns of one curve, each an array over ``taus``, flagged
+    if ill-conditioned; in oracle-only mode also the reconciled capacity."""
+    oracle_only = mode == "oracle-only"
+    want_coherence = "coherence_l1" in metrics and oracle_only
     want_power = "power_fd" in metrics
-    if not (want_coherence or want_power or "ergotropy_numeric" in metrics):
-        return {}
+    want_energy = want_power or "ergotropy_numeric" in metrics
+    if not (want_energy or oracle_only):
+        return CurveColumns(taus, {})
     grid = np.concatenate([taus, fd_grid(taus, tol.fd_step)]) if want_power else taus
-    h, _, states = _numeric_route(p, grid, tol)
+    h, rho, states = _numeric_route(p, grid if want_energy or want_coherence else (), tol)
     count = len(taus)
     columns = {}
     if want_coherence:
         columns["coherence_l1"] = l1_coherence(states[:count])
-    if want_power or "ergotropy_numeric" in metrics:
+    if want_energy:
         energies = ergotropy(states, h, tol)
         if "ergotropy_numeric" in metrics:
             columns["ergotropy_numeric"] = energies[:count]
         if want_power:
             columns["power_fd"] = central_difference(energies[count:], tol.fd_step)
-    return columns
+    ill = np.abs(h).max() * np.finfo(float).eps > tol.ergotropy_equivalence
+    capacity = capacity_reconciled(p, h, rho) if oracle_only else None
+    return CurveColumns(taus, columns, "ill_conditioned" if ill else "", capacity)

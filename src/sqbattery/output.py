@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from .metrics import main_fields
 from .sweep import Curve, SweepConfig, SweepResult
@@ -41,32 +44,49 @@ PANELS = (
 
 
 def format_float(x: float | None) -> str:
+    """One CSV cell: 17 significant digits, or empty for None."""
     return "" if x is None else format(float(x), ".17g")
 
 
-def _column(curve: Curve, name: str, mode: str) -> list:
-    """Values of one output column over a curve's samples."""
+def _column(curve: Curve, name: str, mode: str):
+    """One output column of a curve: an array over its taus, or one value for all."""
+    columns = curve.samples
+    if name in ("tau", "flag"):
+        return columns.taus if name == "tau" else columns.flag
     field = main_fields(mode).get(name, name)
     if field is None:
-        return [None if s.flag else curve.summary.capacity for s in curve.samples]
-    return [getattr(s, field) for s in curve.samples]
+        return None if columns.flag == "overflow" else curve.summary.capacity
+    return columns.columns.get(field)
+
+
+def _series(value, count: int, fmt=None):
+    """``count`` cells of a column; ``fmt`` runs per element of an array, once for a value."""
+    if isinstance(value, np.ndarray):
+        return value.tolist() if fmt is None else list(map(fmt, value.tolist()))
+    return repeat(value if fmt is None else fmt(value), count)
 
 
 def csv_text(result: SweepResult, metric_columns: tuple[str, ...]) -> str:
     """One CSV document: curve columns, tau, the given metric columns, flag.
 
-    The curve columns (label and parameters) are formatted once per curve,
-    every other column once per sample.
+    The curve columns (label and parameters), the tau-independent columns
+    and the flag are formatted once per curve, each tau grid once per
+    result, every other column with one ``map`` per curve.
     """
-    columns = ("tau",) + metric_columns
-    lines = [",".join(CURVE_COLUMNS + columns + ("flag",))]
+    mode = result.config.mode
+    lines = [",".join(CURVE_COLUMNS + ("tau",) + metric_columns + ("flag",))]
+    tau_cells = {}
     for curve in result.curves:
-        p = curve.params
+        p, taus, count = curve.params, curve.samples.taus, len(curve.samples)
         prefix = ",".join([curve.label] + [format_float(v) for v in
                           (p.xi1, p.xi2, p.xic, p.temperature)])
-        fields = [[format_float(v) for v in _column(curve, name, result.config.mode)]
-                  for name in columns]
-        fields.append(_column(curve, "flag", result.config.mode))
+        key = taus.tobytes()
+        if key not in tau_cells:
+            tau_cells[key] = _series(taus, count, format_float)
+        fields = [tau_cells[key]]
+        fields += [_series(_column(curve, name, mode), count, format_float)
+                   for name in metric_columns]
+        fields.append(repeat(curve.samples.flag, count))
         lines.extend(",".join((prefix, *row)) for row in zip(*fields))
     return "\n".join(lines) + "\n"
 
@@ -76,13 +96,9 @@ def sweep_csv_text(result: SweepResult, include_oracle: bool = False) -> str:
     return csv_text(result, MAIN_COLUMNS + (ORACLE_COLUMNS if include_oracle else ()))
 
 
-def _params_object(p) -> dict:
-    return {k: v for k, v in dataclasses.asdict(p).items()}
-
-
 def config_object(cfg: SweepConfig) -> dict:
     return {
-        "base": _params_object(cfg.base),
+        "base": dataclasses.asdict(cfg.base),
         "varied": [[name, list(values)] for name, values in cfg.varied],
         "tau_start": cfg.tau_start,
         "tau_stop": cfg.tau_stop,
@@ -98,11 +114,13 @@ def sweep_json_object(result: SweepResult, sample_keys=SAMPLE_KEYS) -> dict:
     for curve in result.curves:
         entry = {
             "label": curve.label,
-            "params": _params_object(curve.params),
+            "params": dataclasses.asdict(curve.params),
             "summary": dataclasses.asdict(curve.summary),
         }
         if sample_keys is not None:
-            columns = [_column(curve, key, result.config.mode) for key in sample_keys]
+            count = len(curve.samples)
+            columns = [_series(_column(curve, key, result.config.mode), count)
+                       for key in sample_keys]
             entry["samples"] = [dict(zip(sample_keys, values)) for values in zip(*columns)]
         curves.append(entry)
     return {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,14 +19,7 @@ import numpy as np
 from . import __about__
 from .dynamics import validate_mode
 from .exceptions import UnknownPresetError
-from .metrics import (
-    DEFAULT_METRICS,
-    MetricsSample,
-    _numeric_route,
-    capacity_reconciled,
-    compute_curve,
-    main_fields,
-)
+from .metrics import DEFAULT_METRICS, CurveColumns, compute_curve, main_fields
 from .model import BatteryParams
 from .tolerances import Tolerances, resolve
 
@@ -84,7 +78,7 @@ class CurveSummary:
 class Curve:
     label: str
     params: BatteryParams
-    samples: tuple[MetricsSample, ...]
+    samples: CurveColumns
     summary: CurveSummary
 
 
@@ -112,41 +106,31 @@ def _curve_cases(cfg: SweepConfig):
         yield label, params
 
 
-def _argmax_first(values) -> int | None:
-    """Index of the first largest value that is not None; None if there is none."""
-    present = (i for i, v in enumerate(values) if v is not None)
-    return max(present, key=values.__getitem__, default=None)
+def _argmax_first(values: np.ndarray | None) -> int | None:
+    """Index of the largest value as Python's ``max`` finds it (the first of
+    ties; a leading NaN wins, later NaNs are passed over); None for none."""
+    if values is None or not len(values):
+        return None
+    return 0 if math.isnan(values[0]) else int(np.nanargmax(values))
 
 
-def summarize_curve(
-    params: BatteryParams,
-    samples: tuple[MetricsSample, ...],
-    taus: np.ndarray,
-    mode: str,
-    tol: Tolerances | None = None,
-) -> CurveSummary:
-    """Per-curve summary recomputable from the stored series.
+def summarize_curve(curve: CurveColumns, mode: str) -> CurveSummary:
+    """Per-curve summary recomputable from the stored columns.
 
-    The ergotropy/power series used is the closed-form one except in
-    oracle-only mode, where the numeric columns take over; ties in the
-    argmax go to the earliest tau.
+    The ergotropy/power columns used are the closed-form ones except in
+    oracle-only mode, where the numeric columns and the reconciled capacity
+    take over; ties in the argmax go to the earliest tau.
     """
     fields = main_fields(mode)
-    energies = [getattr(s, fields["ergotropy"]) for s in samples]
-    powers = [getattr(s, fields["power"]) for s in samples]
-    i = _argmax_first(energies)
-    max_e = energies[i] if i is not None else None
-    tau_at = float(taus[i]) if i is not None else None
-    j = _argmax_first(powers)
-    max_p = powers[j] if j is not None else None
-    if mode == "oracle-only":
-        h, rho, _ = _numeric_route(params, (), resolve(tol))
-        capacity = capacity_reconciled(params, h, rho)
-    else:
-        caps = [s.capacity_closed for s in samples if s.capacity_closed is not None]
-        capacity = caps[0] if caps else None
+    energies = curve.columns.get(fields["ergotropy"])
+    powers = curve.columns.get(fields["power"])
+    i, j = _argmax_first(energies), _argmax_first(powers)
+    capacity = curve.columns.get("capacity_closed") if len(curve) else None
     return CurveSummary(
-        max_ergotropy=max_e, tau_at_max=tau_at, max_power=max_p, capacity=capacity
+        max_ergotropy=None if i is None else float(energies[i]),
+        tau_at_max=None if i is None else float(curve.taus[i]),
+        max_power=None if j is None else float(powers[j]),
+        capacity=curve.capacity if mode == "oracle-only" else capacity,
     )
 
 
@@ -157,7 +141,7 @@ def run_sweep(cfg: SweepConfig, tol: Tolerances | None = None) -> SweepResult:
     curves = []
     for label, params in _curve_cases(cfg):
         samples = compute_curve(params, taus, cfg.mode, cfg.metrics, tol)
-        summary = summarize_curve(params, samples, taus, cfg.mode, tol)
+        summary = summarize_curve(samples, cfg.mode)
         curves.append(Curve(label=label, params=params, samples=samples, summary=summary))
     provenance = {
         "package": __about__.NAME,

@@ -264,3 +264,14 @@ def test_verify_detects_corrupted_closed_form(monkeypatch):
     worst = max(s.max_residual for s in failed.values())
     assert worst > 1e-3
     assert not report.passed
+
+
+def test_point_flags_cancellation_at_huge_energies():
+    # ||H|| eps far above the ergotropy tolerance: the numeric ergotropy is
+    # swamped by cancellation, so the cell says so but keeps its values
+    proc = run_cli("point", "--xi1", "1e200", "--xi2", "0.5", "--xic", "0.3",
+                   "--temp", "1e-100", "--tau", "0.7", "--mode", "oracle-only")
+    assert proc.returncode == 0, proc.stderr
+    row = parse_csv(proc.stdout)[0]
+    assert row["flag"] == "ill_conditioned"
+    assert row["ergotropy"] == "-1.6996415770136547e+184"

@@ -1,0 +1,162 @@
+"""Columnar curves: the column view is the per-cell truth.
+
+``compute_curve`` returns one array per metric; indexing, iterating and a
+sweep's ``Curve.samples`` still yield ``MetricsSample`` cells, and each must
+carry exactly the bits of ``compute_sample`` at that tau. Sweeps and their
+CSV never build a per-cell object, and every numeric-route cell whose
+Hamiltonian is too large for the ergotropy tolerance is flagged.
+"""
+
+import dataclasses
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sqbattery import (
+    BatteryParams,
+    SweepConfig,
+    compute_curve,
+    compute_sample,
+    figure_preset,
+    run_sweep,
+)
+from sqbattery import metrics as metrics_mod
+from sqbattery import model as model_mod
+from sqbattery.linalg import hermitian_eigendecomposition
+from sqbattery.metrics import ALL_METRICS, DEFAULT_METRICS, ORACLE_METRICS, MetricsSample
+from sqbattery.output import format_float, sweep_csv_text
+from sqbattery.sweep import PRESET_NAMES, _argmax_first
+
+MODES = st.sampled_from(["corrected", "verbatim", "oracle-only"])
+METRICS = st.sampled_from([DEFAULT_METRICS, ALL_METRICS, ("ergotropy_closed", "power_fd")])
+ENERGY = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+TAUS = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=1, max_size=5)
+
+
+@st.composite
+def params(draw):
+    # the huge Josephson energies overflow the closed forms and make the
+    # numeric route ill-conditioned
+    xi1 = draw(st.one_of(ENERGY, st.floats(1e160, 1e300)))
+    xi2 = xi1 if draw(st.booleans()) else draw(ENERGY)
+    xic = draw(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)))
+    temperature = 10.0 ** draw(st.floats(-3.0, 1.0))
+    return BatteryParams(xi1=xi1, xi2=xi2, xic=xic, temperature=temperature)
+
+
+def bits(sample):
+    """A sample's fields with every float as its IEEE bytes (NaN, -0.0 exact)."""
+    return tuple(struct.pack("<d", v) if isinstance(v, float) else v
+                 for v in dataclasses.astuple(sample))
+
+
+@settings(max_examples=40, deadline=None)
+@given(params(), TAUS, MODES, METRICS)
+def test_column_view_equals_single_cells_bit_for_bit(p, taus, mode, metrics):
+    curve = compute_curve(p, taus, mode, metrics)
+    cells = [compute_sample(p, tau, mode, metrics) for tau in taus]
+    assert len(curve) == len(taus)
+    assert [bits(curve[i]) for i in range(len(taus))] == [bits(c) for c in cells]
+    assert [bits(s) for s in curve] == [bits(c) for c in cells]
+    assert bits(curve[-1]) == bits(cells[-1])
+    assert [bits(s) for s in curve[1:]] == [bits(c) for c in cells[1:]]
+    with pytest.raises(IndexError):
+        curve[len(taus)]
+
+    cfg = SweepConfig(base=p, tau_start=0.0, tau_stop=7.0, tau_count=len(taus),
+                      metrics=metrics, mode=mode)
+    samples = run_sweep(cfg).curves[0].samples
+    grid = cfg.tau_grid().tolist()
+    assert len(samples) == len(grid)
+    assert [bits(s) for s in samples] == [
+        bits(compute_sample(p, tau, mode, metrics)) for tau in grid
+    ]
+
+
+def test_column_view_compares_like_the_tuple_of_its_samples():
+    p = BatteryParams(xi1=1.5, xi2=0.5, xic=0.5, temperature=0.1)
+    curve = compute_curve(p, [0.1, 0.5])
+    assert curve == compute_curve(p, [0.1, 0.5])
+    assert curve == (compute_sample(p, 0.1), compute_sample(p, 0.5))
+    assert curve != compute_curve(p, [0.1, 0.6])
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324,
+                               1.7976931348623157e308, 0.1, np.float64(2.5), 3])
+def test_shared_formatter_is_17_significant_digits(x):
+    assert format_float(x) == format(float(x), ".17g")
+    assert format_float(None) == ""
+
+
+def test_sweep_and_csv_build_no_per_cell_objects(monkeypatch):
+    built = []
+    init = MetricsSample.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MetricsSample, "__init__", counting)
+    cfg = SweepConfig(
+        base=BatteryParams(xi1=1.5, xi2=0.0, xic=0.5, temperature=1.0),
+        varied=(("xi2", (0.3, 1.1, 2.9)), ("temperature", (1e-3, 0.2, 9.0))),
+        tau_count=401,
+    )
+    text = sweep_csv_text(run_sweep(cfg))
+    assert text.count("\n") == 1 + 9 * 401
+    assert built == []
+
+
+def test_oracle_only_sweep_decomposes_every_input_once(monkeypatch):
+    inputs = []
+
+    def counting(m, tol=None):
+        m = np.asarray(m)
+        inputs.append((m.shape, m.tobytes()))
+        return hermitian_eigendecomposition(m, tol)
+
+    for module in (model_mod, metrics_mod):
+        monkeypatch.setattr(module, "hermitian_eigendecomposition", counting)
+    cfg = SweepConfig(base=BatteryParams(xi1=1.5, xi2=0.5, xic=0.5, temperature=0.1),
+                      varied=(("xic", (0.5, 1.0)),), tau_count=5, mode="oracle-only")
+    result = run_sweep(cfg)
+    assert [shape[0] if len(shape) == 3 else 1 for shape, _ in inputs] == [1, 16, 1, 16]
+    assert len(set(inputs)) == len(inputs)
+    for curve in result.curves:
+        p = curve.params
+        h = model_mod.build_degenerate_hamiltonian(p)
+        rho = model_mod.gibbs_state_numeric(h, p.temperature)
+        assert curve.summary.capacity == metrics_mod.capacity_reconciled(p, h, rho)
+
+
+@pytest.mark.parametrize("mode", ["corrected", "verbatim", "oracle-only"])
+def test_ill_conditioned_numeric_cells_are_flagged_in_band(mode):
+    # at xi1 = xi2 = 1e152 the closed forms are finite, while ||H|| eps
+    # dwarfs the ergotropy tolerance and the numeric ergotropy cancels
+    p = BatteryParams(xi1=1e152, xi2=1e152, xic=0.3, temperature=0.1)
+    curve = compute_curve(p, [0.7, 1.9], mode, ALL_METRICS)
+    assert [s.flag for s in curve] == ["ill_conditioned"] * 2
+    assert all(s.ergotropy_numeric is not None and s.power_fd is not None for s in curve)
+    closed = compute_curve(p, [0.7, 1.9], "corrected", DEFAULT_METRICS)
+    assert closed.flag == ""
+
+
+@pytest.mark.parametrize("mode", ["corrected", "verbatim", "oracle-only"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_figure_presets_stay_unflagged_with_the_oracle(name, mode):
+    result = run_sweep(figure_preset(name, mode, DEFAULT_METRICS + ORACLE_METRICS))
+    assert [curve.samples.flag for curve in result.curves] == [""] * 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=True), st.sampled_from([0.0, -0.0, math.nan])),
+                max_size=8))
+def test_summary_argmax_is_pythons_first_max(values):
+    # the summaries kept Python's max over the cells: first of ties, a
+    # leading NaN wins and later NaNs are passed over
+    expected = max(range(len(values)), key=values.__getitem__, default=None)
+    assert _argmax_first(np.array(values)) == expected
