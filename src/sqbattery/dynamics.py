@@ -21,10 +21,11 @@ import numpy as np
 
 from .exceptions import NotUnitaryError
 from .model import BatteryParams, thermal_entries, thermal_terms
-from .tolerances import Tolerances, resolve
+from .tolerances import DEFAULT, Tolerances, resolve
 
 __all__ = [
     "MODES",
+    "TauGrid",
     "charging_unitaries",
     "charging_unitary",
     "evolve",
@@ -53,6 +54,56 @@ def per_tau(fn, tau) -> np.ndarray:
     return np.array([fn(t) for t in np.atleast_1d(np.asarray(tau, dtype=float)).tolist()])
 
 
+# the libm factors of the closed forms, by their TauGrid attribute names
+FACTORS = {
+    "sin": math.sin, "cos": math.cos,
+    "sin_sq": lambda x: math.sin(x) ** 2, "cos_sq": lambda x: math.cos(x) ** 2,
+    "sin2": lambda x: math.sin(2 * x), "cos2": lambda x: math.cos(2 * x),
+    "sin4": lambda x: math.sin(4 * x), "cos4": lambda x: math.cos(4 * x),
+    "sin2_sq": lambda x: math.sin(2 * x) ** 2,
+}
+
+
+class TauGrid:
+    """A tau grid and the work that depends on it alone, done at most once.
+
+    ``nodes`` are the taus, then every tau + step, then every tau - step.
+    Each :data:`FACTORS` name is that factor at every tau (via
+    :func:`per_tau`), and ``unitaries`` the charging unitaries at every node
+    with their deviations from unitarity; both are built on first access.
+    All arrays are read-only, as a sweep's curves share them.
+    """
+
+    def __init__(self, taus, step: float = DEFAULT.fd_step):
+        self.scalar, self.step = np.ndim(taus) == 0, step
+        self.taus = np.array(taus, dtype=float, ndmin=1)
+        self.nodes = np.concatenate([self.taus, self.taus + step, self.taus - step])
+        self.taus.flags.writeable = self.nodes.flags.writeable = False
+
+    def __getattr__(self, name: str):
+        if name == "unitaries":
+            u = charging_unitaries(self.nodes)
+            value = u, _unitarity_deviation(u)
+        elif name in FACTORS:
+            value = per_tau(FACTORS[name], self.taus)
+        else:
+            raise AttributeError(name)
+        for part in value if name == "unitaries" else (value,):
+            part.flags.writeable = False
+        setattr(self, name, value)
+        return value
+
+    def evolve(self, state: np.ndarray, stop: int, tol: Tolerances) -> np.ndarray:
+        """:func:`evolve` of ``state`` by the unitaries at the first ``stop`` nodes."""
+        u, dev = self.unitaries
+        return _conjugate(state, u[:stop], dev[:stop], tol)
+
+
+def as_grid(tau, step: float = DEFAULT.fd_step) -> TauGrid:
+    """``tau`` if it is a :class:`TauGrid`, else a one-off grid of its taus."""
+    return tau if isinstance(tau, TauGrid) else TauGrid(tau, step)
+
+
 def _matrix_stack(rows) -> np.ndarray:
     """C-contiguous ``(N, 4, 4)`` complex stack from a 4x4 grid of length-N arrays."""
     return np.ascontiguousarray(np.array(rows, dtype=complex).transpose(2, 0, 1))
@@ -70,9 +121,8 @@ def charging_unitary(tau: float) -> np.ndarray:
 
 def charging_unitaries(taus) -> np.ndarray:
     """Stack ``(N, 4, 4)`` of :func:`charging_unitary`, one per tau."""
-    a = per_tau(lambda x: math.cos(x) ** 2, taus)
-    b = -per_tau(lambda x: math.sin(x) ** 2, taus)
-    c = -1j * per_tau(math.sin, taus) * per_tau(math.cos, taus)
+    g = TauGrid(taus)
+    a, b, c = g.cos_sq, -g.sin_sq, -1j * g.sin * g.cos
     return _matrix_stack([[a, c, c, b], [c, a, b, c], [c, b, a, c], [b, c, c, a]])
 
 
@@ -82,10 +132,16 @@ def evolve(state: np.ndarray, u: np.ndarray, tol: Tolerances | None = None) -> n
     ``state`` and ``u`` are single matrices or stacks ``(N, n, n)`` that
     broadcast against each other; every unitary is checked on its own.
     """
-    tol = resolve(tol)
     u = np.asarray(u)
-    u_dag = u.conj().swapaxes(-1, -2)
-    dev = np.abs(u @ u_dag - np.eye(u.shape[-1])).max(axis=(-2, -1))
+    return _conjugate(state, u, _unitarity_deviation(u), resolve(tol))
+
+
+def _unitarity_deviation(u: np.ndarray) -> np.ndarray:
+    """max |u u† - I| of one matrix, or of each matrix of a stack."""
+    return np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1])).max(axis=(-2, -1))
+
+
+def _conjugate(state, u, dev, tol: Tolerances) -> np.ndarray:
     if np.any(dev > tol.unitary):
         i = int(np.argmax(dev))
         which = f"matrix {i} of the stack" if dev.ndim else "matrix"
@@ -93,7 +149,7 @@ def evolve(state: np.ndarray, u: np.ndarray, tol: Tolerances | None = None) -> n
             f"{which} deviates from unitarity by {float(dev.flat[i]):.3e} "
             f"(tolerance {tol.unitary:.1e})"
         )
-    return u @ state @ u_dag
+    return u @ state @ u.conj().swapaxes(-1, -2)
 
 
 def evolved_state_closed_form(
@@ -104,16 +160,17 @@ def evolved_state_closed_form(
 ) -> np.ndarray:
     """Closed-form evolved state at charging time tau.
 
-    ``tau`` is one charging time (gives a (4, 4) matrix) or an array of them
-    (gives an ``(N, 4, 4)`` stack); the thermal terms are evaluated once.
+    ``tau`` is one charging time (gives a (4, 4) matrix), or an array or a
+    :class:`TauGrid` (an ``(N, 4, 4)`` stack); the thermal terms are evaluated once.
     """
     validate_mode(mode)
     evolved = _evolved_corrected if mode == "corrected" else _evolved_verbatim
-    states = evolved(p, tau, tol)
-    return states[0] if np.ndim(tau) == 0 else states
+    grid = as_grid(tau)
+    states = evolved(p, grid, tol)
+    return states[0] if grid.scalar else states
 
 
-def _evolved_corrected(p: BatteryParams, tau, tol: Tolerances | None) -> np.ndarray:
+def _evolved_corrected(p: BatteryParams, g: TauGrid, tol: Tolerances | None) -> np.ndarray:
     """Exact entries of U(tau) R U(tau)†.
 
     Conjugating the thermal state (which commutes with X(x)X) by the
@@ -123,11 +180,11 @@ def _evolved_corrected(p: BatteryParams, tau, tol: Tolerances | None) -> np.ndar
     state with the collective drive.
     """
     p11, p12, p13, p14, p22, p23 = thermal_entries(p, tol)
-    c4 = per_tau(lambda x: math.cos(4 * x), tau)
+    c4 = g.cos4
     f1 = (3.0 + c4) / 4.0
     f2 = (c4 - 1.0) / 4.0
     f3 = (1.0 - c4) / 8.0
-    f4 = per_tau(lambda x: math.sin(4 * x), tau) / 4.0
+    f4 = g.sin4 / 4.0
     diag_gap = (p11 + p14) - (p22 + p23)
 
     r11 = f1 * p11 + f2 * p14 + 2 * f3 * (p22 + p23)
@@ -147,7 +204,7 @@ def _evolved_corrected(p: BatteryParams, tau, tol: Tolerances | None) -> np.ndar
     ])
 
 
-def _evolved_verbatim(p: BatteryParams, tau, tol: Tolerances | None) -> np.ndarray:
+def _evolved_verbatim(p: BatteryParams, g: TauGrid, tol: Tolerances | None) -> np.ndarray:
     """Originally published element expressions, evaluated unchanged.
 
     All entries are real as printed; the matrix is symmetric but its trace
@@ -156,9 +213,7 @@ def _evolved_verbatim(p: BatteryParams, tau, tol: Tolerances | None) -> np.ndarr
     """
     t = thermal_terms(p, tol)
     x1, x2, xc = p.xi1, p.xi2, p.xic
-    s2 = per_tau(lambda x: math.sin(2 * x), tau)
-    c2 = per_tau(lambda x: math.cos(2 * x), tau)
-    c4 = per_tau(lambda x: math.cos(4 * x), tau)
+    s2, c2, c4 = g.sin2, g.cos2, g.cos4
     c2sq = c2 * c2
 
     r11 = -(

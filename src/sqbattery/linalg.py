@@ -31,6 +31,8 @@ __all__ = [
 # matrices decomposed together; larger stacks are split into chunks of this
 # size, which bounds the kernel's temporaries
 MAX_STACK = 512
+# _round_robin(n) by n: built once per process and shared, so read-only
+_ROUNDS: dict[int, tuple] = {}
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -67,14 +69,14 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _round_robin(n: int) -> list[tuple[np.ndarray, ...]]:
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """Rounds of disjoint (p, q) pairs, p < q, covering every pair once.
 
     Circle ordering: index 0 stays put while the others rotate. Odd n gets
     a dummy index n, and pairs with it are dropped. Each round is
     ``(p, q, pq, qp)`` with ``pq`` = p then q and ``qp`` = q then p, so
     ``a[:, pq, qp]`` are its pivot entries and ``a[:, pq, pq]`` their
-    diagonals.
+    diagonals. The index arrays are read-only.
     """
     m = n + n % 2
     ring = list(range(1, m))
@@ -89,8 +91,10 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, ...]]:
         if pairs:
             p, q = np.array(pairs).T
             rounds.append((p, q, np.concatenate([p, q]), np.concatenate([q, p])))
+            for a in rounds[-1]:
+                a.flags.writeable = False
         ring = ring[-1:] + ring[:-1]
-    return rounds
+    return tuple(rounds)
 
 
 def _offdiag_norm(a: np.ndarray) -> np.ndarray:
@@ -199,12 +203,11 @@ def _decompose(m: np.ndarray, offset: int, tol: Tolerances) -> tuple[np.ndarray,
     # scale by 2**-e, with 2**e just above the largest real or imaginary part
     top = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1))
     e = np.frexp(top)[1][:, None, None]
-    scaled = np.empty_like(m)
-    scaled.real = np.ldexp(m.real, -e)
-    scaled.imag = np.ldexp(m.imag, -e)
     av = np.empty((count, 2 * n, n), dtype=complex)
     a, v = av[:, :n], av[:, n:]
-    a[:] = (scaled + _dagger(scaled)) / 2.0
+    a.real = np.ldexp(m.real, -e)
+    a.imag = np.ldexp(m.imag, -e)
+    a[:] = (a + _dagger(a)) / 2.0
     v[:] = np.eye(n)
 
     # target relative to the (scaled) matrix norm
@@ -212,12 +215,13 @@ def _decompose(m: np.ndarray, offset: int, tol: Tolerances) -> tuple[np.ndarray,
     target = tol.jacobi_offdiag * np.maximum(1.0, norm)
     # entries this small cannot push the off-diagonal norm above target
     skip = target / (2.0 * n)
-    rounds = _round_robin(n)
+    rounds = _ROUNDS[n] if n in _ROUNDS else _ROUNDS.setdefault(n, _round_robin(n))
     done = _offdiag_norm(a) <= target
     for _ in range(tol.jacobi_max_sweeps):
         if done.all():
             break
-        live = np.flatnonzero(~done)
+        # while no matrix has converged, the sweep runs on av itself, not a copy
+        live = np.flatnonzero(~done) if done.any() else slice(None)
         sub = av[live]
         _jacobi_sweep(sub, skip[live], rounds)
         av[live] = sub

@@ -11,30 +11,24 @@ closed form equals xic minus the thermal mean energy. Both are kept.
 Closed forms accept a mode: ``corrected`` (matches the numeric oracle; the
 default) or ``verbatim`` (the originally published expressions; see README).
 
-The closed forms take tau arrays and the numeric routes take stacks:
+The closed forms take tau arrays or grids and the numeric routes take stacks:
 :func:`compute_curve` evaluates one parameter set over a whole tau grid,
 every column once per curve, and :func:`compute_sample` is its one-tau case.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    charging_unitaries,
-    evolve,
-    evolved_state_closed_form,
-    per_tau,
-    validate_mode,
-)
+from .dynamics import TauGrid, as_grid, evolved_state_closed_form, validate_mode
 from .linalg import hermitian_eigendecomposition
 from .model import (
     BatteryParams,
     build_degenerate_hamiltonian,
+    build_full_hamiltonian,
     gibbs_state_numeric,
     thermal_terms,
 )
@@ -128,24 +122,22 @@ def ergotropy_closed_form(
     power is exactly its tau derivative. It does not agree with the
     numeric route (see README).
 
-    ``tau`` is one charging time (gives a float) or an array of them (gives
-    an array); the thermal terms are evaluated once.
+    ``tau`` is one charging time (gives a float), or an array or a
+    ``TauGrid`` (an array); the thermal terms are evaluated once.
     """
     validate_mode(mode)
     t = thermal_terms(p, tol)
+    g = as_grid(tau)
     if mode == "corrected":
-        values = 4.0 * p.xic**2 * t.rs_plus * per_tau(lambda x: math.sin(2 * x) ** 2, tau)
+        values = 4.0 * p.xic**2 * t.rs_plus * g.sin2_sq
     else:
         xc = p.xic
-        values = per_tau(lambda x: math.sin(x) ** 2, tau) * (
-            4 * xc * (
-                xc * per_tau(lambda x: math.cos(2 * x), tau) * (t.rs_minus + t.rs_plus)
-                + per_tau(lambda x: math.cos(x) ** 2, tau) * (t.ra_plus - t.ra_minus)
-            )
+        values = g.sin_sq * (
+            4 * xc * (xc * g.cos2 * (t.rs_minus + t.rs_plus) + g.cos_sq * (t.ra_plus - t.ra_minus))
             + t.alpha_minus * t.rb_minus
             + t.alpha_plus * t.rb_plus
         )
-    return float(values[0]) if np.ndim(tau) == 0 else values
+    return float(values[0]) if g.scalar else values
 
 
 def power_closed_form(
@@ -162,40 +154,35 @@ def power_closed_form(
     """
     validate_mode(mode)
     t = thermal_terms(p, tol)
+    g = as_grid(tau)
     if mode == "corrected":
-        values = 8.0 * p.xic**2 * t.rs_plus * per_tau(lambda x: math.sin(4 * x), tau)
+        values = 8.0 * p.xic**2 * t.rs_plus * g.sin4
     else:
-        xc, x1, x2 = p.xic, p.xi1, p.xi2
-        c2 = per_tau(lambda x: math.cos(2 * x), tau)
-        values = per_tau(lambda x: math.sin(2 * x), tau) * (
+        xc, x1, x2, c2 = p.xic, p.xi1, p.xi2, g.cos2
+        values = g.sin2 * (
             4 * xc * c2 * (t.ra_plus - t.ra_minus)
             + t.rs_plus * (8 * xc * xc * c2 + (x1 + x2) ** 2)
             + t.rs_minus * (8 * xc * xc * c2 + (x1 - x2) ** 2)
         )
-    return float(values[0]) if np.ndim(tau) == 0 else values
-
-
-def fd_grid(taus: np.ndarray, step: float) -> np.ndarray:
-    """Central-difference nodes: every tau + step, then every tau - step."""
-    return np.concatenate([taus + step, taus - step])
+    return float(values[0]) if g.scalar else values
 
 
 def central_difference(energies: np.ndarray, step: float) -> np.ndarray:
-    """Derivatives from energies on :func:`fd_grid` nodes."""
+    """Derivatives from energies at every tau + step, then every tau - step."""
     half = len(energies) // 2
     return (energies[:half] - energies[half:]) / (2.0 * step)
 
 
-def _numeric_route(p: BatteryParams, taus, tol: Tolerances):
+def _numeric_route(p: BatteryParams, grid: TauGrid, stop: int, tol: Tolerances):
     """How a parameter set becomes (H, rho_th, evolved stack).
 
-    H is the degeneracy-point Hamiltonian, rho_th its Gibbs state through
-    the eigensolver, and the stack holds U(tau) rho_th U(tau)^dagger for
-    every tau of ``taus`` (empty for no taus).
+    H is the full Hamiltonian, gate charges included, rho_th its Gibbs state
+    through the eigensolver, and the stack holds U(tau) rho_th U(tau)^dagger
+    at the first ``stop`` nodes of ``grid``.
     """
-    h = build_degenerate_hamiltonian(p)
+    h = build_full_hamiltonian(p)
     rho = gibbs_state_numeric(h, p.temperature, tol)
-    return h, rho, evolve(rho, charging_unitaries(taus), tol)
+    return h, rho, grid.evolve(rho, stop, tol)
 
 
 def power_fd(
@@ -213,10 +200,11 @@ def power_fd(
     step = tol.fd_step if step is None else step
     if step <= 0:
         raise ValueError("finite-difference step must be positive")
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    h, _, states = _numeric_route(p, fd_grid(taus, step), tol)
-    fd = central_difference(ergotropy(states, h, tol), step)
-    return float(fd[0]) if np.ndim(tau) == 0 else fd
+    grid = TauGrid(tau, step)
+    count = len(grid.taus)
+    h, _, states = _numeric_route(p, grid, 3 * count, tol)
+    fd = central_difference(ergotropy(states[count:], h, tol), step)
+    return float(fd[0]) if grid.scalar else fd
 
 
 def capacity_definitional(h: np.ndarray) -> float:
@@ -357,17 +345,18 @@ def compute_curve(
 ) -> CurveColumns:
     """Evaluate the selected metrics at every tau of one parameter set.
 
-    Every column is evaluated once per curve. The Hamiltonian and its Gibbs
-    state are built once; the numeric columns (``ergotropy_numeric``,
-    ``power_fd`` at tau +/- ``fd_step``, and coherence in oracle-only mode)
-    come from one stack of evolved states and one stacked ergotropy call;
-    each closed form is one call over the whole tau array, and the
-    tau-independent capacities are computed once. In oracle-only mode each
-    closed-form metric gives way to its numeric counterpart in
-    :data:`NUMERIC_FIELDS`; otherwise coherence is read off the mode's
-    closed-form states. Overflow is recorded in-band via the curve's flag
-    rather than raised; it comes from the tau-independent thermal terms, so
-    it flags the whole curve.
+    ``taus`` is an array or a ``TauGrid``, which a sweep shares between its
+    curves. Every column is evaluated once per curve. The Hamiltonian and
+    its Gibbs state are built once; the numeric columns
+    (``ergotropy_numeric``, ``power_fd`` at tau +/- the grid's step, and
+    coherence in oracle-only mode) come from one stack of evolved states and
+    one stacked ergotropy call; each closed form is one call over the whole
+    tau array, and the tau-independent capacities are computed once. In
+    oracle-only mode each closed-form metric gives way to its numeric
+    counterpart in :data:`NUMERIC_FIELDS`; otherwise coherence is read off
+    the mode's closed-form states. Overflow comes from the tau-independent
+    thermal terms, so it flags the whole curve in-band rather than raising;
+    the closed forms go first, so such a curve makes no eigensolver call.
     """
     validate_mode(mode, allow_oracle_only=True)
     unknown = set(metrics) - set(ALL_METRICS)
@@ -377,56 +366,58 @@ def compute_curve(
     if mode == "oracle-only":
         counterparts = dict(zip(CLOSED_FIELDS.values(), NUMERIC_FIELDS.values()))
         metrics = tuple(filter(None, (counterparts.get(m, m) for m in metrics)))
-    taus = np.array(taus, dtype=float)
+    grid = as_grid(taus, tol.fd_step)
     try:
-        numeric = _numeric_columns(p, taus, mode, metrics, tol)
-        numeric.columns.update(_closed_columns(p, taus, mode, metrics, tol))
+        closed = _closed_columns(p, grid, mode, metrics, tol)
+        numeric = _numeric_columns(p, grid, mode, metrics, tol)
     except OverflowError:
         # covers ParameterOverflowError and raw float overflow alike
-        return CurveColumns(taus, {}, "overflow")
+        return CurveColumns(grid.taus, {}, "overflow")
+    numeric.columns.update(closed)
     return numeric
 
 
 def _closed_columns(
     p: BatteryParams,
-    taus: np.ndarray,
+    grid: TauGrid,
     mode: str,
     metrics: tuple[str, ...],
     tol: Tolerances,
 ) -> dict:
-    """The closed-form columns of one curve: arrays over ``taus`` or constants."""
+    """The closed-form columns of one curve: arrays over the taus or constants."""
     columns = {}
     if "ergotropy_closed" in metrics:
-        columns["ergotropy_closed"] = ergotropy_closed_form(p, taus, mode, tol)
+        columns["ergotropy_closed"] = ergotropy_closed_form(p, grid, mode, tol)
     if "power_closed" in metrics:
-        columns["power_closed"] = power_closed_form(p, taus, mode, tol)
-    if "capacity_definitional" in metrics:
+        columns["power_closed"] = power_closed_form(p, grid, mode, tol)
+    if "capacity_definitional" in metrics and mode != "oracle-only":
         columns["capacity_definitional"] = capacity_definitional(build_degenerate_hamiltonian(p))
     if "capacity_closed" in metrics:
         columns["capacity_closed"] = capacity_closed_form(p, tol)
     if "coherence_l1" in metrics and mode != "oracle-only":
-        columns["coherence_l1"] = l1_coherence(evolved_state_closed_form(p, taus, mode, tol))
+        columns["coherence_l1"] = l1_coherence(evolved_state_closed_form(p, grid, mode, tol))
     return columns
 
 
 def _numeric_columns(
     p: BatteryParams,
-    taus: np.ndarray,
+    grid: TauGrid,
     mode: str,
     metrics: tuple[str, ...],
     tol: Tolerances,
 ) -> CurveColumns:
-    """The oracle columns of one curve, each an array over ``taus``, flagged
-    if ill-conditioned; in oracle-only mode also the reconciled capacity."""
+    """The oracle columns of one curve, each an array over the taus, flagged
+    if ill-conditioned; in oracle-only mode also the coherence and both
+    capacities of the numeric route's Hamiltonian."""
     oracle_only = mode == "oracle-only"
     want_coherence = "coherence_l1" in metrics and oracle_only
     want_power = "power_fd" in metrics
     want_energy = want_power or "ergotropy_numeric" in metrics
     if not (want_energy or oracle_only):
-        return CurveColumns(taus, {})
-    grid = np.concatenate([taus, fd_grid(taus, tol.fd_step)]) if want_power else taus
-    h, rho, states = _numeric_route(p, grid if want_energy or want_coherence else (), tol)
-    count = len(taus)
+        return CurveColumns(grid.taus, {})
+    count = len(grid.taus)
+    stop = 3 * count if want_power else count if want_energy or want_coherence else 0
+    h, rho, states = _numeric_route(p, grid, stop, tol)
     columns = {}
     if want_coherence:
         columns["coherence_l1"] = l1_coherence(states[:count])
@@ -435,7 +426,9 @@ def _numeric_columns(
         if "ergotropy_numeric" in metrics:
             columns["ergotropy_numeric"] = energies[:count]
         if want_power:
-            columns["power_fd"] = central_difference(energies[count:], tol.fd_step)
+            columns["power_fd"] = central_difference(energies[count:], grid.step)
+    if "capacity_definitional" in metrics and oracle_only:
+        columns["capacity_definitional"] = capacity_definitional(h)
     ill = np.abs(h).max() * np.finfo(float).eps > tol.ergotropy_equivalence
     capacity = capacity_reconciled(p, h, rho) if oracle_only else None
-    return CurveColumns(taus, columns, "ill_conditioned" if ill else "", capacity)
+    return CurveColumns(grid.taus, columns, "ill_conditioned" if ill else "", capacity)

@@ -59,35 +59,42 @@ def _column(curve: Curve, name: str, mode: str):
     return columns.columns.get(field)
 
 
-def _series(value, count: int, fmt=None):
-    """``count`` cells of a column; ``fmt`` runs per element of an array, once for a value."""
-    if isinstance(value, np.ndarray):
-        return value.tolist() if fmt is None else list(map(fmt, value.tolist()))
-    return repeat(value if fmt is None else fmt(value), count)
+def _series(value, count: int):
+    """``count`` cells of a column: an array's elements, or one value repeated."""
+    return value.tolist() if isinstance(value, np.ndarray) else repeat(value, count)
 
 
 def csv_text(result: SweepResult, metric_columns: tuple[str, ...]) -> str:
     """One CSV document: curve columns, tau, the given metric columns, flag.
 
-    The curve columns (label and parameters), the tau-independent columns
-    and the flag are formatted once per curve, each tau grid once per
-    result, every other column with one ``map`` per curve.
+    Each curve is one ``%`` over a template of its rows. The curve columns
+    (label and parameters), the tau-independent columns and the flag are
+    formatted once per curve and written into the template (the label and
+    flag with ``%`` escaped; formatted floats hold none); the tau cells,
+    formatted once per tau grid, fill ``%s`` slots and every other column
+    ``%.17g`` slots, which format like :func:`format_float`.
     """
     mode = result.config.mode
     lines = [",".join(CURVE_COLUMNS + ("tau",) + metric_columns + ("flag",))]
     tau_cells = {}
     for curve in result.curves:
-        p, taus, count = curve.params, curve.samples.taus, len(curve.samples)
-        prefix = ",".join([curve.label] + [format_float(v) for v in
-                          (p.xi1, p.xi2, p.xic, p.temperature)])
+        p, taus = curve.params, curve.samples.taus
         key = taus.tobytes()
         if key not in tau_cells:
-            tau_cells[key] = _series(taus, count, format_float)
-        fields = [tau_cells[key]]
-        fields += [_series(_column(curve, name, mode), count, format_float)
-                   for name in metric_columns]
-        fields.append(repeat(curve.samples.flag, count))
-        lines.extend(",".join((prefix, *row)) for row in zip(*fields))
+            tau_cells[key] = list(map(format_float, taus.tolist()))
+        cells = [curve.label.replace("%", "%%"),
+                 *map(format_float, (p.xi1, p.xi2, p.xic, p.temperature)), "%s"]
+        columns = [tau_cells[key]]
+        for value in (_column(curve, name, mode) for name in metric_columns):
+            array = isinstance(value, np.ndarray)
+            if array:
+                columns.append(value.tolist())
+            cells.append("%.17g" if array else format_float(value))
+        row = ",".join(cells + [curve.samples.flag.replace("%", "%%")])
+        values = [None] * (len(taus) * len(columns))
+        for i, column in enumerate(columns):
+            values[i::len(columns)] = column
+        lines.append("\n".join([row] * len(taus)) % tuple(values))
     return "\n".join(lines) + "\n"
 
 

@@ -1,7 +1,7 @@
 """Grid evaluation over tau and physical parameters, plus figure presets.
 
 Cells are pure functions of (params, tau, mode, metrics). Each curve is
-evaluated by one ``compute_curve`` call over the tau grid; the numeric
+evaluated by one ``compute_curve`` call over the sweep's one ``TauGrid``; the numeric
 columns are computed on stacks whose every matrix is handled independently,
 so results are deterministic and any single cell can be recomputed in
 isolation bit-for-bit.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __about__
-from .dynamics import validate_mode
+from .dynamics import TauGrid, validate_mode
 from .exceptions import UnknownPresetError
 from .metrics import DEFAULT_METRICS, CurveColumns, compute_curve, main_fields
 from .model import BatteryParams
@@ -137,10 +137,10 @@ def summarize_curve(curve: CurveColumns, mode: str) -> CurveSummary:
 def run_sweep(cfg: SweepConfig, tol: Tolerances | None = None) -> SweepResult:
     """Evaluate every (curve, tau) cell of the configured grid."""
     tol = resolve(tol)
-    taus = cfg.tau_grid()
+    grid = TauGrid(cfg.tau_grid(), tol.fd_step)
     curves = []
     for label, params in _curve_cases(cfg):
-        samples = compute_curve(params, taus, cfg.mode, cfg.metrics, tol)
+        samples = compute_curve(params, grid, cfg.mode, cfg.metrics, tol)
         summary = summarize_curve(samples, cfg.mode)
         curves.append(Curve(label=label, params=params, samples=samples, summary=summary))
     provenance = {

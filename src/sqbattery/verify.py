@@ -98,7 +98,7 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     The thermal suite decomposes every Hamiltonian (presets and cloud) in
     one stacked call; each preset's Gibbs state is then evolved once over
     tau, tau + fd_step and tau - fd_step, and one stacked ergotropy call
-    serves both the ergotropy and the power suite.
+    serves both the ergotropy and the power suite; all share one ``TauGrid``.
     """
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
@@ -106,7 +106,7 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     presets = preset_param_sets()
     param_sets = presets + random_cloud(1000 if level == "full" else 100)
     taus = np.linspace(0.0, 2.0 * np.pi, 401 if level == "full" else 81)
-    n, step = len(taus), tol.fd_step
+    grid, n, step = dynamics.TauGrid(taus, tol.fd_step), len(taus), tol.fd_step
 
     hs = np.array([model.build_degenerate_hamiltonian(p) for p in param_sets])
     rhos = model.gibbs_state_numeric(hs, [p.temperature for p in param_sets], tol)
@@ -114,19 +114,18 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     gibbs = [np.abs(closed_rhos - rhos)]
 
     evolved, ergotropies, powers, capacities = [], [], [], []
-    unitaries = dynamics.charging_unitaries(np.concatenate([taus, metrics.fd_grid(taus, step)]))
     for p, h, rho in zip(presets, hs, rhos):
-        states = dynamics.evolve(rho, unitaries, tol)
+        states = grid.evolve(rho, 3 * n, tol)
         energies = metrics.ergotropy(states, h, tol)
-        closed_states = dynamics.evolved_state_closed_form(p, taus, "corrected", tol)
+        closed_states = dynamics.evolved_state_closed_form(p, grid, "corrected", tol)
         evolved.append(np.abs(closed_states - states[:n]))
         e_spectral = energies[:n]
         e_reference = metrics.ergotropy_vs_reference(states[:n], rho, h)
-        e_closed = metrics.ergotropy_closed_form(p, taus, "corrected", tol)
+        e_closed = metrics.ergotropy_closed_form(p, grid, "corrected", tol)
         ergotropies += [np.abs(e_spectral - e_reference), np.abs(e_spectral - e_closed),
                         np.abs(e_reference - e_closed)]
         fd = metrics.central_difference(energies[n:], step)
-        powers.append(np.abs(metrics.power_closed_form(p, taus, "corrected", tol) - fd))
+        powers.append(np.abs(metrics.power_closed_form(p, grid, "corrected", tol) - fd))
         closed_capacity = metrics.capacity_closed_form(p, tol)
         capacities += [abs(closed_capacity - metrics.capacity_reconciled(p, h, rho)),
                        abs(metrics.capacity_definitional(h) - 0.0)]

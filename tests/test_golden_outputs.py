@@ -36,3 +36,38 @@ def test_output_matches_golden_digest(tmp_path, command, mode, fmt):
     args = SWEEP_ARGS if command == "sweep" else POINT_ARGS
     assert main([command, *args, "--mode", mode, "--format", fmt, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[command, mode, fmt]
+
+
+# ``figure fig1 --oracle`` (CSV): the numeric columns next to the closed ones,
+# and in oracle-only mode the numeric route behind the main columns too
+ORACLE_FIGURE_SHA256 = {
+    ("corrected", "fig1_a_ergotropy.csv"):
+        "1722cedb6abd4d573ae2babe6fbb936fe3045c2cc6bd870e78b53282dd5ad1fc",
+    ("corrected", "fig1_b_power.csv"):
+        "7a2ff894d31982b9e0e378eb5c09a7592c48f584ec46d9f1b2a9883942c771ed",
+    ("corrected", "fig1_c_capacity.csv"):
+        "22b70e897a24c1a7f5893d657fca2034b1adac4a6fbb6e68d01777228f74832c",
+    ("corrected", "fig1_d_coherence_l1.csv"):
+        "e5b8d078865193716ffbbfe5dabb5e0154b543cf0d70338e595120ae59657ab5",
+    ("corrected", "fig1_manifest.json"):
+        "12ddb3876d4dbd39d219da5c1aaf49046917a236f86bfbc391f5793dc64acbcb",
+    ("oracle-only", "fig1_a_ergotropy.csv"):
+        "5971c8e4f10910a951120ef57408dddd03749b4b9bf7cafcc5fe239288aa33a9",
+    ("oracle-only", "fig1_b_power.csv"):
+        "e3a81f21d1608720366b8c5a6c3c3446984106942fed4d81a0b0698517a2701e",
+    ("oracle-only", "fig1_c_capacity.csv"):
+        "917ba8a45f33aead50fb4c3d5c2bab39507140256d7b595d278a9b50c40bb9ba",
+    ("oracle-only", "fig1_d_coherence_l1.csv"):
+        "4c28f42ecea16bd4c01ab5d0dc77cdec79d48ea70743bee41832c2bbf1cca80b",
+    ("oracle-only", "fig1_manifest.json"):
+        "1ee953331263865ec4decd2a2934a8f464d190633728cd7c14b4c4d089cf9096",
+}
+
+
+@pytest.mark.parametrize("mode", ["corrected", "oracle-only"])
+def test_oracle_figure_matches_golden_digest(tmp_path, mode, capsys):
+    assert main(["figure", "fig1", "--mode", mode, "--oracle", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digests = {(mode, f.name): hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in tmp_path.iterdir()}
+    assert digests == {k: v for k, v in ORACLE_FIGURE_SHA256.items() if k[0] == mode}

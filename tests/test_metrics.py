@@ -7,9 +7,11 @@ from sqbattery import (
     BatteryParams,
     build_charging_hamiltonian,
     build_degenerate_hamiltonian,
+    build_full_hamiltonian,
     capacity_closed_form,
     capacity_definitional,
     charging_unitary,
+    compute_curve,
     compute_sample,
     ergotropy,
     ergotropy_closed_form,
@@ -24,6 +26,8 @@ from sqbattery import (
     thermal_terms,
     work_extracted,
 )
+from sqbattery import metrics as metrics_mod
+from sqbattery import model as model_mod
 from sqbattery.metrics import ALL_METRICS
 from conftest import random_density, random_hermitian
 
@@ -352,3 +356,48 @@ def test_compute_sample_overflow_flagged_in_band():
     s = compute_sample(p, 0.5, metrics=ALL_METRICS)
     assert s.flag == "overflow"
     assert s.ergotropy_closed is None and s.ergotropy_numeric is None
+
+
+# ------------------------------------------------- closed forms first, gate charges
+
+def test_overflowing_curve_makes_no_eigensolver_call(monkeypatch):
+    calls = []
+
+    def counting(m, tol=None):
+        calls.append(np.shape(m))
+        return hermitian_eigendecomposition(m, tol)
+
+    for module in (model_mod, metrics_mod):
+        monkeypatch.setattr(module, "hermitian_eigendecomposition", counting)
+    p = BatteryParams(1e200, 0.5, 0.5, 0.1)
+    curve = compute_curve(p, np.linspace(0.0, 2.0 * np.pi, 401), "corrected", ALL_METRICS)
+    assert curve.flag == "overflow" and curve.columns == {}
+    assert calls == []
+
+
+def test_oracle_route_reads_the_gate_charges():
+    # off the degeneracy point: the numeric route must use the full Hamiltonian
+    p = BatteryParams(1.5, 1.5, 0.5, 0.1, xic1=1.0, ng1=0.2)
+    step = 1e-4
+    h = build_full_hamiltonian(p)
+    w, v = np.linalg.eigh(h)
+    weights = np.exp(-(w - w[0]) / p.temperature)
+    rho = (v * (weights / weights.sum())) @ v.conj().T
+    wc, vc = np.linalg.eigh(build_charging_hamiltonian(1.0))
+
+    def reference(tau):
+        u = (vc * np.exp(-1j * wc * tau)) @ vc.conj().T
+        state = u @ rho @ u.conj().T
+        passive = np.sort(np.linalg.eigvalsh(state))[::-1] @ np.linalg.eigvalsh(h)
+        return state, np.trace(state @ h).real - passive
+
+    state, energy = reference(0.7)
+    sample = compute_sample(p, 0.7, mode="oracle-only", metrics=ALL_METRICS)
+    assert abs(energy - 0.5349) < 1e-4
+    assert abs(sample.ergotropy_numeric - energy) <= 1e-9
+    assert abs(sample.coherence_l1 - (np.abs(state).sum() - np.abs(np.diag(state)).sum())) <= 1e-9
+    fd = (reference(0.7 + step)[1] - reference(0.7 - step)[1]) / (2 * step)
+    assert abs(sample.power_fd - fd) <= 1e-6
+    assert sample.capacity_definitional == h[3, 3].real - h[0, 0].real
+    curve = compute_curve(p, [0.7], "oracle-only", ALL_METRICS)
+    assert abs(curve.capacity - (p.xic - np.trace(h @ rho).real)) <= 1e-9
