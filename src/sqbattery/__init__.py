@@ -15,15 +15,7 @@ from .exceptions import (
     ParameterOverflowError,
     UnknownPresetError,
 )
-from .linalg import (
-    SpectralDecomposition,
-    hermitian_eigendecomposition,
-    is_hermitian,
-    is_unitary,
-    reconstruct,
-    spectral_function,
-    unitary_from_hamiltonian,
-)
+from .linalg import SpectralDecomposition, hermitian_eigendecomposition
 from .metrics import (
     CurveColumns,
     MetricsSample,
@@ -35,18 +27,14 @@ from .metrics import (
     ergotropy_closed_form,
     ergotropy_vs_reference,
     l1_coherence,
-    passive_state,
     power_closed_form,
     power_fd,
-    work_extracted,
 )
 from .model import (
     BatteryParams,
     ThermalTerms,
-    build_charging_hamiltonian,
     build_degenerate_hamiltonian,
     build_full_hamiltonian,
-    check_density_matrix,
     gibbs_state_closed_form,
     gibbs_state_numeric,
     thermal_terms,
@@ -74,14 +62,12 @@ __all__ = [
     "Tolerances",
     "UnknownPresetError",
     "__version__",
-    "build_charging_hamiltonian",
     "build_degenerate_hamiltonian",
     "build_full_hamiltonian",
     "capacity_closed_form",
     "capacity_definitional",
     "charging_unitaries",
     "charging_unitary",
-    "check_density_matrix",
     "compute_curve",
     "compute_sample",
     "ergotropy",
@@ -93,17 +79,10 @@ __all__ = [
     "gibbs_state_closed_form",
     "gibbs_state_numeric",
     "hermitian_eigendecomposition",
-    "is_hermitian",
-    "is_unitary",
     "l1_coherence",
-    "passive_state",
     "power_closed_form",
     "power_fd",
-    "reconstruct",
     "run_sweep",
     "run_verification",
-    "spectral_function",
     "thermal_terms",
-    "unitary_from_hamiltonian",
-    "work_extracted",
 ]

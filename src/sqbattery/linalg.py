@@ -2,51 +2,26 @@
 
 Self-contained kernel: a parallel-order complex Jacobi eigensolver that
 decomposes a whole stack of Hermitian matrices per call (intended for
-dimensions up to ~16), spectral matrix functions, and the matrix
-exponential ``exp(-i h t)`` built in the eigenbasis. numpy is used as the
-array carrier only; no LAPACK eigensolver is involved.
+dimensions up to ~16). numpy is used as the array carrier only; no LAPACK
+eigensolver is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .exceptions import EigenConvergenceError, NotHermitianError
 from .tolerances import Tolerances, resolve
 
-__all__ = [
-    "SpectralDecomposition",
-    "hermitian_eigendecomposition",
-    "is_hermitian",
-    "is_unitary",
-    "max_abs",
-    "reconstruct",
-    "spectral_function",
-    "unitary_from_hamiltonian",
-]
+__all__ = ["SpectralDecomposition", "hermitian_eigendecomposition"]
 
 # matrices decomposed together; larger stacks are split into chunks of this
 # size, which bounds the kernel's temporaries
 MAX_STACK = 512
 # _round_robin(n) by n: built once per process and shared, so read-only
 _ROUNDS: dict[int, tuple] = {}
-
-
-def max_abs(m: np.ndarray) -> float:
-    """Largest entry magnitude, i.e. the max-norm used by the tolerances."""
-    return float(np.max(np.abs(m))) if m.size else 0.0
-
-
-def is_hermitian(m: np.ndarray, tol: float) -> bool:
-    return max_abs(m - m.conj().T) <= tol
-
-
-def is_unitary(m: np.ndarray, tol: float) -> bool:
-    eye = np.eye(m.shape[0])
-    return max_abs(m @ m.conj().T - eye) <= tol
 
 
 @dataclass(frozen=True)
@@ -59,10 +34,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[-1]
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -240,27 +211,3 @@ def _decompose(m: np.ndarray, offset: int, tol: Tolerances) -> tuple[np.ndarray,
     eigenvalues = np.ldexp(np.take_along_axis(eigenvalues, order, axis=-1), e[:, 0])
     vectors = np.take_along_axis(v, order[:, None, :], axis=-1)
     return eigenvalues, vectors
-
-
-def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
-    """Rebuild the matrix sum(e_i v_i v_i†) from a decomposition (or a stack)."""
-    v = dec.eigenvectors
-    return (v * dec.eigenvalues[..., None, :]) @ _dagger(v)
-
-
-def spectral_function(
-    m: np.ndarray, f: Callable[[float], float], tol: Tolerances | None = None
-) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix in its eigenbasis."""
-    dec = hermitian_eigendecomposition(m, tol)
-    fw = np.array([float(f(float(e))) for e in dec.eigenvalues])
-    return (dec.eigenvectors * fw) @ dec.eigenvectors.conj().T
-
-
-def unitary_from_hamiltonian(
-    h: np.ndarray, t: float, tol: Tolerances | None = None
-) -> np.ndarray:
-    """exp(-i h t) for Hermitian h, via the spectral decomposition."""
-    dec = hermitian_eigendecomposition(h, tol)
-    phases = np.exp(-1j * dec.eigenvalues * t)
-    return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T

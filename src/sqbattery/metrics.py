@@ -49,23 +49,9 @@ __all__ = [
     "ergotropy_closed_form",
     "ergotropy_vs_reference",
     "l1_coherence",
-    "passive_state",
     "power_closed_form",
     "power_fd",
-    "work_extracted",
 ]
-
-
-def passive_state(state: np.ndarray, h: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
-    """State with the same spectrum but no unitarily extractable work.
-
-    Populations are sorted descending and placed on the eigenvectors of h
-    sorted ascending in energy, so the result commutes with h.
-    """
-    dec_h = hermitian_eigendecomposition(h, tol)
-    dec_s = hermitian_eigendecomposition(state, tol)
-    populations = dec_s.eigenvalues[::-1]
-    return (dec_h.eigenvectors * populations) @ dec_h.eigenvectors.conj().T
 
 
 def _trace_real(m: np.ndarray):
@@ -94,15 +80,8 @@ def ergotropy(state: np.ndarray, h: np.ndarray, tol: Tolerances | None = None):
 def ergotropy_vs_reference(
     state: np.ndarray, reference: np.ndarray, h: np.ndarray
 ):
-    """tr((state - reference) h): extractable work against a fixed reference.
-
-    Also exported as ``work_extracted(state, final_state, h)``, the work when
-    the protocol lands on final_state.
-    """
+    """tr((state - reference) h): extractable work against a fixed reference."""
     return _trace_real((state - reference) @ h)
-
-
-work_extracted = ergotropy_vs_reference
 
 
 def ergotropy_closed_form(
@@ -173,6 +152,21 @@ def central_difference(energies: np.ndarray, step: float) -> np.ndarray:
     return (energies[:half] - energies[half:]) / (2.0 * step)
 
 
+def _require_resolved_nodes(grid: TauGrid, tol: Tolerances) -> None:
+    """Raise ``ValueError`` at the first tau whose finite-difference nodes are
+    not resolved: (tau + step) - (tau - step) is off 2 step by more than
+    ``tol.power_equivalence`` of it, as from tau = 2**24 on with the defaults."""
+    count, width = len(grid.taus), 2.0 * grid.step
+    spread = grid.nodes[count:2 * count] - grid.nodes[2 * count:]
+    bad = ~(np.abs(spread - width) <= tol.power_equivalence * width)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"finite-difference nodes tau +/- {grid.step!r} of tau {float(grid.taus[i])!r} "
+            f"are {float(spread[i])!r} apart, not {width!r} within power_equivalence"
+        )
+
+
 def _numeric_route(p: BatteryParams, grid: TauGrid, stop: int, tol: Tolerances):
     """How a parameter set becomes (H, rho_th, evolved stack).
 
@@ -191,19 +185,18 @@ def power_fd(
     step: float | None = None,
     tol: Tolerances | None = None,
 ):
-    """Central-difference dE/dtau through the fully numeric ergotropy route.
+    """Central-difference dE/dtau through the fully numeric ergotropy route:
+    the ``power_fd`` column of :func:`compute_curve` on ``TauGrid(tau, step)``.
 
     ``tau`` is one charging time (gives a float) or an array of them (gives
-    an array); all evolved states go through one stacked ergotropy call.
+    an array).
     """
     tol = resolve(tol)
     step = tol.fd_step if step is None else step
     if step <= 0:
         raise ValueError("finite-difference step must be positive")
     grid = TauGrid(tau, step)
-    count = len(grid.taus)
-    h, _, states = _numeric_route(p, grid, 3 * count, tol)
-    fd = central_difference(ergotropy(states[count:], h, tol), step)
+    fd = compute_curve(p, grid, "corrected", ("power_fd",), tol).columns["power_fd"]
     return float(fd[0]) if grid.scalar else fd
 
 
@@ -262,11 +255,11 @@ DEFAULT_METRICS = (
 )
 ORACLE_METRICS = ("ergotropy_numeric", "power_fd")
 # the sample field behind each main output column: the closed forms, or in
-# oracle-only mode their numeric counterparts, where the capacity (None) is
-# the curve summary's reconciled value
+# oracle-only mode their numeric counterparts
 CLOSED_FIELDS = {"ergotropy": "ergotropy_closed", "power": "power_closed",
                  "capacity": "capacity_closed"}
-NUMERIC_FIELDS = {"ergotropy": "ergotropy_numeric", "power": "power_fd", "capacity": None}
+NUMERIC_FIELDS = {"ergotropy": "ergotropy_numeric", "power": "power_fd",
+                  "capacity": "capacity_reconciled"}
 
 
 def main_fields(mode: str) -> dict:
@@ -277,6 +270,9 @@ def main_fields(mode: str) -> dict:
 @dataclass(frozen=True)
 class MetricsSample:
     """All figures of merit at one grid point; None marks a skipped metric.
+
+    ``capacity_reconciled`` stands in for ``capacity_closed`` in oracle-only
+    mode.
 
     ``flag`` is empty for a clean cell, "overflow" when the parameter
     regime defeated the hyperbolic terms, and "ill_conditioned" for a
@@ -291,6 +287,7 @@ class MetricsSample:
     power_fd: float | None = None
     capacity_definitional: float | None = None
     capacity_closed: float | None = None
+    capacity_reconciled: float | None = None
     coherence_l1: float | None = None
     flag: str = ""
 
@@ -298,15 +295,13 @@ class MetricsSample:
 @dataclass(frozen=True, eq=False)
 class CurveColumns(Sequence):
     """One curve: ``columns`` maps a :class:`MetricsSample` field to an array
-    over ``taus`` (one value if tau-independent); ``capacity`` is the numeric
-    route's reconciled capacity in oracle-only mode. As a sequence it yields
+    over ``taus`` (one value if tau-independent). As a sequence it yields
     one :class:`MetricsSample` per tau, built on access.
     """
 
     taus: np.ndarray
     columns: dict
     flag: str = ""
-    capacity: float | None = None
 
     def __len__(self) -> int:
         return len(self.taus)
@@ -357,6 +352,8 @@ def compute_curve(
     the mode's closed-form states. Overflow comes from the tau-independent
     thermal terms, so it flags the whole curve in-band rather than raising;
     the closed forms go first, so such a curve makes no eigensolver call.
+    A ``power_fd`` column raises ``ValueError`` at a tau too large for the
+    grid's step (see :func:`_require_resolved_nodes`).
     """
     validate_mode(mode, allow_oracle_only=True)
     unknown = set(metrics) - set(ALL_METRICS)
@@ -365,7 +362,7 @@ def compute_curve(
     tol = resolve(tol)
     if mode == "oracle-only":
         counterparts = dict(zip(CLOSED_FIELDS.values(), NUMERIC_FIELDS.values()))
-        metrics = tuple(filter(None, (counterparts.get(m, m) for m in metrics)))
+        metrics = tuple(counterparts.get(m, m) for m in metrics)
     grid = as_grid(taus, tol.fd_step)
     try:
         closed = _closed_columns(p, grid, mode, metrics, tol)
@@ -408,27 +405,31 @@ def _numeric_columns(
 ) -> CurveColumns:
     """The oracle columns of one curve, each an array over the taus, flagged
     if ill-conditioned; in oracle-only mode also the coherence and both
-    capacities of the numeric route's Hamiltonian."""
+    capacities of the numeric route's Hamiltonian. The stacked ergotropy
+    decomposes only the states whose columns are selected."""
     oracle_only = mode == "oracle-only"
     want_coherence = "coherence_l1" in metrics and oracle_only
+    want_numeric = "ergotropy_numeric" in metrics
     want_power = "power_fd" in metrics
-    want_energy = want_power or "ergotropy_numeric" in metrics
-    if not (want_energy or oracle_only):
+    if not (want_numeric or want_power or oracle_only):
         return CurveColumns(grid.taus, {})
+    if want_power:
+        _require_resolved_nodes(grid, tol)
     count = len(grid.taus)
-    stop = 3 * count if want_power else count if want_energy or want_coherence else 0
+    stop = 3 * count if want_power else count if want_numeric or want_coherence else 0
     h, rho, states = _numeric_route(p, grid, stop, tol)
     columns = {}
     if want_coherence:
         columns["coherence_l1"] = l1_coherence(states[:count])
-    if want_energy:
-        energies = ergotropy(states, h, tol)
-        if "ergotropy_numeric" in metrics:
+    if want_numeric or want_power:
+        energies = ergotropy(states if want_numeric else states[count:], h, tol)
+        if want_numeric:
             columns["ergotropy_numeric"] = energies[:count]
         if want_power:
-            columns["power_fd"] = central_difference(energies[count:], grid.step)
+            columns["power_fd"] = central_difference(energies[-2 * count:], grid.step)
     if "capacity_definitional" in metrics and oracle_only:
         columns["capacity_definitional"] = capacity_definitional(h)
+    if "capacity_reconciled" in metrics:
+        columns["capacity_reconciled"] = capacity_reconciled(p, h, rho)
     ill = np.abs(h).max() * np.finfo(float).eps > tol.ergotropy_equivalence
-    capacity = capacity_reconciled(p, h, rho) if oracle_only else None
-    return CurveColumns(grid.taus, columns, "ill_conditioned" if ill else "", capacity)
+    return CurveColumns(grid.taus, columns, "ill_conditioned" if ill else "")

@@ -26,10 +26,8 @@ __all__ = [
     "PAULI_X",
     "PAULI_Z",
     "IDENTITY_2",
-    "build_charging_hamiltonian",
     "build_degenerate_hamiltonian",
     "build_full_hamiltonian",
-    "check_density_matrix",
     "gibbs_state_closed_form",
     "gibbs_state_numeric",
     "thermal_terms",
@@ -72,11 +70,6 @@ class BatteryParams:
             raise ValueError("temperature must be positive")
         if not (0.0 <= self.ng1 <= 1.0 and 0.0 <= self.ng2 <= 1.0):
             raise ValueError("gate charges must lie in [0, 1]")
-
-    @classmethod
-    def degenerate(cls, xi1: float, xi2: float, xic: float, temperature: float) -> "BatteryParams":
-        """Parameters pinned to the charge degeneracy point ng1 = ng2 = 1/2."""
-        return cls(xi1=xi1, xi2=xi2, xic=xic, temperature=temperature)
 
     @property
     def at_degeneracy(self) -> bool:
@@ -126,49 +119,27 @@ def build_degenerate_hamiltonian(p: BatteryParams) -> np.ndarray:
     )
 
 
-def build_charging_hamiltonian(omega: float) -> np.ndarray:
-    """Collective x-drive omega * (X (x) I + I (x) X)."""
-    return omega * (np.kron(PAULI_X, IDENTITY_2) + np.kron(IDENTITY_2, PAULI_X))
-
-
 @dataclass(frozen=True)
 class ThermalTerms:
     """Hyperbolic building blocks of the thermal closed forms.
 
     ``alpha_plus``/``alpha_minus`` are the two excitation gaps
-    sqrt(4 xic^2 + (xi1 +/- xi2)^2); ``a_*`` and ``b_*`` are cosh/sinh of
-    gap/(2T) and ``z = 2 (a_plus + a_minus)`` is the partition function.
-
-    Raw values overflow float64 once gap/(2T) exceeds ~700 and are then
-    stored as ``inf``; the ``r*`` ratio fields are computed through an
-    exponent shift and stay finite in every usable regime, so all downstream
-    closed forms consume only ratios.
-
-    Ratios (all normalized by d = a_plus + a_minus):
+    sqrt(4 xic^2 + (xi1 +/- xi2)^2). With A and B the cosh and sinh of
+    gap/(2T), every other field is a ratio to d = A+ + A- (the partition
+    function is 2 d), computed through an exponent shift so that it stays
+    finite where A and B overflow float64:
       ra_plus/ra_minus: A/d,  rb_plus/rb_minus: B/d,
       rs_plus/rs_minus: (B/alpha)/d with the alpha -> 0 limit built in.
     """
 
     alpha_plus: float
     alpha_minus: float
-    a_plus: float
-    a_minus: float
-    b_plus: float
-    b_minus: float
-    z: float
     ra_plus: float
     ra_minus: float
     rb_plus: float
     rb_minus: float
     rs_plus: float
     rs_minus: float
-
-
-def _exp_or_inf(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 def thermal_terms(p: BatteryParams, tol: Tolerances | None = None) -> ThermalTerms:
@@ -202,13 +173,6 @@ def thermal_terms(p: BatteryParams, tol: Tolerances | None = None) -> ThermalTer
     b_minus_s = 0.5 * (math.exp(xm - shift) - math.exp(-xm - shift))
     d_s = a_plus_s + a_minus_s
 
-    scale = _exp_or_inf(shift)
-    a_plus = a_plus_s * scale
-    a_minus = a_minus_s * scale
-    b_plus = b_plus_s * scale
-    b_minus = b_minus_s * scale
-    z = 2.0 * (a_plus_s + a_minus_s) * scale
-
     # sinh(x)/alpha has the finite limit 1/(2T) as alpha -> 0
     if alpha_plus > 0.0:
         rs_plus = b_plus_s / (alpha_plus * d_s)
@@ -222,11 +186,6 @@ def thermal_terms(p: BatteryParams, tol: Tolerances | None = None) -> ThermalTer
     return ThermalTerms(
         alpha_plus=alpha_plus,
         alpha_minus=alpha_minus,
-        a_plus=a_plus,
-        a_minus=a_minus,
-        b_plus=b_plus,
-        b_minus=b_minus,
-        z=z,
         ra_plus=a_plus_s / d_s,
         ra_minus=a_minus_s / d_s,
         rb_plus=b_plus_s / d_s,
@@ -290,19 +249,3 @@ def gibbs_state_numeric(
     v = dec.eigenvectors
     rho = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return (rho + rho.conj().swapaxes(-1, -2)) / 2.0
-
-
-def check_density_matrix(
-    m: np.ndarray, tol: Tolerances | None = None
-) -> None:
-    """Raise ValueError unless m is Hermitian, unit-trace and PSD within slack."""
-    tol = resolve(tol)
-    dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > tol.density:
-        raise ValueError(f"state deviates from Hermitian by {dev:.3e}")
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > tol.density:
-        raise ValueError(f"state trace {tr} is not 1 within {tol.density:.1e}")
-    eigenvalues = hermitian_eigendecomposition(m, tol).eigenvalues
-    if eigenvalues[0] < -tol.density:
-        raise ValueError(f"state has negative eigenvalue {eigenvalues[0]:.3e}")

@@ -53,10 +53,7 @@ def _column(curve: Curve, name: str, mode: str):
     columns = curve.samples
     if name in ("tau", "flag"):
         return columns.taus if name == "tau" else columns.flag
-    field = main_fields(mode).get(name, name)
-    if field is None:
-        return None if columns.flag == "overflow" else curve.summary.capacity
-    return columns.columns.get(field)
+    return columns.columns.get(main_fields(mode).get(name, name))
 
 
 def _series(value, count: int):

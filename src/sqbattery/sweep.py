@@ -125,12 +125,11 @@ def summarize_curve(curve: CurveColumns, mode: str) -> CurveSummary:
     energies = curve.columns.get(fields["ergotropy"])
     powers = curve.columns.get(fields["power"])
     i, j = _argmax_first(energies), _argmax_first(powers)
-    capacity = curve.columns.get("capacity_closed") if len(curve) else None
     return CurveSummary(
         max_ergotropy=None if i is None else float(energies[i]),
         tau_at_max=None if i is None else float(curve.taus[i]),
         max_power=None if j is None else float(powers[j]),
-        capacity=curve.capacity if mode == "oracle-only" else capacity,
+        capacity=curve.columns.get(fields["capacity"]) if len(curve) else None,
     )
 
 

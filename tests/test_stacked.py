@@ -25,11 +25,11 @@ from sqbattery import (
     hermitian_eigendecomposition,
     l1_coherence,
     power_fd,
-    reconstruct,
 )
 from sqbattery.linalg import MAX_STACK
 from sqbattery.metrics import ALL_METRICS
 from conftest import random_hermitian
+from reference import reconstruct
 
 BASE = BatteryParams(xi1=1.5, xi2=0.5, xic=0.5, temperature=0.1)
 KINDS = ("random", "zero", "diagonal", "degenerate")

@@ -1,0 +1,47 @@
+"""A guard on the public surface.
+
+Every name exported by ``sqbattery`` or by one of its layer modules must be
+read somewhere in ``src/`` outside ``__init__.py``, or be named in the
+README. A name the program never runs and the README never shows is dead
+weight; a reference the tests need belongs in ``tests/reference.py``.
+"""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import sqbattery
+
+SRC = Path(sqbattery.__file__).parent
+README = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+LAYERS = ("linalg", "model", "dynamics", "metrics", "sweep", "output", "verify")
+
+
+def names_read_in_src() -> set:
+    """Every name or attribute loaded by the modules of ``src/``, bar ``__init__.py``.
+
+    Definitions and ``__all__`` entries bind or spell a name without reading it.
+    """
+    names = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_exported_name_is_used_or_documented():
+    modules = [sqbattery] + [importlib.import_module(f"sqbattery.{m}") for m in LAYERS]
+    used = names_read_in_src()
+    orphans = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in module.__all__
+        if name not in used and not re.search(rf"\b{re.escape(name)}\b", README)
+    ]
+    assert orphans == []

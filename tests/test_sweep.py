@@ -191,3 +191,11 @@ def test_provenance_block():
 def test_replace_preset_mode():
     cfg = dataclasses.replace(figure_preset("fig3"), mode="oracle-only")
     assert cfg.mode == "oracle-only"
+
+
+def test_oracle_only_capacity_needs_capacity_closed():
+    # the reconciled capacity is the numeric counterpart of capacity_closed,
+    # so it is computed only when that column is selected
+    cfg = SweepConfig(base=BASE, tau_count=3, mode="oracle-only",
+                      metrics=("ergotropy_closed", "power_closed"))
+    assert run_sweep(cfg).curves[0].summary.capacity is None

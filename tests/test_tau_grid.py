@@ -103,7 +103,8 @@ def columns(draw, count):
     """A curve's columns: arrays over the taus, constants, or missing."""
     out = {}
     for field in ("ergotropy_closed", "power_closed", "ergotropy_numeric", "power_fd",
-                  "coherence_l1", "capacity_definitional", "capacity_closed"):
+                  "coherence_l1", "capacity_definitional", "capacity_closed",
+                  "capacity_reconciled"):
         kind = draw(st.sampled_from(["array", "constant", "none", "missing"]))
         if kind == "array":
             out[field] = np.array(draw(st.lists(CELLS, min_size=count, max_size=count)))
@@ -123,8 +124,7 @@ def results(draw):
     for _ in range(draw(st.integers(1, 3))):
         flag = draw(st.sampled_from(["", "overflow", "ill_conditioned", "100%"]))
         label = draw(st.sampled_from(["base", "xi2=0.5", "a%sb%%c", "%.17g"]))
-        capacity = draw(st.one_of(st.none(), CELLS))
-        samples = CurveColumns(taus, draw(columns(count)), flag, capacity)
+        samples = CurveColumns(taus, draw(columns(count)), flag)
         summary = CurveSummary(None, None, None, draw(st.one_of(st.none(), CELLS)))
         curves.append(Curve(label, BASE, samples, summary))
     cfg = SweepConfig(base=BASE, mode=mode, tau_count=count)
