@@ -139,25 +139,29 @@ def _metric_selection(include_oracle: bool) -> tuple[str, ...]:
     return DEFAULT_METRICS + ORACLE_METRICS if include_oracle else DEFAULT_METRICS
 
 
-def _emit(text: str, out: str | None) -> int:
-    if out is None:
-        sys.stdout.write(text)
-        return 0
+def _write(out: str | None, write) -> int:
+    """Call ``write(stream)`` on the file ``out`` (its directories made first)
+    or on stdout if ``out`` is None; exit 4 if opening or writing raises
+    ``OSError``. Callers evaluate first, so a rejected request opens nothing."""
     try:
+        if out is None:
+            write(sys.stdout)
+            return 0
         path = Path(out)
-        if path.parent and not path.parent.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8", newline="")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", encoding="utf-8", newline="") as stream:
+            write(stream)
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {out or 'output'}: {exc}", file=sys.stderr)
         return 4
     return 0
 
 
 def _emit_result(result, args) -> int:
     if args.fmt == "csv":
-        return _emit(output.sweep_csv_text(result, include_oracle=args.oracle), args.out)
-    return _emit(output.sweep_json_text(result), args.out)
+        columns = output.sweep_columns(args.oracle)
+        return _write(args.out, lambda stream: output.write_csv(result, columns, stream))
+    return _write(args.out, lambda stream: output.write_json(result, stream))
 
 
 def _cmd_point(args, tol) -> int:
@@ -202,17 +206,14 @@ def _cmd_figure(args, tol) -> int:
     mode = args.mode if args.mode is not None else "verbatim"
     cfg = figure_preset(args.name, mode=mode, metrics=_metric_selection(args.oracle))
     result = run_sweep(cfg, tol)
-    try:
+
+    def write(stdout) -> None:
         paths = output.write_figure_files(
             result, args.name, args.out, fmt=args.fmt, include_oracle=args.oracle
         )
-    except OSError as exc:
-        print(f"error: cannot write figure data under {args.out}: {exc}",
-              file=sys.stderr)
-        return 4
-    for p in paths:
-        print(p)
-    return 0
+        stdout.write("".join(f"{p}\n" for p in paths))
+
+    return _write(None, write)
 
 
 def _cmd_verify(args, tol) -> int:

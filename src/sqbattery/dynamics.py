@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .exceptions import NotUnitaryError
-from .model import BatteryParams, thermal_entries, thermal_terms
+from .model import BatteryParams, ThermalTerms, thermal_entries, thermal_terms
 from .tolerances import DEFAULT, Tolerances, resolve
 
 __all__ = [
@@ -164,13 +164,17 @@ def evolved_state_closed_form(
     :class:`TauGrid` (an ``(N, 4, 4)`` stack); the thermal terms are evaluated once.
     """
     validate_mode(mode)
-    evolved = _evolved_corrected if mode == "corrected" else _evolved_verbatim
     grid = as_grid(tau)
-    states = evolved(p, grid, tol)
+    states = _evolved_states(p, thermal_terms(p, tol), grid, mode)
     return states[0] if grid.scalar else states
 
 
-def _evolved_corrected(p: BatteryParams, g: TauGrid, tol: Tolerances | None) -> np.ndarray:
+def _evolved_states(p: BatteryParams, t: ThermalTerms, g: TauGrid, mode: str) -> np.ndarray:
+    """The closed-form states of ``mode`` over ``g``, from the thermal terms ``t`` of ``p``."""
+    return (_evolved_corrected if mode == "corrected" else _evolved_verbatim)(p, t, g)
+
+
+def _evolved_corrected(p: BatteryParams, t: ThermalTerms, g: TauGrid) -> np.ndarray:
     """Exact entries of U(tau) R U(tau)†.
 
     Conjugating the thermal state (which commutes with X(x)X) by the
@@ -179,7 +183,7 @@ def _evolved_corrected(p: BatteryParams, g: TauGrid, tol: Tolerances | None) -> 
     and the only imaginary contribution is f4 times the commutator of the
     state with the collective drive.
     """
-    p11, p12, p13, p14, p22, p23 = thermal_entries(p, tol)
+    p11, p12, p13, p14, p22, p23 = thermal_entries(p, t)
     c4 = g.cos4
     f1 = (3.0 + c4) / 4.0
     f2 = (c4 - 1.0) / 4.0
@@ -204,14 +208,13 @@ def _evolved_corrected(p: BatteryParams, g: TauGrid, tol: Tolerances | None) -> 
     ])
 
 
-def _evolved_verbatim(p: BatteryParams, g: TauGrid, tol: Tolerances | None) -> np.ndarray:
+def _evolved_verbatim(p: BatteryParams, t: ThermalTerms, g: TauGrid) -> np.ndarray:
     """Originally published element expressions, evaluated unchanged.
 
     All entries are real as printed; the matrix is symmetric but its trace
     is 1 + (xi1+xi2) sin(2 tau) B+/(alpha+ (A+ + A-)), i.e. not a density
     matrix away from multiples of tau = pi/2.
     """
-    t = thermal_terms(p, tol)
     x1, x2, xc = p.xi1, p.xi2, p.xic
     s2, c2, c4 = g.sin2, g.cos2, g.cos4
     c2sq = c2 * c2

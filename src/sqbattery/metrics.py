@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TauGrid, as_grid, evolved_state_closed_form, validate_mode
+from .dynamics import TauGrid, _evolved_states, as_grid, validate_mode
 from .linalg import hermitian_eigendecomposition
 from .model import (
     BatteryParams,
+    ThermalTerms,
     build_degenerate_hamiltonian,
     build_full_hamiltonian,
     gibbs_state_numeric,
@@ -105,8 +106,10 @@ def ergotropy_closed_form(
     ``TauGrid`` (an array); the thermal terms are evaluated once.
     """
     validate_mode(mode)
-    t = thermal_terms(p, tol)
-    g = as_grid(tau)
+    return _ergotropy_closed(p, thermal_terms(p, tol), as_grid(tau), mode)
+
+
+def _ergotropy_closed(p: BatteryParams, t: ThermalTerms, g: TauGrid, mode: str):
     if mode == "corrected":
         values = 4.0 * p.xic**2 * t.rs_plus * g.sin2_sq
     else:
@@ -132,8 +135,10 @@ def power_closed_form(
     array of them, like :func:`ergotropy_closed_form`.
     """
     validate_mode(mode)
-    t = thermal_terms(p, tol)
-    g = as_grid(tau)
+    return _power_closed(p, thermal_terms(p, tol), as_grid(tau), mode)
+
+
+def _power_closed(p: BatteryParams, t: ThermalTerms, g: TauGrid, mode: str):
     if mode == "corrected":
         values = 8.0 * p.xic**2 * t.rs_plus * g.sin4
     else:
@@ -210,7 +215,10 @@ def capacity_closed_form(p: BatteryParams, tol: Tolerances | None = None) -> flo
 
     Equals xic minus the thermal mean energy, and is independent of tau.
     """
-    t = thermal_terms(p, tol)
+    return _capacity_closed(p, thermal_terms(p, tol))
+
+
+def _capacity_closed(p: BatteryParams, t: ThermalTerms) -> float:
     return p.xic + 0.5 * (
         t.alpha_minus * t.rb_minus + t.alpha_plus * t.rb_plus
     )
@@ -381,18 +389,23 @@ def _closed_columns(
     metrics: tuple[str, ...],
     tol: Tolerances,
 ) -> dict:
-    """The closed-form columns of one curve: arrays over the taus or constants."""
+    """The closed-form columns of one curve (none in oracle-only mode): arrays
+    over the taus or constants, all from one evaluation of the thermal terms."""
+    if mode == "oracle-only":
+        return {}
     columns = {}
+    if {"ergotropy_closed", "power_closed", "capacity_closed", "coherence_l1"} & set(metrics):
+        t = thermal_terms(p, tol)
     if "ergotropy_closed" in metrics:
-        columns["ergotropy_closed"] = ergotropy_closed_form(p, grid, mode, tol)
+        columns["ergotropy_closed"] = _ergotropy_closed(p, t, grid, mode)
     if "power_closed" in metrics:
-        columns["power_closed"] = power_closed_form(p, grid, mode, tol)
-    if "capacity_definitional" in metrics and mode != "oracle-only":
+        columns["power_closed"] = _power_closed(p, t, grid, mode)
+    if "capacity_definitional" in metrics:
         columns["capacity_definitional"] = capacity_definitional(build_degenerate_hamiltonian(p))
     if "capacity_closed" in metrics:
-        columns["capacity_closed"] = capacity_closed_form(p, tol)
-    if "coherence_l1" in metrics and mode != "oracle-only":
-        columns["coherence_l1"] = l1_coherence(evolved_state_closed_form(p, grid, mode, tol))
+        columns["capacity_closed"] = _capacity_closed(p, t)
+    if "coherence_l1" in metrics:
+        columns["coherence_l1"] = l1_coherence(_evolved_states(p, t, grid, mode))
     return columns
 
 

@@ -195,13 +195,13 @@ def thermal_terms(p: BatteryParams, tol: Tolerances | None = None) -> ThermalTer
     )
 
 
-def thermal_entries(p: BatteryParams, tol: Tolerances | None = None):
-    """The six independent entries of the thermal state in closed form.
+def thermal_entries(p: BatteryParams, t: ThermalTerms):
+    """The six independent entries of the thermal state in closed form, from
+    the thermal terms ``t`` of ``p``.
 
     Returns (p11, p12, p13, p14, p22, p23); the remaining entries follow
     from the symmetries p44=p11, p33=p22, p34=p12, p24=p13 and realness.
     """
-    t = thermal_terms(p, tol)
     x1, x2, xc = p.xi1, p.xi2, p.xic
     p11 = (1.0 - 2 * xc * (t.rs_minus + t.rs_plus)) / 4.0
     p12 = ((x2 - x1) * t.rs_minus + (x1 + x2) * t.rs_plus) / 4.0
@@ -214,7 +214,7 @@ def thermal_entries(p: BatteryParams, tol: Tolerances | None = None):
 
 def gibbs_state_closed_form(p: BatteryParams, tol: Tolerances | None = None) -> np.ndarray:
     """Thermal state exp(-H/T)/Z assembled from the closed-form entries."""
-    p11, p12, p13, p14, p22, p23 = thermal_entries(p, tol)
+    p11, p12, p13, p14, p22, p23 = thermal_entries(p, thermal_terms(p, tol))
     return np.array(
         [
             [p11, p12, p13, p14],

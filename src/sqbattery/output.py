@@ -9,6 +9,7 @@ emitted with sorted keys and two-space indentation.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 from itertools import repeat
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import main_fields
-from .sweep import Curve, SweepConfig, SweepResult
+from .sweep import Curve, SweepResult
 
 __all__ = [
     "PANELS",
@@ -25,8 +26,11 @@ __all__ = [
     "format_float",
     "manifest_object",
     "sweep_csv_text",
+    "sweep_columns",
     "sweep_json_text",
+    "write_csv",
     "write_figure_files",
+    "write_json",
 ]
 
 CURVE_COLUMNS = ("label", "xi1", "xi2", "xic", "temperature")
@@ -61,18 +65,20 @@ def _series(value, count: int):
     return value.tolist() if isinstance(value, np.ndarray) else repeat(value, count)
 
 
-def csv_text(result: SweepResult, metric_columns: tuple[str, ...]) -> str:
-    """One CSV document: curve columns, tau, the given metric columns, flag.
+def write_csv(result: SweepResult, metric_columns: tuple[str, ...], stream) -> None:
+    """Write one CSV document to ``stream``: curve columns, tau, the given
+    metric columns, flag.
 
-    Each curve is one ``%`` over a template of its rows. The curve columns
-    (label and parameters), the tau-independent columns and the flag are
-    formatted once per curve and written into the template (the label and
-    flag with ``%`` escaped; formatted floats hold none); the tau cells,
-    formatted once per tau grid, fill ``%s`` slots and every other column
-    ``%.17g`` slots, which format like :func:`format_float`.
+    The header is one write, then each curve is one more: a ``%`` over a
+    template of its rows. The curve columns (label and parameters), the
+    tau-independent columns and the flag are formatted once per curve and
+    written into the template (the label and flag with ``%`` escaped;
+    formatted floats hold none); the tau cells, formatted once per tau grid,
+    fill ``%s`` slots and every other column ``%.17g`` slots, which format
+    like :func:`format_float`. Only one curve's rows are held at a time.
     """
     mode = result.config.mode
-    lines = [",".join(CURVE_COLUMNS + ("tau",) + metric_columns + ("flag",))]
+    stream.write(",".join(CURVE_COLUMNS + ("tau",) + metric_columns + ("flag",)) + "\n")
     tau_cells = {}
     for curve in result.curves:
         p, taus = curve.params, curve.samples.taus
@@ -87,63 +93,76 @@ def csv_text(result: SweepResult, metric_columns: tuple[str, ...]) -> str:
             if array:
                 columns.append(value.tolist())
             cells.append("%.17g" if array else format_float(value))
-        row = ",".join(cells + [curve.samples.flag.replace("%", "%%")])
+        row = ",".join(cells + [curve.samples.flag.replace("%", "%%")]) + "\n"
         values = [None] * (len(taus) * len(columns))
         for i, column in enumerate(columns):
             values[i::len(columns)] = column
-        lines.append("\n".join([row] * len(taus)) % tuple(values))
-    return "\n".join(lines) + "\n"
+        stream.write((row * len(taus)) % tuple(values))
+
+
+def _text(write, *args) -> str:
+    """What ``write(*args, stream=...)`` writes, as one string."""
+    stream = io.StringIO()
+    write(*args, stream=stream)
+    return stream.getvalue()
+
+
+def csv_text(result: SweepResult, metric_columns: tuple[str, ...]) -> str:
+    """The document :func:`write_csv` writes, as one string."""
+    return _text(write_csv, result, metric_columns)
+
+
+def sweep_columns(include_oracle: bool = False) -> tuple[str, ...]:
+    """The metric columns of a sweep: the main ones, then the oracle ones if asked."""
+    return MAIN_COLUMNS + (ORACLE_COLUMNS if include_oracle else ())
 
 
 def sweep_csv_text(result: SweepResult, include_oracle: bool = False) -> str:
     """Full sweep as one CSV document (all main metric columns)."""
-    return csv_text(result, MAIN_COLUMNS + (ORACLE_COLUMNS if include_oracle else ()))
+    return csv_text(result, sweep_columns(include_oracle))
 
 
-def config_object(cfg: SweepConfig) -> dict:
-    return {
-        "base": dataclasses.asdict(cfg.base),
-        "varied": [[name, list(values)] for name, values in cfg.varied],
-        "tau_start": cfg.tau_start,
-        "tau_stop": cfg.tau_stop,
-        "tau_count": cfg.tau_count,
-        "metrics": list(cfg.metrics),
-        "mode": cfg.mode,
+def _curve_object(curve: Curve, mode: str, sample_keys) -> dict:
+    """One curve's label, params, summary and, unless ``sample_keys`` is None, samples."""
+    entry = {
+        "label": curve.label,
+        "params": dataclasses.asdict(curve.params),
+        "summary": dataclasses.asdict(curve.summary),
     }
+    if sample_keys is not None:
+        count = len(curve.samples)
+        columns = [_series(_column(curve, key, mode), count) for key in sample_keys]
+        entry["samples"] = [dict(zip(sample_keys, values)) for values in zip(*columns)]
+    return entry
 
 
-def sweep_json_object(result: SweepResult, sample_keys=SAMPLE_KEYS) -> dict:
-    """Config, provenance and curves; ``sample_keys=None`` leaves out the samples."""
-    curves = []
-    for curve in result.curves:
-        entry = {
-            "label": curve.label,
-            "params": dataclasses.asdict(curve.params),
-            "summary": dataclasses.asdict(curve.summary),
-        }
-        if sample_keys is not None:
-            count = len(curve.samples)
-            columns = [_series(_column(curve, key, result.config.mode), count)
-                       for key in sample_keys]
-            entry["samples"] = [dict(zip(sample_keys, values)) for values in zip(*columns)]
-        curves.append(entry)
-    return {
-        "config": config_object(result.config),
-        "provenance": result.provenance,
-        "curves": curves,
-    }
-
-
-def json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def write_json(result: SweepResult, stream, sample_keys=SAMPLE_KEYS, **fields) -> None:
+    """Write config, provenance, curves and any further top-level ``fields``
+    (a manifest's ``files``) to ``stream``, with the bytes of
+    ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``. Each curve is
+    dumped and written alone, re-indented to its depth, so only one curve's
+    samples are held at a time; ``sample_keys=None`` leaves them out.
+    """
+    top = dict(config=dataclasses.asdict(result.config), curves=[],
+               provenance=result.provenance, **fields)
+    # the top-level empty list is the only '"curves": []' of the dump
+    head, _, tail = json.dumps(top, sort_keys=True, indent=2).partition('"curves": []')
+    stream.write(head + '"curves": [')
+    for i, curve in enumerate(result.curves):
+        entry = json.dumps(_curve_object(curve, result.config.mode, sample_keys),
+                           sort_keys=True, indent=2)
+        stream.write(("," if i else "") + "\n    " + entry.replace("\n", "\n    "))
+    stream.write(("\n  ]" if result.curves else "]") + tail + "\n")
 
 
 def sweep_json_text(result: SweepResult) -> str:
-    return json_text(sweep_json_object(result))
+    """The document :func:`write_json` writes, as one string."""
+    return _text(write_json, result)
 
 
 def manifest_object(result: SweepResult, files: list[str]) -> dict:
-    return dict(sweep_json_object(result, sample_keys=None), files=files)
+    """The figure manifest :func:`write_figure_files` writes, as a dict."""
+    return json.loads(_text(write_json, result, None, files=files))
 
 
 def figure_file_names(name: str, fmt: str) -> list[str]:
@@ -163,22 +182,15 @@ def write_figure_files(
     """Write one data file per panel plus a manifest; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
     file_names = figure_file_names(name, fmt)
-    for (letter, metric, oracle), fname in zip(PANELS, file_names):
-        path = out / fname
-        companion = (oracle,) if include_oracle and oracle else ()
-        if fmt == "csv":
-            text = csv_text(result, (metric,) + companion)
-        else:
-            text = json_text(sweep_json_object(result, ("tau", "flag", metric) + companion))
-        path.write_text(text, encoding="utf-8", newline="")
-        paths.append(path)
-    manifest = out / file_names[-1]
-    manifest.write_text(
-        json_text(manifest_object(result, file_names[:-1])),
-        encoding="utf-8",
-        newline="",
-    )
-    paths.append(manifest)
+    paths = [out / fname for fname in file_names]
+    for path, (_, metric, oracle) in zip(paths, PANELS):
+        columns = (metric,) + ((oracle,) if include_oracle and oracle else ())
+        with path.open("w", encoding="utf-8", newline="") as stream:
+            if fmt == "csv":
+                write_csv(result, columns, stream)
+            else:
+                write_json(result, stream, ("tau", "flag") + columns)
+    with paths[-1].open("w", encoding="utf-8", newline="") as stream:
+        write_json(result, stream, None, files=file_names[:-1])
     return paths

@@ -285,3 +285,42 @@ def test_point_oracle_rejects_unresolved_finite_difference_nodes():
     assert "1e+17" in proc.stderr and proc.stdout == ""
     proc = run_cli(*args)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("args, code", [
+    (("sweep", "--oracle", "--xi1", "1.5", "--xic", "0.5", "--temp", "0.1",
+      "--tau-start", "0", "--tau-stop", "1e8", "--tau-count", "3"), 2),
+    (("point", "--xi1", "1e200"), 3),
+], ids=["unresolved-tau", "overflow"])
+def test_rejected_request_writes_nothing(tmp_path, args, code):
+    # the whole request is evaluated before its output is opened
+    out = tmp_path / "sub" / "out.csv"
+    proc = run_cli(*args, "--out", str(out))
+    assert proc.returncode == code
+    assert not out.parent.exists()
+
+
+SWEEP_ARGS = ("sweep", "--xi1", "1.5", "--xic", "0.5", "--temp", "0.1", "--vary", "xi2=0.5,1.0")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("args, errno", [
+    (SWEEP_ARGS, "[Errno 28]"),
+    ((*SWEEP_ARGS, "--format", "json"), "[Errno 28]"),
+    (("figure", "fig1"), "[Errno 17]"),
+], ids=["sweep-csv", "sweep-json", "figure"])
+def test_full_disk_exits_4(args, errno):
+    # a sweep fills several write buffers, so the first failure comes from
+    # a write part-way through; a figure fails making its directory
+    proc = run_cli(*args, "--out", "/dev/full")
+    assert proc.returncode == 4
+    assert "cannot write" in proc.stderr and errno in proc.stderr
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+def test_stdout_on_full_disk_exits_4():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "sqbattery", *POINT_ARGS],
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 4
+    assert "cannot write" in proc.stderr and "[Errno 28]" in proc.stderr
