@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -140,12 +141,12 @@ def _metric_selection(include_oracle: bool) -> tuple[str, ...]:
 
 
 def _write(out: str | None, write) -> int:
-    """Call ``write(stream)`` on the file ``out`` (its directories made first)
-    or on stdout if ``out`` is None; exit 4 if opening or writing raises
-    ``OSError``. Callers evaluate first, so a rejected request opens nothing."""
+    """Call ``write`` on the file ``out`` (its directories made first) or on stdout;
+    exit 4 on ``OSError``. Callers evaluate first, so a rejection opens nothing."""
     try:
         if out is None:
             write(sys.stdout)
+            sys.stdout.flush()
             return 0
         path = Path(out)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -153,6 +154,8 @@ def _write(out: str | None, write) -> int:
             write(stream)
     except OSError as exc:
         print(f"error: cannot write {out or 'output'}: {exc}", file=sys.stderr)
+        if out is None:  # else the exit flush of stdout's buffer fails again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 4
     return 0
 
@@ -208,9 +211,7 @@ def _cmd_figure(args, tol) -> int:
     result = run_sweep(cfg, tol)
 
     def write(stdout) -> None:
-        paths = output.write_figure_files(
-            result, args.name, args.out, fmt=args.fmt, include_oracle=args.oracle
-        )
+        paths = output.write_figure_files(result, args.name, args.out, args.fmt, args.oracle)
         stdout.write("".join(f"{p}\n" for p in paths))
 
     return _write(None, write)

@@ -394,19 +394,21 @@ def _closed_columns(
     if mode == "oracle-only":
         return {}
     columns = {}
-    if {"ergotropy_closed", "power_closed", "capacity_closed", "coherence_l1"} & set(metrics):
-        t = thermal_terms(p, tol)
-    if "ergotropy_closed" in metrics:
-        columns["ergotropy_closed"] = _ergotropy_closed(p, t, grid, mode)
-    if "power_closed" in metrics:
-        columns["power_closed"] = _power_closed(p, t, grid, mode)
     if "capacity_definitional" in metrics:
         columns["capacity_definitional"] = capacity_definitional(build_degenerate_hamiltonian(p))
-    if "capacity_closed" in metrics:
-        columns["capacity_closed"] = _capacity_closed(p, t)
-    if "coherence_l1" in metrics:
-        columns["coherence_l1"] = l1_coherence(_evolved_states(p, t, grid, mode))
+    wanted = [name for name in _THERMAL_BODIES if name in metrics]
+    t = thermal_terms(p, tol) if wanted else None
+    columns.update((name, _THERMAL_BODIES[name](p, t, grid, mode)) for name in wanted)
     return columns
+
+
+# closed column -> its body over (params, thermal terms, tau grid, mode)
+_THERMAL_BODIES = {
+    "ergotropy_closed": _ergotropy_closed,
+    "power_closed": _power_closed,
+    "capacity_closed": lambda p, t, grid, mode: _capacity_closed(p, t),
+    "coherence_l1": lambda p, t, grid, mode: l1_coherence(_evolved_states(p, t, grid, mode)),
+}
 
 
 def _numeric_columns(

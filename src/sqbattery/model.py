@@ -196,8 +196,7 @@ def thermal_terms(p: BatteryParams, tol: Tolerances | None = None) -> ThermalTer
 
 
 def thermal_entries(p: BatteryParams, t: ThermalTerms):
-    """The six independent entries of the thermal state in closed form, from
-    the thermal terms ``t`` of ``p``.
+    """The six independent entries of the thermal state, from its terms ``t``.
 
     Returns (p11, p12, p13, p14, p22, p23); the remaining entries follow
     from the symmetries p44=p11, p33=p22, p34=p12, p24=p13 and realness.

@@ -66,16 +66,14 @@ def _series(value, count: int):
 
 
 def write_csv(result: SweepResult, metric_columns: tuple[str, ...], stream) -> None:
-    """Write one CSV document to ``stream``: curve columns, tau, the given
-    metric columns, flag.
+    """Write the header (curve columns, tau, the given metric columns, flag),
+    then each curve as one ``%`` over a template of its rows, to ``stream``.
 
-    The header is one write, then each curve is one more: a ``%`` over a
-    template of its rows. The curve columns (label and parameters), the
-    tau-independent columns and the flag are formatted once per curve and
-    written into the template (the label and flag with ``%`` escaped;
-    formatted floats hold none); the tau cells, formatted once per tau grid,
-    fill ``%s`` slots and every other column ``%.17g`` slots, which format
-    like :func:`format_float`. Only one curve's rows are held at a time.
+    The curve columns (label and parameters), the tau-independent columns
+    and the flag are formatted once per curve into the template (the label
+    and flag with ``%`` escaped; formatted floats hold none); the tau cells,
+    formatted once per tau grid, fill ``%s`` slots and every other column
+    ``%.17g`` slots, which format like :func:`format_float`.
     """
     mode = result.config.mode
     stream.write(",".join(CURVE_COLUMNS + ("tau",) + metric_columns + ("flag",)) + "\n")
@@ -100,16 +98,16 @@ def write_csv(result: SweepResult, metric_columns: tuple[str, ...], stream) -> N
         stream.write((row * len(taus)) % tuple(values))
 
 
-def _text(write, *args) -> str:
-    """What ``write(*args, stream=...)`` writes, as one string."""
+def _text(write) -> str:
+    """What ``write(stream)`` writes, as one string."""
     stream = io.StringIO()
-    write(*args, stream=stream)
+    write(stream)
     return stream.getvalue()
 
 
 def csv_text(result: SweepResult, metric_columns: tuple[str, ...]) -> str:
     """The document :func:`write_csv` writes, as one string."""
-    return _text(write_csv, result, metric_columns)
+    return _text(lambda stream: write_csv(result, metric_columns, stream))
 
 
 def sweep_columns(include_oracle: bool = False) -> tuple[str, ...]:
@@ -136,15 +134,15 @@ def _curve_object(curve: Curve, mode: str, sample_keys) -> dict:
     return entry
 
 
-def write_json(result: SweepResult, stream, sample_keys=SAMPLE_KEYS, **fields) -> None:
-    """Write config, provenance, curves and any further top-level ``fields``
-    (a manifest's ``files``) to ``stream``, with the bytes of
-    ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``. Each curve is
-    dumped and written alone, re-indented to its depth, so only one curve's
-    samples are held at a time; ``sample_keys=None`` leaves them out.
-    """
-    top = dict(config=dataclasses.asdict(result.config), curves=[],
-               provenance=result.provenance, **fields)
+def write_json(result: SweepResult, stream, sample_keys=SAMPLE_KEYS,
+               files: list[str] | None = None) -> None:
+    """Write config, provenance, curves and, if given, a manifest's ``files``
+    to ``stream`` as ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
+    would. Each curve is dumped alone and re-indented, so only one curve's
+    samples are held at a time; ``sample_keys=None`` leaves them out."""
+    top = dict(config=dataclasses.asdict(result.config), curves=[], provenance=result.provenance)
+    if files is not None:
+        top["files"] = files
     # the top-level empty list is the only '"curves": []' of the dump
     head, _, tail = json.dumps(top, sort_keys=True, indent=2).partition('"curves": []')
     stream.write(head + '"curves": [')
@@ -157,12 +155,12 @@ def write_json(result: SweepResult, stream, sample_keys=SAMPLE_KEYS, **fields) -
 
 def sweep_json_text(result: SweepResult) -> str:
     """The document :func:`write_json` writes, as one string."""
-    return _text(write_json, result)
+    return _text(lambda stream: write_json(result, stream))
 
 
 def manifest_object(result: SweepResult, files: list[str]) -> dict:
     """The figure manifest :func:`write_figure_files` writes, as a dict."""
-    return json.loads(_text(write_json, result, None, files=files))
+    return json.loads(_text(lambda stream: write_json(result, stream, None, files)))
 
 
 def figure_file_names(name: str, fmt: str) -> list[str]:
@@ -192,5 +190,5 @@ def write_figure_files(
             else:
                 write_json(result, stream, ("tau", "flag") + columns)
     with paths[-1].open("w", encoding="utf-8", newline="") as stream:
-        write_json(result, stream, None, files=file_names[:-1])
+        write_json(result, stream, None, file_names[:-1])
     return paths

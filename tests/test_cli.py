@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -220,8 +221,6 @@ def test_verify_quick_passes_and_reports_decisions():
 def test_verify_exit_1_under_impossible_tolerance():
     # env override tightens the power tolerance below the finite-difference
     # truncation floor, so the suite must fail and exit 1
-    import os
-
     env = dict(os.environ)
     env["SQBATTERY_TOLERANCES"] = '{"power_equivalence": 1e-30}'
     proc = subprocess.run(
@@ -319,8 +318,10 @@ def test_full_disk_exits_4(args, errno):
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
 def test_stdout_on_full_disk_exits_4():
+    # stdout to a file is block-buffered unless PYTHONUNBUFFERED is set
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "sqbattery", *POINT_ARGS],
-                              stdout=full, stderr=subprocess.PIPE, text=True)
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env)
     assert proc.returncode == 4
     assert "cannot write" in proc.stderr and "[Errno 28]" in proc.stderr

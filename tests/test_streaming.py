@@ -6,13 +6,15 @@ curve share one evaluation of the thermal terms.
 """
 
 import argparse
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from sqbattery import BatteryParams, SweepConfig, cli, dynamics, metrics, model, run_sweep
-from sqbattery.output import sweep_csv_text, sweep_json_text
+from sqbattery.output import (figure_file_names, manifest_object, sweep_csv_text,
+                              sweep_json_text, write_figure_files)
 
 POINT = ["point", "--xi1", "1.5", "--xi2", "0.5", "--xic", "0.3", "--temp", "0.1", "--tau", "0.7"]
 SWEEP = ["sweep", "--xi1", "1.5", "--xic", "0.3", "--temp", "0.2",
@@ -27,6 +29,15 @@ def test_stdout_matches_out_file(tmp_path, capsys, args, fmt):
     assert capsys.readouterr().out == ""
     assert cli.main([*args, "--format", fmt]) == 0
     assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_manifest_object_is_the_written_manifest(tmp_path, fmt):
+    base = BatteryParams(xi1=1.5, xi2=0.5, xic=0.3, temperature=0.1)
+    result = run_sweep(SweepConfig(base=base, varied=(("xi2", (0.5, 2.0)),), tau_count=5))
+    paths = write_figure_files(result, "fig", tmp_path, fmt)
+    names = figure_file_names("fig", fmt)[:-1]
+    assert manifest_object(result, names) == json.loads(paths[-1].read_text("utf-8"))
 
 
 def benchmark_shaped_sweep(n: int):
