@@ -142,7 +142,8 @@ def _metric_selection(include_oracle: bool) -> tuple[str, ...]:
 
 def _write(out: str | None, write) -> int:
     """Call ``write`` on the file ``out`` (its directories made first) or on stdout;
-    exit 4 on ``OSError``. Callers evaluate first, so a rejection opens nothing."""
+    exit 4 on ``OSError``, quietly when the reader of stdout has gone.
+    Callers evaluate first, so a rejection opens nothing."""
     try:
         if out is None:
             write(sys.stdout)
@@ -153,7 +154,8 @@ def _write(out: str | None, write) -> int:
         with path.open("w", encoding="utf-8", newline="") as stream:
             write(stream)
     except OSError as exc:
-        print(f"error: cannot write {out or 'output'}: {exc}", file=sys.stderr)
+        if out is not None or not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write {out or 'output'}: {exc}", file=sys.stderr)
         if out is None:  # else the exit flush of stdout's buffer fails again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 4

@@ -29,11 +29,12 @@ class SpectralDecomposition:
     """Eigenvalues (ascending) and matching orthonormal eigenvector columns.
 
     For a stack of matrices both arrays carry the stack axis first:
-    eigenvalues ``(N, n)`` and eigenvectors ``(N, n, n)``.
+    eigenvalues ``(N, n)`` and eigenvectors ``(N, n, n)``. ``eigenvectors``
+    is None when they were not asked for.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -46,7 +47,7 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     Circle ordering: index 0 stays put while the others rotate. Odd n gets
     a dummy index n, and pairs with it are dropped. Each round is
     ``(p, q, pq, qp)`` with ``pq`` = p then q and ``qp`` = q then p, so
-    ``a[:, pq, qp]`` are its pivot entries and ``a[:, pq, pq]`` their
+    ``a[pq, qp]`` are its pivot entries and ``a[pq, pq]`` their
     diagonals. The index arrays are read-only.
     """
     m = n + n % 2
@@ -69,55 +70,62 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
 
 
 def _offdiag_norm(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix's off-diagonal part."""
-    off = a[:, ~np.eye(a.shape[-1], dtype=bool)]
+    """Frobenius norm of each matrix's off-diagonal part; gathered stack-first,
+    so each norm sums its terms in the order a stack-first array gives."""
+    off = a.transpose(2, 0, 1)[:, ~np.eye(a.shape[0], dtype=bool)]
     return np.sqrt((off.real**2 + off.imag**2).sum(axis=-1))
 
 
-def _jacobi_sweep(av: np.ndarray, skip: np.ndarray, rounds) -> None:
-    """One sweep of rotations in place on ``av``: the matrices stacked over
-    their eigenvector accumulators, shape ``(N, 2n, n)``.
+def _select(every: bool, on: np.ndarray, new, old):
+    """``new`` where ``on``, else ``old``; all of ``new`` if ``every`` matrix rotates."""
+    return new if every else np.where(on, new, old)
+
+
+def _jacobi_sweep(av: np.ndarray, n: int, skip: np.ndarray, rounds) -> None:
+    """One sweep of rotations in place on ``av``, shape ``(rows, n, N)`` with
+    the stack axis last: the matrices ``av[:n]`` over their eigenvector
+    accumulators, if any, which the rotation of the matrices never reads.
 
     Each round rotates its disjoint pairs at once. A pair whose off-diagonal
     entry is at most ``skip`` keeps its old bits (selected, not rotated by
     the identity), so a matrix's result does not depend on the other
     matrices of the stack.
     """
-    a = av[:, : av.shape[-1]]
+    a = av[:n]
     for p, q, pq, qp in rounds:
-        beta = a[:, p, q]
+        beta = a[p, q]
         absb = np.abs(beta)
-        rot = absb > skip[:, None]
+        rot = absb > skip
         if not rot.any():
             continue
-        absb = np.where(rot, absb, 1.0)
+        every = rot.all()
+        absb = _select(every, rot, absb, 1.0)
         phase = beta / absb
         # rotation angle for the 2x2 block [[app, |b|], [|b|, aqq]]
-        theta = (a[:, q, q].real - a[:, p, p].real) / (2.0 * absb)
+        theta = (a[q, q].real - a[p, p].real) / (2.0 * absb)
         t = -np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(1.0, theta))
         c = 1.0 / np.sqrt(1.0 + t * t)
         s = t * c
         sp, spc = s * phase, s * phase.conj()
 
         # columns p,q of the rotation: [[c, -s*phase], [s*conj(phase), c]]
-        mp, mq = av[:, :, p], av[:, :, q]
-        cc, spr, spcr, on = c[:, None, :], sp[:, None, :], spc[:, None, :], rot[:, None, :]
-        av[:, :, p] = np.where(on, cc * mp + spcr * mq, mp)
-        av[:, :, q] = np.where(on, cc * mq - spr * mp, mq)
+        mp, mq = av[:, p], av[:, q]
+        av[:, p] = _select(every, rot, c * mp + spc * mq, mp)
+        av[:, q] = _select(every, rot, c * mq - sp * mp, mq)
 
-        mp, mq = a[:, p, :], a[:, q, :]
-        cc, spr, spcr, on = c[:, :, None], sp[:, :, None], spc[:, :, None], rot[:, :, None]
-        a[:, p, :] = np.where(on, cc * mp + spr * mq, mp)
-        a[:, q, :] = np.where(on, cc * mq - spcr * mp, mq)
+        mp, mq = a[p], a[q]
+        cc, spr, spcr, on = c[:, None], sp[:, None], spc[:, None], rot[:, None]
+        a[p] = _select(every, on, cc * mp + spr * mq, mp)
+        a[q] = _select(every, on, cc * mq - spcr * mp, mq)
 
         # the rotated pivots are exactly zero, their diagonals exactly real
-        rot2 = np.concatenate([rot, rot], axis=1)
-        a[:, pq, qp] = np.where(rot2, 0.0, a[:, pq, qp])
-        a[:, pq, pq] = np.where(rot2, a[:, pq, pq].real, a[:, pq, pq])
+        on = np.concatenate([rot, rot])
+        a[pq, qp] = _select(every, on, 0.0, a[pq, qp])
+        a[pq, pq] = _select(every, on, a[pq, pq].real, a[pq, pq])
 
 
 def hermitian_eigendecomposition(
-    m: np.ndarray, tol: Tolerances | None = None
+    m: np.ndarray, tol: Tolerances | None = None, *, vectors: bool = True
 ) -> SpectralDecomposition:
     """Diagonalize one Hermitian matrix ``(n, n)`` or a stack ``(N, n, n)``.
 
@@ -129,7 +137,9 @@ def hermitian_eigendecomposition(
     float64 range neither overflow nor lose the convergence test. Each
     matrix's result is bit-identical whether it is decomposed alone or
     inside any stack; stacks larger than ``MAX_STACK`` are split into
-    chunks. Nothing is memoized and the returned arrays are fresh.
+    chunks. Nothing is memoized and the returned arrays are fresh. With
+    ``vectors=False`` no eigenvectors are accumulated and ``eigenvectors``
+    is None; the eigenvalues are bit-identical either way.
 
     Per matrix, raises ``ValueError`` for non-finite entries,
     ``NotHermitianError`` when it is not Hermitian within ``tol.hermitian``
@@ -146,16 +156,19 @@ def hermitian_eigendecomposition(
     single = m.ndim == 2
     stack = m[None] if single else m
     parts = [
-        _decompose(stack[i:i + MAX_STACK], i, tol)
+        _decompose(stack[i:i + MAX_STACK], i, tol, vectors)
         for i in range(0, len(stack), MAX_STACK)
     ]
     w = np.concatenate([w for w, _ in parts])
-    v = np.concatenate([v for _, v in parts])
-    return SpectralDecomposition(w[0], v[0]) if single else SpectralDecomposition(w, v)
+    v = np.concatenate([v for _, v in parts]) if vectors else None
+    if single:
+        return SpectralDecomposition(w[0], None if v is None else v[0])
+    return SpectralDecomposition(w, v)
 
 
-def _decompose(m: np.ndarray, offset: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of one chunk; ``offset`` numbers its matrices."""
+def _decompose(m: np.ndarray, offset: int, tol: Tolerances,
+               vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues and eigenvectors (or None) of one chunk; ``offset`` numbers its matrices."""
     count, n = m.shape[0], m.shape[-1]
     finite = np.isfinite(m).all(axis=(-2, -1))
     if not finite.all():
@@ -174,12 +187,10 @@ def _decompose(m: np.ndarray, offset: int, tol: Tolerances) -> tuple[np.ndarray,
     # scale by 2**-e, with 2**e just above the largest real or imaginary part
     top = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1))
     e = np.frexp(top)[1][:, None, None]
-    av = np.empty((count, 2 * n, n), dtype=complex)
-    a, v = av[:, :n], av[:, n:]
+    a = np.empty_like(m)
     a.real = np.ldexp(m.real, -e)
     a.imag = np.ldexp(m.imag, -e)
-    a[:] = (a + _dagger(a)) / 2.0
-    v[:] = np.eye(n)
+    a = (a + _dagger(a)) / 2.0
 
     # target relative to the (scaled) matrix norm
     norm = np.sqrt((a.real**2 + a.imag**2).sum(axis=(-2, -1)))
@@ -187,27 +198,34 @@ def _decompose(m: np.ndarray, offset: int, tol: Tolerances) -> tuple[np.ndarray,
     # entries this small cannot push the off-diagonal norm above target
     skip = target / (2.0 * n)
     rounds = _ROUNDS[n] if n in _ROUNDS else _ROUNDS.setdefault(n, _round_robin(n))
+
+    # the stack axis last, so every elementwise op runs over the whole stack
+    av = np.empty((2 * n if vectors else n, n, count), dtype=complex)
+    av[:n] = a.transpose(1, 2, 0)
+    if vectors:
+        av[n:] = np.eye(n)[:, :, None]
+    a = av[:n]
     done = _offdiag_norm(a) <= target
     for _ in range(tol.jacobi_max_sweeps):
         if done.all():
             break
         # while no matrix has converged, the sweep runs on av itself, not a copy
         live = np.flatnonzero(~done) if done.any() else slice(None)
-        sub = av[live]
-        _jacobi_sweep(sub, skip[live], rounds)
-        av[live] = sub
-        done[live] = _offdiag_norm(sub[:, :n]) <= target[live]
+        sub = av[..., live]
+        _jacobi_sweep(sub, n, skip[live], rounds)
+        av[..., live] = sub
+        done[live] = _offdiag_norm(sub[:n]) <= target[live]
     if not done.all():
         i = int(np.argmin(done))
         raise EigenConvergenceError(
             f"Jacobi sweeps exhausted ({tol.jacobi_max_sweeps}) for matrix "
             f"{offset + i} of the stack: off-diagonal norm "
-            f"{_offdiag_norm(a[i:i + 1])[0]:.3e} above target {target[i]:.3e} "
+            f"{_offdiag_norm(a[..., i:i + 1])[0]:.3e} above target {target[i]:.3e} "
             f"(both relative to its largest entry)"
         )
 
-    eigenvalues = np.diagonal(a, axis1=-2, axis2=-1).real
+    eigenvalues = np.diagonal(a, axis1=0, axis2=1).real
     order = np.argsort(eigenvalues, axis=-1, kind="stable")
     eigenvalues = np.ldexp(np.take_along_axis(eigenvalues, order, axis=-1), e[:, 0])
-    vectors = np.take_along_axis(v, order[:, None, :], axis=-1)
-    return eigenvalues, vectors
+    v = av[n:].transpose(2, 0, 1)
+    return eigenvalues, np.take_along_axis(v, order[:, None, :], axis=-1) if vectors else None

@@ -28,9 +28,9 @@ from .linalg import hermitian_eigendecomposition
 from .model import (
     BatteryParams,
     ThermalTerms,
+    _gibbs_state,
     build_degenerate_hamiltonian,
     build_full_hamiltonian,
-    gibbs_state_numeric,
     thermal_terms,
 )
 from .tolerances import Tolerances, resolve
@@ -67,15 +67,23 @@ def ergotropy(state: np.ndarray, h: np.ndarray, tol: Tolerances | None = None):
     Computed from sorted spectra (descending populations against ascending
     energies), which makes the value independent of basis choices inside
     degenerate eigenspaces. ``state`` may be a stack ``(N, n, n)``, giving
-    an array of N values; the states and h are decomposed in one call.
+    an array of N values; the states and h are decomposed in one call,
+    eigenvalues only.
     """
     state = np.asarray(state, dtype=complex)
     states = state.reshape(-1, *state.shape[-2:])
-    h = np.asarray(h, dtype=complex)
-    spectra = hermitian_eigendecomposition(np.concatenate([states, h[None]]), tol).eigenvalues
-    passive_energy = (spectra[:-1, ::-1] * spectra[-1]).sum(axis=-1)
-    values = _trace_real(states @ h) - passive_energy
+    values = _stack_ergotropy(states, np.asarray(h, dtype=complex), tol)
     return float(values[0]) if state.ndim == 2 else values
+
+
+def _stack_ergotropy(states: np.ndarray, h: np.ndarray, tol: Tolerances | None, levels=None):
+    """:func:`ergotropy` of each state of a stack. Given ``levels``, the
+    ascending eigenvalues of h, only the states are decomposed."""
+    stack = states if levels is not None else np.concatenate([states, h[None]])
+    spectra = hermitian_eigendecomposition(stack, tol, vectors=False).eigenvalues
+    if levels is None:
+        spectra, levels = spectra[:-1], spectra[-1]
+    return _trace_real(states @ h) - (spectra[:, ::-1] * levels).sum(axis=-1)
 
 
 def ergotropy_vs_reference(
@@ -173,15 +181,16 @@ def _require_resolved_nodes(grid: TauGrid, tol: Tolerances) -> None:
 
 
 def _numeric_route(p: BatteryParams, grid: TauGrid, stop: int, tol: Tolerances):
-    """How a parameter set becomes (H, rho_th, evolved stack).
+    """How a parameter set becomes (H, its eigenvalues, rho_th, evolved stack).
 
-    H is the full Hamiltonian, gate charges included, rho_th its Gibbs state
-    through the eigensolver, and the stack holds U(tau) rho_th U(tau)^dagger
-    at the first ``stop`` nodes of ``grid``.
+    H is the full Hamiltonian, gate charges included, decomposed once;
+    rho_th is its Gibbs state, and the stack holds U(tau) rho_th
+    U(tau)^dagger at the first ``stop`` nodes of ``grid``.
     """
     h = build_full_hamiltonian(p)
-    rho = gibbs_state_numeric(h, p.temperature, tol)
-    return h, rho, grid.evolve(rho, stop, tol)
+    dec = hermitian_eigendecomposition(h, tol)
+    rho = _gibbs_state(dec, p.temperature)
+    return h, dec.eigenvalues, rho, grid.evolve(rho, stop, tol)
 
 
 def power_fd(
@@ -349,12 +358,13 @@ def compute_curve(
     """Evaluate the selected metrics at every tau of one parameter set.
 
     ``taus`` is an array or a ``TauGrid``, which a sweep shares between its
-    curves. Every column is evaluated once per curve. The Hamiltonian and
-    its Gibbs state are built once; the numeric columns
-    (``ergotropy_numeric``, ``power_fd`` at tau +/- the grid's step, and
-    coherence in oracle-only mode) come from one stack of evolved states and
-    one stacked ergotropy call; each closed form is one call over the whole
-    tau array, and the tau-independent capacities are computed once. In
+    curves. Every column is evaluated once per curve. The Hamiltonian is
+    built and decomposed once, for its Gibbs state and for the passive
+    energies; the numeric columns (``ergotropy_numeric``, ``power_fd`` at
+    tau +/- the grid's step, and coherence in oracle-only mode) come from
+    one stack of evolved states and one eigenvalues-only call on it; each
+    closed form is one call over the whole tau array, and the
+    tau-independent capacities are computed once. In
     oracle-only mode each closed-form metric gives way to its numeric
     counterpart in :data:`NUMERIC_FIELDS`; otherwise coherence is read off
     the mode's closed-form states. Overflow comes from the tau-independent
@@ -432,12 +442,12 @@ def _numeric_columns(
         _require_resolved_nodes(grid, tol)
     count = len(grid.taus)
     stop = 3 * count if want_power else count if want_numeric or want_coherence else 0
-    h, rho, states = _numeric_route(p, grid, stop, tol)
+    h, levels, rho, states = _numeric_route(p, grid, stop, tol)
     columns = {}
     if want_coherence:
         columns["coherence_l1"] = l1_coherence(states[:count])
     if want_numeric or want_power:
-        energies = ergotropy(states if want_numeric else states[count:], h, tol)
+        energies = _stack_ergotropy(states if want_numeric else states[count:], h, tol, levels)
         if want_numeric:
             columns["ergotropy_numeric"] = energies[:count]
         if want_power:

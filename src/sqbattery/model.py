@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ParameterOverflowError
-from .linalg import hermitian_eigendecomposition
+from .linalg import SpectralDecomposition, hermitian_eigendecomposition
 from .tolerances import Tolerances, resolve
 
 __all__ = [
@@ -236,13 +236,17 @@ def gibbs_state_numeric(
     evaluation finite at any temperature > 0; at subnormal T the gaps over T
     overflow to inf, whose weight 0 is the ground-state limit.
     """
-    temperature = np.asarray(temperature, dtype=float)
-    if np.any(temperature <= 0):
+    if np.any(np.asarray(temperature, dtype=float) <= 0):
         raise ValueError("temperature must be positive")
-    dec = hermitian_eigendecomposition(h, tol)
+    return _gibbs_state(hermitian_eigendecomposition(h, tol), temperature)
+
+
+def _gibbs_state(dec: SpectralDecomposition, temperature) -> np.ndarray:
+    """The Gibbs state of the matrix or stack that ``dec`` decomposes, at the
+    positive ``temperature`` (one, or one per matrix)."""
     e = dec.eigenvalues
     with np.errstate(over="ignore"):
-        scaled = (e - e[..., :1]) / temperature[..., None]
+        scaled = (e - e[..., :1]) / np.asarray(temperature, dtype=float)[..., None]
     w = np.exp(-scaled)
     w /= w.sum(axis=-1, keepdims=True)
     v = dec.eigenvectors

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, metrics, model
+from .linalg import hermitian_eigendecomposition
 from .model import BatteryParams
 from .sweep import PRESET_NAMES, _curve_cases, figure_preset
 from .tolerances import Tolerances, resolve
@@ -96,9 +97,10 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     """Run the five suites as reductions over one numeric pass per parameter set.
 
     The thermal suite decomposes every Hamiltonian (presets and cloud) in
-    one stacked call; each preset's Gibbs state is then evolved once over
-    tau, tau + fd_step and tau - fd_step, and one stacked ergotropy call
-    serves both the ergotropy and the power suite; all share one ``TauGrid``.
+    one stacked call, which also gives each preset's H spectrum; each
+    preset's Gibbs state is then evolved once over tau, tau + fd_step and
+    tau - fd_step, and one eigenvalues-only call on those states serves
+    both the ergotropy and the power suite; all share one ``TauGrid``.
     """
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
@@ -109,14 +111,15 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     grid, n, step = dynamics.TauGrid(taus, tol.fd_step), len(taus), tol.fd_step
 
     hs = np.array([model.build_degenerate_hamiltonian(p) for p in param_sets])
-    rhos = model.gibbs_state_numeric(hs, [p.temperature for p in param_sets], tol)
+    dec = hermitian_eigendecomposition(hs, tol)
+    rhos = model._gibbs_state(dec, [p.temperature for p in param_sets])
     closed_rhos = np.array([model.gibbs_state_closed_form(p, tol) for p in param_sets])
     gibbs = [np.abs(closed_rhos - rhos)]
 
     evolved, ergotropies, powers, capacities = [], [], [], []
-    for p, h, rho in zip(presets, hs, rhos):
+    for p, h, levels, rho in zip(presets, hs, dec.eigenvalues, rhos):
         states = grid.evolve(rho, 3 * n, tol)
-        energies = metrics.ergotropy(states, h, tol)
+        energies = metrics._stack_ergotropy(states, h, tol, levels)
         closed_states = dynamics.evolved_state_closed_form(p, grid, "corrected", tol)
         evolved.append(np.abs(closed_states - states[:n]))
         e_spectral = energies[:n]

@@ -325,3 +325,15 @@ def test_stdout_on_full_disk_exits_4():
                               stdout=full, stderr=subprocess.PIPE, text=True, env=env)
     assert proc.returncode == 4
     assert "cannot write" in proc.stderr and "[Errno 28]" in proc.stderr
+
+
+def test_closed_stdout_pipe_exits_4_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sqbattery", *POINT_ARGS],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4
+    assert proc.stderr == ""

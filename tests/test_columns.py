@@ -112,20 +112,23 @@ def test_sweep_and_csv_build_no_per_cell_objects(monkeypatch):
 
 
 def test_oracle_only_sweep_decomposes_every_input_once(monkeypatch):
+    # per curve: H with eigenvectors, then its 3 x 5 evolved states
+    # eigenvalues-only; H's spectrum is not recomputed for the ergotropy
     inputs = []
 
-    def counting(m, tol=None):
+    def counting(m, tol=None, **kwargs):
         m = np.asarray(m)
-        inputs.append((m.shape, m.tobytes()))
-        return hermitian_eigendecomposition(m, tol)
+        inputs.append((m.shape, kwargs.get("vectors", True), m.tobytes()))
+        return hermitian_eigendecomposition(m, tol, **kwargs)
 
     for module in (model_mod, metrics_mod):
         monkeypatch.setattr(module, "hermitian_eigendecomposition", counting)
     cfg = SweepConfig(base=BatteryParams(xi1=1.5, xi2=0.5, xic=0.5, temperature=0.1),
                       varied=(("xic", (0.5, 1.0)),), tau_count=5, mode="oracle-only")
     result = run_sweep(cfg)
-    assert [shape[0] if len(shape) == 3 else 1 for shape, _ in inputs] == [1, 16, 1, 16]
-    assert len(set(inputs)) == len(inputs)
+    calls = [(shape[0] if len(shape) == 3 else 1, vectors) for shape, vectors, _ in inputs]
+    assert calls == [(1, True), (15, False)] * 2
+    assert len({(shape, data) for shape, _, data in inputs}) == len(inputs)
     for curve in result.curves:
         p = curve.params
         h = model_mod.build_degenerate_hamiltonian(p)

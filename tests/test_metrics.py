@@ -360,12 +360,12 @@ def test_compute_sample_overflow_flagged_in_band():
 # ------------------------------------------------- closed forms first, gate charges
 
 def eigensolver_calls(monkeypatch):
-    """The input shape of every eigensolver call made from here on."""
+    """The input shape and ``vectors`` of every eigensolver call made from here on."""
     calls = []
 
-    def counting(m, tol=None):
-        calls.append(np.shape(m))
-        return hermitian_eigendecomposition(m, tol)
+    def counting(m, tol=None, **kwargs):
+        calls.append((np.shape(m), kwargs.get("vectors", True)))
+        return hermitian_eigendecomposition(m, tol, **kwargs)
 
     for module in (model_mod, metrics_mod):
         monkeypatch.setattr(module, "hermitian_eigendecomposition", counting)
@@ -411,14 +411,15 @@ def test_oracle_route_reads_the_gate_charges():
 # ------------------------------------------------------ one finite-difference path
 
 def test_power_only_curve_decomposes_only_its_nodes(monkeypatch):
-    # the Gibbs state, then the 2n states at tau +/- step with H: no state at tau
+    # H with eigenvectors for the Gibbs state, then the 2n states at
+    # tau +/- step eigenvalues-only: no state at tau, and H only once
     p = BatteryParams(1.5, 0.5, 0.5, 0.1)
     taus = np.linspace(0.0, 2.0 * np.pi, 401)
     calls = eigensolver_calls(monkeypatch)
     compute_curve(p, taus, "corrected", ("power_fd",))
     power_fd(p, taus)
-    sizes = [1 if len(shape) == 2 else shape[0] for shape in calls]
-    assert sizes == [1, 2 * len(taus) + 1] * 2
+    sizes = [(1 if len(shape) == 2 else shape[0], vectors) for shape, vectors in calls]
+    assert sizes == [(1, True), (2 * len(taus), False)] * 2
 
 
 def test_power_fd_is_the_compute_curve_column():

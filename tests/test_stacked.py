@@ -3,6 +3,8 @@
 numpy's LAPACK ``eigvalsh`` serves only as an independent reference here.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from sqbattery import (
     charging_unitary,
     compute_curve,
     compute_sample,
+    dynamics,
     ergotropy,
     evolve,
     gibbs_state_numeric,
@@ -80,6 +83,50 @@ def test_stacked_kernel_properties(stack):
         alone = hermitian_eigendecomposition(m)
         assert alone.eigenvalues.tobytes() == w.tobytes()
         assert alone.eigenvectors.tobytes() == v.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitian_stacks())
+def test_eigenvalues_only_match_the_full_decomposition(stack):
+    full = hermitian_eigendecomposition(stack)
+    only = hermitian_eigendecomposition(stack, vectors=False)
+    assert only.eigenvectors is None
+    assert only.eigenvalues.tobytes() == full.eigenvalues.tobytes()
+    for i, m in enumerate(stack):
+        alone = hermitian_eigendecomposition(m, vectors=False)
+        assert alone.eigenvectors is None
+        assert alone.eigenvalues.tobytes() == full.eigenvalues[i].tobytes()
+
+
+def test_eigenvalues_only_chunked_stack_matches_single_decompositions(rng):
+    # every kind at every scale, across three chunks
+    count = 2 * MAX_STACK + 3
+    stack = np.array([_hermitian(rng, 4, KINDS[i % 4]) * 10.0 ** (-150, 0, 150)[i % 3]
+                      for i in range(count)])
+    full = hermitian_eigendecomposition(stack)
+    only = hermitian_eigendecomposition(stack, vectors=False)
+    assert only.eigenvectors is None
+    assert only.eigenvalues.tobytes() == full.eigenvalues.tobytes()
+    for i, m in enumerate(stack):
+        alone = hermitian_eigendecomposition(m, vectors=False)
+        assert alone.eigenvalues.tobytes() == only.eigenvalues[i].tobytes()
+
+
+def test_eigenvalues_only_rejects_like_the_full_decomposition(rng):
+    stack = np.array([random_hermitian(rng, 4) for _ in range(5)])
+    broken = stack.copy()
+    broken[2, 1, 1] = np.inf
+    skewed = stack.copy()
+    skewed[3, 0, 1] += 1e-6
+    cases = ((broken, None, ValueError), (skewed, None, NotHermitianError),
+             (stack, Tolerances(jacobi_max_sweeps=0), EigenConvergenceError))
+    for m, tol, error in cases:
+        raised = []
+        for vectors in (True, False):
+            with pytest.raises(error) as info:
+                hermitian_eigendecomposition(m, tol, vectors=vectors)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
 
 
 def test_overflow_scale_eigenvalues():
@@ -176,3 +223,17 @@ def test_overflow_curve_flags_every_cell():
     p = BatteryParams(xi1=1e200, xi2=0.0, xic=0.0, temperature=1.0)
     curve = compute_curve(p, [0.1, 0.5], metrics=ALL_METRICS)
     assert [s.flag for s in curve] == ["overflow", "overflow"]
+
+
+def test_oracle_curve_peak_memory():
+    # the evolved states are decomposed eigenvalues-only and H once: 1.2 MB,
+    # where accumulating every state's eigenvectors peaked at 1.8 MB
+    grid = dynamics.TauGrid(np.linspace(0.0, 2 * np.pi, 401))
+    compute_curve(BASE, grid, "corrected", ALL_METRICS)  # builds the grid's unitaries
+    tracemalloc.start()
+    try:
+        compute_curve(BASE, grid, "corrected", ALL_METRICS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, f"one curve peaked at {peak / 1e6:.2f} MB"

@@ -30,15 +30,18 @@ def test_nan_residual_fails_its_suite(monkeypatch, name, suite):
 
 
 def test_quick_decomposes_every_input_once(monkeypatch):
+    # the thermal suite's Hamiltonians with eigenvectors, then each preset's
+    # 3 x 81 evolved states eigenvalues-only; H's spectrum is not recomputed
     inputs = []
 
-    def counting(m, tol=None):
+    def counting(m, tol=None, **kwargs):
         m = np.asarray(m)
-        inputs.append((m.shape, m.tobytes()))
-        return hermitian_eigendecomposition(m, tol)
+        inputs.append((m.shape, kwargs.get("vectors", True), m.tobytes()))
+        return hermitian_eigendecomposition(m, tol, **kwargs)
 
-    for module in (model_mod, metrics_mod):
+    for module in (model_mod, metrics_mod, verify_mod):
         monkeypatch.setattr(module, "hermitian_eigendecomposition", counting)
     assert verify_mod.run_verification("quick").passed
-    assert len(set(inputs)) == len(inputs)
-    assert len(inputs) <= 33
+    calls = [(shape, vectors) for shape, vectors, _ in inputs]
+    assert calls == [((116, 4, 4), True)] + [((243, 4, 4), False)] * 16
+    assert len({(shape, data) for shape, _, data in inputs}) == len(inputs)
