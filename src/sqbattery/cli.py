@@ -11,6 +11,7 @@ unknown preset, 3 overflow at a requested point, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -24,6 +25,13 @@ from .model import BatteryParams
 from .sweep import PRESET_NAMES, SweepConfig, figure_preset, run_sweep
 from .tolerances import from_env
 from .verify import run_verification
+
+# A CLI process exits right after main(), and CPython's shutdown collection
+# would otherwise walk and free the whole import-time heap (numpy's, mostly):
+# about 20 ms of a 90 ms figure call. Freezing moves every object alive now
+# into the permanent generation, which that collection skips. Only the CLI
+# does this; importing the library leaves the collector alone.
+gc.freeze()
 
 EPILOG = (
     "Numeric tolerances may be overridden through the SQBATTERY_TOLERANCES "
@@ -78,9 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {
-    "xi1", "xi2", "xic", "temp", "tau",
-    "tau_start", "tau_stop", "tau_count", "mode",
+# each key's JSON type, as (description, test): a value of any other type
+# would be coerced (true to 1.0, 2.7 taus to 2), so it is rejected instead.
+# Every JSON number is read as a float, as the flags are.
+_CONFIG_TYPES = {
+    **dict.fromkeys(("xi1", "xi2", "xic", "temp", "tau", "tau_start", "tau_stop"),
+                    ("a number", lambda v: isinstance(v, float))),
+    "tau_count": ("an integer", lambda v: isinstance(v, float) and v.is_integer()),
+    "mode": ("a string", lambda v: isinstance(v, str)),
 }
 
 
@@ -88,16 +101,20 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a flat JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(_CONFIG_TYPES)
     if unknown:
         raise ValueError(f"config file {path} has unknown keys: {sorted(unknown)}")
+    for key, value in data.items():
+        kind, valid = _CONFIG_TYPES[key]
+        if not valid(value):
+            raise ValueError(f"config file {path}: {key} must be {kind}, got {value!r}")
     return data
 
 

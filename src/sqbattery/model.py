@@ -37,6 +37,13 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
+# the two-qubit operators of build_full_hamiltonian
+_SZ1 = np.kron(PAULI_Z, IDENTITY_2)
+_SZ2 = np.kron(IDENTITY_2, PAULI_Z)
+_SX1 = np.kron(PAULI_X, IDENTITY_2)
+_SX2 = np.kron(IDENTITY_2, PAULI_X)
+_SZZ = np.kron(PAULI_Z, PAULI_Z)
+
 
 @dataclass(frozen=True)
 class BatteryParams:
@@ -91,13 +98,8 @@ def build_full_hamiltonian(p: BatteryParams) -> np.ndarray:
     """
     z1 = 4.0 * p.xic1 * (0.5 - p.ng1) + 2.0 * p.xic * (0.5 - p.ng2)
     z2 = 4.0 * p.xic2 * (0.5 - p.ng2) + 2.0 * p.xic * (0.5 - p.ng1)
-    sz1 = np.kron(PAULI_Z, IDENTITY_2)
-    sz2 = np.kron(IDENTITY_2, PAULI_Z)
-    sx1 = np.kron(PAULI_X, IDENTITY_2)
-    sx2 = np.kron(IDENTITY_2, PAULI_X)
-    szz = np.kron(PAULI_Z, PAULI_Z)
     return -0.5 * (
-        z1 * sz1 + z2 * sz2 + p.xi1 * sx1 + p.xi2 * sx2 - 2.0 * p.xic * szz
+        z1 * _SZ1 + z2 * _SZ2 + p.xi1 * _SX1 + p.xi2 * _SX2 - 2.0 * p.xic * _SZZ
     )
 
 

@@ -48,6 +48,10 @@ class SweepConfig:
 
     def __post_init__(self):
         validate_mode(self.mode, allow_oracle_only=True)
+        if not math.isfinite(self.tau_start):
+            raise ValueError("tau_start must be finite")
+        if not math.isfinite(self.tau_stop):
+            raise ValueError("tau_stop must be finite")
         if self.tau_count < 1:
             raise ValueError("tau_count must be at least 1")
         if self.tau_count > 1 and not self.tau_stop > self.tau_start:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sqbattery.cli import main
 from sqbattery.tolerances import DEFAULT, from_env
 
 
@@ -206,6 +207,65 @@ def test_bad_config_file_exits_2(tmp_path):
     cfg.write_text(json.dumps({"unknown_key": 1}))
     proc = run_cli("point", "--config", str(cfg))
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("entry", [
+    {"tau_count": 2.7}, {"tau_count": True}, {"tau_count": "3"},
+    {"xi1": True}, {"temp": None}, {"tau_stop": "6"}, {"mode": 1},
+], ids=lambda entry: "-".join(f"{k}={v!r}" for k, v in entry.items()))
+def test_config_value_read_unfaithfully_exits_2(tmp_path, capsys, entry):
+    # a boolean would be read as 1.0 and 2.7 taus as 2, so both are refused
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"xi1": 1.5, "xic": 0.5, "temp": 0.1, **entry}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{next(iter(entry))} must be" in captured.err
+
+
+def test_config_integer_beyond_float_range_exits_2(tmp_path, capsys):
+    # read as a float, as the flag --xi1 1e400 is: refused as non-finite,
+    # not reported as an overflow of the closed forms (exit 3)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"xi1": 1' + "0" * 400 + ', "xic": 0.5, "temp": 0.1}')
+    assert main(["point", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: battery parameters must be finite\n"
+
+
+def test_config_integral_float_tau_count_is_read(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"xi1": 1.5, "xic": 0.5, "temp": 0.1, "tau_count": 3.0}))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert len(parse_csv(capsys.readouterr().out)) == 3
+
+
+@pytest.mark.parametrize("args", [
+    ("--tau", "nan"), ("--tau", "nan", "--oracle"), ("--tau", "inf"), ("--tau=-inf", "--oracle"),
+], ids=["nan", "nan-oracle", "inf", "-inf-oracle"])
+def test_point_non_finite_tau_exits_2(capsys, args):
+    assert main(["point", "--xi1", "1.5", "--xic", "0.5", "--temp", "0.1", *args]) == 2
+    assert capsys.readouterr() == ("", "error: tau_start must be finite\n")
+
+
+@pytest.mark.parametrize("args, field", [
+    (("--tau-stop", "inf", "--tau-count", "3"), "tau_stop"),
+    (("--tau-start", "nan", "--tau-count", "3"), "tau_start"),
+], ids=["stop-inf", "start-nan"])
+def test_sweep_non_finite_tau_exits_2(capsys, args, field):
+    # the grid is refused before linspace, so numpy warns of nothing either
+    assert main(["sweep", "--xi1", "1.5", "--xic", "0.5", "--temp", "0.1", *args]) == 2
+    assert capsys.readouterr() == ("", f"error: {field} must be finite\n")
+
+
+@pytest.mark.parametrize("module, frozen", [("sqbattery.cli", True), ("sqbattery", False)])
+def test_only_the_cli_freezes_the_import_heap(module, frozen):
+    # the CLI moves its import-time heap out of the shutdown collection's way;
+    # the library must leave a host process's collector untouched
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import gc, {module}; print(gc.get_freeze_count())"],
+        capture_output=True, text=True, check=True,
+    )
+    assert (int(proc.stdout) > 0) is frozen
 
 
 def test_verify_quick_passes_and_reports_decisions():

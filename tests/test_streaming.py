@@ -6,7 +6,11 @@ curve share one evaluation of the thermal terms.
 """
 
 import argparse
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,6 +19,8 @@ import pytest
 from sqbattery import BatteryParams, SweepConfig, cli, dynamics, metrics, model, run_sweep
 from sqbattery.output import (figure_file_names, manifest_object, sweep_csv_text,
                               sweep_json_text, write_figure_files)
+
+from test_golden_outputs import ORACLE_FIGURE_SHA256
 
 POINT = ["point", "--xi1", "1.5", "--xi2", "0.5", "--xic", "0.3", "--temp", "0.1", "--tau", "0.7"]
 SWEEP = ["sweep", "--xi1", "1.5", "--xic", "0.3", "--temp", "0.2",
@@ -29,6 +35,30 @@ def test_stdout_matches_out_file(tmp_path, capsys, args, fmt):
     assert capsys.readouterr().out == ""
     assert cli.main([*args, "--format", fmt]) == 0
     assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+def run_child(*args):
+    # no PYTHONUNBUFFERED, and stdout a pipe: the child's stdout is block
+    # buffered, so its last bytes leave only as the process shuts down
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "sqbattery", *args], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, check=True)
+
+
+def test_child_stdout_matches_out_file(tmp_path):
+    sweep = ["sweep", "--xi1", "1.5", "--xic", "0.3", "--temp", "0.2",
+             "--vary", "xi2=0.1,0.5,2", "--tau-count", "401"]
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"out.{fmt}"
+        assert run_child(*sweep, "--format", fmt, "--out", str(out)).stdout == b""
+        assert run_child(*sweep, "--format", fmt).stdout == out.read_bytes()
+
+
+def test_child_figure_matches_golden_digest(tmp_path):
+    run_child("figure", "fig1", "--mode", "corrected", "--oracle", "--out", str(tmp_path))
+    digests = {("corrected", f.name): hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in tmp_path.iterdir()}
+    assert digests == {k: v for k, v in ORACLE_FIGURE_SHA256.items() if k[0] == "corrected"}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

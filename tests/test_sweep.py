@@ -31,6 +31,15 @@ def test_config_validation():
         SweepConfig(base=BASE, mode="other")
 
 
+@pytest.mark.parametrize("field", ["tau_start", "tau_stop"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("count", [1, 3])
+def test_non_finite_tau_rejected(field, value, count):
+    # a one-point grid reads only tau_start, but neither end may be non-finite
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SweepConfig(base=BASE, tau_count=count, **{field: value})
+
+
 def test_single_point_sweep_equals_direct_call():
     cfg = SweepConfig(
         base=BASE, tau_start=0.7, tau_stop=0.7, tau_count=1, metrics=ALL_METRICS
