@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -190,6 +191,8 @@ def _cmd_point(args, tol) -> int:
     config = _load_config(args.config)
     params = _params_from(args, config)
     tau = float(_setting(args, config, "tau", 0.0))
+    if not math.isfinite(tau):  # else the one-point sweep would name its tau_start
+        raise ValueError("tau must be finite")
     mode = _setting(args, config, "mode", "corrected")
     cfg = SweepConfig(
         base=params,

@@ -2,13 +2,14 @@
 
 Each builds its result another way than the program does (a spectral
 exponential, a rebuilt matrix, a passive state from sorted spectra, the
-drive Hamiltonian from Kronecker products) or checks a state's invariants.
+drive Hamiltonian from Kronecker products, the random cloud from
+``numpy.random``) or checks a state's invariants.
 """
 
 import numpy as np
 
 from sqbattery.linalg import SpectralDecomposition, hermitian_eigendecomposition
-from sqbattery.model import IDENTITY_2, PAULI_X
+from sqbattery.model import IDENTITY_2, PAULI_X, BatteryParams
 from sqbattery.tolerances import Tolerances, resolve
 
 
@@ -63,3 +64,10 @@ def check_density_matrix(
     eigenvalues = hermitian_eigendecomposition(m, tol).eigenvalues
     if eigenvalues[0] < -tol.density:
         raise ValueError(f"state has negative eigenvalue {eigenvalues[0]:.3e}")
+
+
+def numpy_random_cloud(count: int, seed=20260809) -> list[BatteryParams]:
+    """``verify.random_cloud`` drawn by ``np.random.default_rng(seed)`` itself."""
+    rng = np.random.default_rng(seed)
+    return [BatteryParams(*rng.uniform(0.0, 3.0, 3), temperature=rng.uniform(0.05, 5.0))
+            for _ in range(count)]

@@ -244,7 +244,7 @@ def test_config_integral_float_tau_count_is_read(tmp_path, capsys):
 ], ids=["nan", "nan-oracle", "inf", "-inf-oracle"])
 def test_point_non_finite_tau_exits_2(capsys, args):
     assert main(["point", "--xi1", "1.5", "--xic", "0.5", "--temp", "0.1", *args]) == 2
-    assert capsys.readouterr() == ("", "error: tau_start must be finite\n")
+    assert capsys.readouterr() == ("", "error: tau must be finite\n")
 
 
 @pytest.mark.parametrize("args, field", [
@@ -266,6 +266,29 @@ def test_only_the_cli_freezes_the_import_heap(module, frozen):
         capture_output=True, text=True, check=True,
     )
     assert (int(proc.stdout) > 0) is frozen
+
+
+def test_cli_never_imports_numpy_random(tmp_path):
+    # numpy loads numpy.random lazily; verify draws its cloud without it, and
+    # no command may import it, nor may the import of the CLI
+    argvs = [["verify", "quick"], ["figure", "fig1", "--oracle", "--out", str(tmp_path)],
+             ["sweep", "--xi1", "1.5", "--xic", "0.5", "--temp", "0.1", "--tau-count", "5"],
+             list(POINT_ARGS)]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import sqbattery.cli\n"
+        "seen = [('import', 'numpy.random' in sys.modules)]\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = sqbattery.cli.main(argv)\n"
+        "    seen.append((argv[0], code, 'numpy.random' in sys.modules))\n"
+        "print(json.dumps(seen))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True)
+    assert json.loads(proc.stdout) == [["import", False], ["verify", 0, False],
+                                       ["figure", 0, False], ["sweep", 0, False],
+                                       ["point", 0, False]]
 
 
 def test_verify_quick_passes_and_reports_decisions():

@@ -1,9 +1,10 @@
-"""Golden bytes of ``sweep`` and ``point`` outputs.
+"""Golden bytes of ``sweep``, ``point`` and ``verify`` outputs.
 
 The figure files are pinned in ``test_golden.py``; the same writers serve a
 one-``--vary`` sweep (CSV and JSON, corrected and verbatim) and a point, so
-those bytes are pinned here by sha256 too. A change that moves any of them
-must say why and update the table.
+those bytes are pinned here by sha256 too, as is the text ``verify quick``
+and ``verify full`` print. A change that moves any of them must say why and
+update the table.
 """
 
 import hashlib
@@ -71,3 +72,18 @@ def test_oracle_figure_matches_golden_digest(tmp_path, mode, capsys):
     digests = {(mode, f.name): hashlib.sha256(f.read_bytes()).hexdigest()
                for f in tmp_path.iterdir()}
     assert digests == {k: v for k, v in ORACLE_FIGURE_SHA256.items() if k[0] == mode}
+
+
+# ``verify quick|full`` stdout: the cloud's parameter sets and every residual
+# the suites report, to the printed digits
+VERIFY_SHA256 = {
+    "quick": "1538d2ae0c20043916f655f7af998a0552f8d56855b3be1045aad2280abee870",
+    "full": "3ee0a1964cdf7b45e38ee320d0eb4cbf44e1d1e0ed8e81e74abc6ada3eab226f",
+}
+
+
+@pytest.mark.parametrize("level", sorted(VERIFY_SHA256))
+def test_verify_text_matches_golden_digest(level, capsys):
+    assert main(["verify", level]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[level]

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import sqbattery.metrics as metrics_mod
 import sqbattery.model as model_mod
 import sqbattery.verify as verify_mod
 from sqbattery.linalg import hermitian_eigendecomposition
+from reference import numpy_random_cloud
 
 
 @pytest.mark.parametrize(
@@ -45,3 +48,38 @@ def test_quick_decomposes_every_input_once(monkeypatch):
     calls = [(shape, vectors) for shape, vectors, _ in inputs]
     assert calls == [((116, 4, 4), True)] + [((243, 4, 4), False)] * 16
     assert len({(shape, data) for shape, _, data in inputs}) == len(inputs)
+
+
+@given(seed=st.integers(0, 2**130 - 1),
+       sizes=st.lists(st.sampled_from([None, 3]), min_size=1, max_size=20))
+@example(seed=0, sizes=[3, None])
+@example(seed=2**32, sizes=[None, 3, 3])
+@example(seed=2**128, sizes=[3, None, None])
+@example(seed=2**130 - 1, sizes=[None, 3])
+def test_stream_matches_numpy_default_rng(seed, sizes):
+    # scalar and size=3 draws interleaved, with the bounds random_cloud uses
+    ours, theirs = verify_mod._PCG64(seed), np.random.default_rng(seed)
+    for size in sizes:
+        low, high = (0.05, 5.0) if size is None else (0.0, 3.0)
+        expected = theirs.uniform(low, high, size)
+        drawn = ours.uniform(low, high, size)
+        assert drawn == (expected if size is None else expected.tolist())
+
+
+@pytest.mark.parametrize("args", [(100,), (1000,), (1000, 7), (4, np.int64(7))],
+                         ids=["100", "1000", "1000-seed-7", "numpy-integer-seed"])
+def test_random_cloud_matches_numpy(args):
+    assert verify_mod.random_cloud(*args) == numpy_random_cloud(*args)
+
+
+def test_random_cloud_uses_a_generator_as_given():
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    assert verify_mod.random_cloud(3, rng) == numpy_random_cloud(3, twin)
+    assert rng.uniform() == twin.uniform()
+
+
+def test_random_cloud_rejects_a_negative_seed_as_numpy_does():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        verify_mod.random_cloud(1, -1)
