@@ -18,7 +18,6 @@ from .exceptions import (
 from .linalg import SpectralDecomposition, hermitian_eigendecomposition
 from .metrics import (
     CurveColumns,
-    MetricsSample,
     capacity_closed_form,
     capacity_definitional,
     compute_curve,
@@ -33,7 +32,6 @@ from .metrics import (
 from .model import (
     BatteryParams,
     ThermalTerms,
-    build_degenerate_hamiltonian,
     build_full_hamiltonian,
     gibbs_state_closed_form,
     gibbs_state_numeric,
@@ -51,7 +49,6 @@ __all__ = [
     "CurveSummary",
     "DEFAULT_TOLERANCES",
     "EigenConvergenceError",
-    "MetricsSample",
     "NotHermitianError",
     "NotUnitaryError",
     "ParameterOverflowError",
@@ -62,7 +59,6 @@ __all__ = [
     "Tolerances",
     "UnknownPresetError",
     "__version__",
-    "build_degenerate_hamiltonian",
     "build_full_hamiltonian",
     "capacity_closed_form",
     "capacity_definitional",

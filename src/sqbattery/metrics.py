@@ -18,7 +18,6 @@ every column once per curve, and :func:`compute_sample` is its one-tau case.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ from .model import (
     BatteryParams,
     ThermalTerms,
     _gibbs_state,
-    build_degenerate_hamiltonian,
     build_full_hamiltonian,
     thermal_terms,
 )
@@ -40,7 +38,6 @@ __all__ = [
     "DEFAULT_METRICS",
     "ORACLE_METRICS",
     "CurveColumns",
-    "MetricsSample",
     "capacity_closed_form",
     "capacity_definitional",
     "capacity_reconciled",
@@ -271,7 +268,7 @@ DEFAULT_METRICS = (
     "coherence_l1",
 )
 ORACLE_METRICS = ("ergotropy_numeric", "power_fd")
-# the sample field behind each main output column: the closed forms, or in
+# the curve column behind each main output column: the closed forms, or in
 # oracle-only mode their numeric counterparts
 CLOSED_FIELDS = {"ergotropy": "ergotropy_closed", "power": "power_closed",
                  "capacity": "capacity_closed"}
@@ -284,36 +281,16 @@ def main_fields(mode: str) -> dict:
     return NUMERIC_FIELDS if mode == "oracle-only" else CLOSED_FIELDS
 
 
-@dataclass(frozen=True)
-class MetricsSample:
-    """All figures of merit at one grid point; None marks a skipped metric.
-
-    ``capacity_reconciled`` stands in for ``capacity_closed`` in oracle-only
-    mode.
-
-    ``flag`` is empty for a clean cell, "overflow" when the parameter
-    regime defeated the hyperbolic terms, and "ill_conditioned" for a
-    numeric-route cell whose max |H_ij| * eps exceeds the ergotropy tolerance,
-    where cancellation can swamp the result (the cell is kept in-band).
-    """
-
-    tau: float
-    ergotropy_numeric: float | None = None
-    ergotropy_closed: float | None = None
-    power_closed: float | None = None
-    power_fd: float | None = None
-    capacity_definitional: float | None = None
-    capacity_closed: float | None = None
-    capacity_reconciled: float | None = None
-    coherence_l1: float | None = None
-    flag: str = ""
-
-
 @dataclass(frozen=True, eq=False)
-class CurveColumns(Sequence):
-    """One curve: ``columns`` maps a :class:`MetricsSample` field to an array
-    over ``taus`` (one value if tau-independent). As a sequence it yields
-    one :class:`MetricsSample` per tau, built on access.
+class CurveColumns:
+    """One curve: ``columns`` maps each computed metric (``capacity_reconciled``
+    too, in oracle-only mode) to an array over ``taus``, or to one value if
+    it is tau-independent.
+
+    ``flag`` is empty for a clean curve, "overflow" when the parameter regime
+    defeated the hyperbolic terms (``columns`` is then empty), and
+    "ill_conditioned" for a numeric-route curve whose max |H_ij| * eps exceeds
+    the ergotropy tolerance, where cancellation can swamp the kept values.
     """
 
     taus: np.ndarray
@@ -323,15 +300,6 @@ class CurveColumns(Sequence):
     def __len__(self) -> int:
         return len(self.taus)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
-        cell = {k: float(v[i]) if isinstance(v, np.ndarray) else v for k, v in self.columns.items()}
-        return MetricsSample(float(self.taus[i]), **cell, flag=self.flag)
-
-    def __eq__(self, other):  # as the tuple of samples it stands for
-        return isinstance(other, Sequence) and tuple(self) == tuple(other)
-
 
 def compute_sample(
     p: BatteryParams,
@@ -339,13 +307,10 @@ def compute_sample(
     mode: str = "corrected",
     metrics: tuple[str, ...] = DEFAULT_METRICS,
     tol: Tolerances | None = None,
-) -> MetricsSample:
-    """Evaluate the selected metrics at one (params, tau) cell.
-
-    The one-tau case of :func:`compute_curve`, so a cell recomputed alone is
-    bit-identical to the same cell of a whole curve.
-    """
-    return compute_curve(p, (tau,), mode, metrics, tol)[0]
+) -> CurveColumns:
+    """The one-tau curve of :func:`compute_curve`: a cell recomputed alone
+    is bit-identical to the same cell of a whole curve."""
+    return compute_curve(p, (tau,), mode, metrics, tol)
 
 
 def compute_curve(
@@ -399,13 +364,14 @@ def _closed_columns(
     metrics: tuple[str, ...],
     tol: Tolerances,
 ) -> dict:
-    """The closed-form columns of one curve (none in oracle-only mode): arrays
-    over the taus or constants, all from one evaluation of the thermal terms."""
-    if mode == "oracle-only":
-        return {}
+    """The gap capacity of H and the closed-form columns of one curve (none
+    in oracle-only mode): arrays over the taus or constants, all from one
+    evaluation of the thermal terms."""
     columns = {}
     if "capacity_definitional" in metrics:
-        columns["capacity_definitional"] = capacity_definitional(build_degenerate_hamiltonian(p))
+        columns["capacity_definitional"] = capacity_definitional(build_full_hamiltonian(p))
+    if mode == "oracle-only":
+        return columns
     wanted = [name for name in _THERMAL_BODIES if name in metrics]
     t = thermal_terms(p, tol) if wanted else None
     columns.update((name, _THERMAL_BODIES[name](p, t, grid, mode)) for name in wanted)
@@ -429,8 +395,8 @@ def _numeric_columns(
     tol: Tolerances,
 ) -> CurveColumns:
     """The oracle columns of one curve, each an array over the taus, flagged
-    if ill-conditioned; in oracle-only mode also the coherence and both
-    capacities of the numeric route's Hamiltonian. The stacked ergotropy
+    if ill-conditioned; in oracle-only mode also the coherence and the
+    reconciled capacity of the numeric route. The stacked ergotropy
     decomposes only the states whose columns are selected."""
     oracle_only = mode == "oracle-only"
     want_coherence = "coherence_l1" in metrics and oracle_only
@@ -452,8 +418,6 @@ def _numeric_columns(
             columns["ergotropy_numeric"] = energies[:count]
         if want_power:
             columns["power_fd"] = central_difference(energies[-2 * count:], grid.step)
-    if "capacity_definitional" in metrics and oracle_only:
-        columns["capacity_definitional"] = capacity_definitional(h)
     if "capacity_reconciled" in metrics:
         columns["capacity_reconciled"] = capacity_reconciled(p, h, rho)
     ill = np.abs(h).max() * np.finfo(float).eps > tol.ergotropy_equivalence

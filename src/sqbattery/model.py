@@ -26,7 +26,6 @@ __all__ = [
     "PAULI_X",
     "PAULI_Z",
     "IDENTITY_2",
-    "build_degenerate_hamiltonian",
     "build_full_hamiltonian",
     "gibbs_state_closed_form",
     "gibbs_state_numeric",
@@ -94,30 +93,15 @@ def _require_degeneracy(p: BatteryParams) -> None:
 def build_full_hamiltonian(p: BatteryParams) -> np.ndarray:
     """General two-qubit Hamiltonian including gate-charge terms.
 
-    Reduces to :func:`build_degenerate_hamiltonian` when ng1 = ng2 = 1/2.
+    At ng1 = ng2 = 1/2 its diagonal is (xic, -xic, -xic, xic); -xi2/2
+    couples states differing in the second qubit, -xi1/2 those differing in
+    the first.
     """
-    z1 = 4.0 * p.xic1 * (0.5 - p.ng1) + 2.0 * p.xic * (0.5 - p.ng2)
-    z2 = 4.0 * p.xic2 * (0.5 - p.ng2) + 2.0 * p.xic * (0.5 - p.ng1)
+    # offset first: each term is exactly 0 at degeneracy, even where 4 xic1 overflows
+    z1 = 4.0 * (p.xic1 * (0.5 - p.ng1)) + 2.0 * (p.xic * (0.5 - p.ng2))
+    z2 = 4.0 * (p.xic2 * (0.5 - p.ng2)) + 2.0 * (p.xic * (0.5 - p.ng1))
     return -0.5 * (
         z1 * _SZ1 + z2 * _SZ2 + p.xi1 * _SX1 + p.xi2 * _SX2 - 2.0 * p.xic * _SZZ
-    )
-
-
-def build_degenerate_hamiltonian(p: BatteryParams) -> np.ndarray:
-    """Degeneracy-point Hamiltonian assembled entrywise.
-
-    Diagonal (xic, -xic, -xic, xic); -xi2/2 couples states differing in the
-    second qubit, -xi1/2 those differing in the first.
-    """
-    x1, x2, xc = p.xi1, p.xi2, p.xic
-    return 0.5 * np.array(
-        [
-            [2 * xc, -x2, -x1, 0],
-            [-x2, -2 * xc, 0, -x1],
-            [-x1, 0, -2 * xc, -x2],
-            [0, -x1, -x2, 2 * xc],
-        ],
-        dtype=complex,
     )
 
 

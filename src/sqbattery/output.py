@@ -21,13 +21,10 @@ from .sweep import Curve, SweepResult
 
 __all__ = [
     "PANELS",
-    "csv_text",
     "figure_file_names",
     "format_float",
-    "manifest_object",
     "sweep_csv_text",
     "sweep_columns",
-    "sweep_json_text",
     "write_csv",
     "write_figure_files",
     "write_json",
@@ -98,18 +95,6 @@ def write_csv(result: SweepResult, metric_columns: tuple[str, ...], stream) -> N
         stream.write((row * len(taus)) % tuple(values))
 
 
-def _text(write) -> str:
-    """What ``write(stream)`` writes, as one string."""
-    stream = io.StringIO()
-    write(stream)
-    return stream.getvalue()
-
-
-def csv_text(result: SweepResult, metric_columns: tuple[str, ...]) -> str:
-    """The document :func:`write_csv` writes, as one string."""
-    return _text(lambda stream: write_csv(result, metric_columns, stream))
-
-
 def sweep_columns(include_oracle: bool = False) -> tuple[str, ...]:
     """The metric columns of a sweep: the main ones, then the oracle ones if asked."""
     return MAIN_COLUMNS + (ORACLE_COLUMNS if include_oracle else ())
@@ -117,7 +102,9 @@ def sweep_columns(include_oracle: bool = False) -> tuple[str, ...]:
 
 def sweep_csv_text(result: SweepResult, include_oracle: bool = False) -> str:
     """Full sweep as one CSV document (all main metric columns)."""
-    return csv_text(result, sweep_columns(include_oracle))
+    stream = io.StringIO()
+    write_csv(result, sweep_columns(include_oracle), stream)
+    return stream.getvalue()
 
 
 def _curve_object(curve: Curve, mode: str, sample_keys) -> dict:
@@ -151,16 +138,6 @@ def write_json(result: SweepResult, stream, sample_keys=SAMPLE_KEYS,
                            sort_keys=True, indent=2)
         stream.write(("," if i else "") + "\n    " + entry.replace("\n", "\n    "))
     stream.write(("\n  ]" if result.curves else "]") + tail + "\n")
-
-
-def sweep_json_text(result: SweepResult) -> str:
-    """The document :func:`write_json` writes, as one string."""
-    return _text(lambda stream: write_json(result, stream))
-
-
-def manifest_object(result: SweepResult, files: list[str]) -> dict:
-    """The figure manifest :func:`write_figure_files` writes, as a dict."""
-    return json.loads(_text(lambda stream: write_json(result, stream, None, files)))
 
 
 def figure_file_names(name: str, fmt: str) -> list[str]:

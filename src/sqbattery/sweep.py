@@ -56,6 +56,7 @@ class SweepConfig:
             raise ValueError("tau_count must be at least 1")
         if self.tau_count > 1 and not self.tau_stop > self.tau_start:
             raise ValueError("tau_stop must exceed tau_start for multi-point grids")
+        names = [name for name, _ in self.varied]
         for name, values in self.varied:
             if name not in VARIABLE_PARAMS:
                 raise ValueError(
@@ -63,6 +64,9 @@ class SweepConfig:
                 )
             if not values:
                 raise ValueError(f"empty value list for varied parameter {name!r}")
+            # a curve takes one value per name: only a repeat's last would count
+            if names.count(name) > 1:
+                raise ValueError(f"parameter {name!r} is varied more than once")
 
     def tau_grid(self) -> np.ndarray:
         if self.tau_count == 1:
@@ -93,19 +97,13 @@ class SweepResult:
     provenance: dict
 
 
-def _format_value(v: float) -> str:
-    return repr(float(v))
-
-
 def _curve_cases(cfg: SweepConfig):
     if not cfg.varied:
         yield "base", cfg.base
         return
     names = [name for name, _ in cfg.varied]
     for combo in itertools.product(*(values for _, values in cfg.varied)):
-        label = ",".join(
-            f"{n}={_format_value(v)}" for n, v in zip(names, combo)
-        )
+        label = ",".join(f"{n}={float(v)!r}" for n, v in zip(names, combo))
         params = dataclasses.replace(cfg.base, **dict(zip(names, combo)))
         yield label, params
 

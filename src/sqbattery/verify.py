@@ -163,7 +163,7 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     taus = np.linspace(0.0, 2.0 * np.pi, 401 if level == "full" else 81)
     grid, n, step = dynamics.TauGrid(taus, tol.fd_step), len(taus), tol.fd_step
 
-    hs = np.array([model.build_degenerate_hamiltonian(p) for p in param_sets])
+    hs = np.array([model.build_full_hamiltonian(p) for p in param_sets])
     dec = hermitian_eigendecomposition(hs, tol)
     rhos = model._gibbs_state(dec, [p.temperature for p in param_sets])
     closed_rhos = np.array([model.gibbs_state_closed_form(p, tol) for p in param_sets])

@@ -2,9 +2,13 @@
 
 Each builds its result another way than the program does (a spectral
 exponential, a rebuilt matrix, a passive state from sorted spectra, the
-drive Hamiltonian from Kronecker products, the random cloud from
-``numpy.random``) or checks a state's invariants.
+battery Hamiltonian entry by entry, the drive Hamiltonian from Kronecker
+products, the random cloud from ``numpy.random``), checks a state's
+invariants, or reads a result cell by cell or as one string.
 """
+
+import io
+import struct
 
 import numpy as np
 
@@ -45,6 +49,24 @@ def passive_state(state: np.ndarray, h: np.ndarray, tol: Tolerances | None = Non
     return (dec_h.eigenvectors * populations) @ dec_h.eigenvectors.conj().T
 
 
+def build_degenerate_hamiltonian(p: BatteryParams) -> np.ndarray:
+    """Degeneracy-point Hamiltonian assembled entrywise.
+
+    Diagonal (xic, -xic, -xic, xic); -xi2/2 couples states differing in the
+    second qubit, -xi1/2 those differing in the first.
+    """
+    x1, x2, xc = p.xi1, p.xi2, p.xic
+    return 0.5 * np.array(
+        [
+            [2 * xc, -x2, -x1, 0],
+            [-x2, -2 * xc, 0, -x1],
+            [-x1, 0, -2 * xc, -x2],
+            [0, -x1, -x2, 2 * xc],
+        ],
+        dtype=complex,
+    )
+
+
 def build_charging_hamiltonian(omega: float) -> np.ndarray:
     """Collective x-drive omega * (X (x) I + I (x) X)."""
     return omega * (np.kron(PAULI_X, IDENTITY_2) + np.kron(IDENTITY_2, PAULI_X))
@@ -71,3 +93,19 @@ def numpy_random_cloud(count: int, seed=20260809) -> list[BatteryParams]:
     rng = np.random.default_rng(seed)
     return [BatteryParams(*rng.uniform(0.0, 3.0, 3), temperature=rng.uniform(0.05, 5.0))
             for _ in range(count)]
+
+
+def cell_bits(curve, i: int) -> dict:
+    """Cell ``i`` of a ``CurveColumns``: its flag, tau and each column's value
+    there (a tau-independent column's one value), every float as its IEEE
+    bytes so that NaN and -0.0 compare exactly."""
+    values = {k: v[i] if isinstance(v, np.ndarray) else v for k, v in curve.columns.items()}
+    bits = {k: struct.pack("<d", v) for k, v in {"tau": curve.taus[i], **values}.items()}
+    return {"flag": curve.flag, **bits}
+
+
+def _text(write) -> str:
+    """What ``write(stream)`` writes, as one string."""
+    stream = io.StringIO()
+    write(stream)
+    return stream.getvalue()

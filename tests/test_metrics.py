@@ -6,7 +6,6 @@ import pytest
 
 from sqbattery import (
     BatteryParams,
-    build_degenerate_hamiltonian,
     build_full_hamiltonian,
     capacity_closed_form,
     capacity_definitional,
@@ -32,7 +31,7 @@ from reference import build_charging_hamiltonian, passive_state
 
 
 def evolved(p, tau):
-    h = build_degenerate_hamiltonian(p)
+    h = build_full_hamiltonian(p)
     rho = gibbs_state_numeric(h, p.temperature)
     return h, rho, evolve(rho, charging_unitary(tau))
 
@@ -41,7 +40,7 @@ def evolved(p, tau):
 
 def test_passive_state_of_gibbs_is_gibbs():
     p = BatteryParams(xi1=1.5, xi2=0.7, xic=0.4, temperature=0.3)
-    h = build_degenerate_hamiltonian(p)
+    h = build_full_hamiltonian(p)
     rho = gibbs_state_numeric(h, p.temperature)
     assert np.max(np.abs(passive_state(rho, h) - rho)) <= 1e-12
 
@@ -85,7 +84,7 @@ def test_ergotropy_two_level_example():
 def test_ergotropy_definitions_agree_on_charged_states(preset_params):
     taus = np.linspace(0.0, 2 * np.pi, 41)
     for p in preset_params:
-        h = build_degenerate_hamiltonian(p)
+        h = build_full_hamiltonian(p)
         rho = gibbs_state_numeric(h, p.temperature)
         for tau in taus:
             state = evolve(rho, charging_unitary(float(tau)))
@@ -127,7 +126,7 @@ def test_ergotropy_closed_form_zeros_and_grid(preset_params):
     for p in preset_params:
         assert ergotropy_closed_form(p, 0.0) == 0.0
         assert abs(ergotropy_closed_form(p, np.pi)) <= 1e-10
-        h = build_degenerate_hamiltonian(p)
+        h = build_full_hamiltonian(p)
         rho = gibbs_state_numeric(h, p.temperature)
         for tau in taus:
             state = evolve(rho, charging_unitary(float(tau)))
@@ -231,7 +230,7 @@ def test_power_fd_rejects_bad_step():
 
 def test_capacity_definitional_examples(preset_params):
     for p in preset_params:
-        assert capacity_definitional(build_degenerate_hamiltonian(p)) == 0.0
+        assert capacity_definitional(build_full_hamiltonian(p)) == 0.0
     assert capacity_definitional(np.diag([0.0, 0, 0, 1.0])) == 1.0
     assert capacity_definitional(np.diag([-1.0, 0, 0, 1.0])) == 2.0
 
@@ -251,7 +250,7 @@ def test_capacity_closed_form_high_temperature_limit():
 
 def test_capacity_reconciliation(preset_params):
     for p in preset_params:
-        h = build_degenerate_hamiltonian(p)
+        h = build_full_hamiltonian(p)
         rho = gibbs_state_numeric(h, p.temperature)
         reconciled = p.xic - float(np.trace(h @ rho).real)
         assert abs(capacity_closed_form(p) - reconciled) <= 1e-10
@@ -323,20 +322,20 @@ def test_corrected_ergotropy_is_a_pure_double_frequency_oscillation(preset_param
 
 def test_compute_sample_cross_check_invariant(preset_params):
     for p in preset_params[:4]:
-        s = compute_sample(p, 0.8, metrics=ALL_METRICS)
-        assert s.flag == ""
-        assert s.ergotropy_numeric >= -1e-10
-        assert abs(s.ergotropy_numeric - s.ergotropy_closed) <= 1e-9
-        assert abs(s.power_closed - s.power_fd) <= 1e-5
-        assert s.coherence_l1 >= 0.0
-        assert s.capacity_definitional == 0.0
+        curve = compute_sample(p, 0.8, metrics=ALL_METRICS)
+        assert curve.flag == ""
+        s = curve.columns
+        assert s["ergotropy_numeric"][0] >= -1e-10
+        assert abs(s["ergotropy_numeric"][0] - s["ergotropy_closed"][0]) <= 1e-9
+        assert abs(s["power_closed"][0] - s["power_fd"][0]) <= 1e-5
+        assert s["coherence_l1"][0] >= 0.0
+        assert s["capacity_definitional"] == 0.0
 
 
 def test_compute_sample_metric_selector():
     p = BatteryParams(xi1=1.5, xi2=0.5, xic=0.5, temperature=0.1)
     s = compute_sample(p, 0.5, metrics=("ergotropy_closed",))
-    assert s.ergotropy_closed is not None
-    assert s.ergotropy_numeric is None and s.power_closed is None
+    assert list(s.columns) == ["ergotropy_closed"] and len(s.columns["ergotropy_closed"]) == 1
     with pytest.raises(ValueError):
         compute_sample(p, 0.5, metrics=("energy",))
 
@@ -344,17 +343,14 @@ def test_compute_sample_metric_selector():
 def test_compute_sample_oracle_only_mode():
     p = BatteryParams(xi1=1.5, xi2=0.5, xic=0.5, temperature=0.1)
     s = compute_sample(p, 0.5, mode="oracle-only", metrics=ALL_METRICS)
-    assert s.ergotropy_closed is None and s.power_closed is None
-    assert s.capacity_closed is None
-    assert s.ergotropy_numeric is not None and s.power_fd is not None
-    assert s.coherence_l1 is not None
+    assert set(s.columns) == {"ergotropy_numeric", "power_fd", "capacity_definitional",
+                              "capacity_reconciled", "coherence_l1"}
 
 
 def test_compute_sample_overflow_flagged_in_band():
     p = BatteryParams(xi1=1e200, xi2=0.0, xic=0.0, temperature=1.0)
     s = compute_sample(p, 0.5, metrics=ALL_METRICS)
-    assert s.flag == "overflow"
-    assert s.ergotropy_closed is None and s.ergotropy_numeric is None
+    assert s.flag == "overflow" and s.columns == {}
 
 
 # ------------------------------------------------- closed forms first, gate charges
@@ -397,15 +393,15 @@ def test_oracle_route_reads_the_gate_charges():
         return state, np.trace(state @ h).real - passive
 
     state, energy = reference(0.7)
-    sample = compute_sample(p, 0.7, mode="oracle-only", metrics=ALL_METRICS)
+    sample = compute_sample(p, 0.7, mode="oracle-only", metrics=ALL_METRICS).columns
     assert abs(energy - 0.5349) < 1e-4
-    assert abs(sample.ergotropy_numeric - energy) <= 1e-9
-    assert abs(sample.coherence_l1 - (np.abs(state).sum() - np.abs(np.diag(state)).sum())) <= 1e-9
+    assert abs(sample["ergotropy_numeric"][0] - energy) <= 1e-9
+    coherence = np.abs(state).sum() - np.abs(np.diag(state)).sum()
+    assert abs(sample["coherence_l1"][0] - coherence) <= 1e-9
     fd = (reference(0.7 + step)[1] - reference(0.7 - step)[1]) / (2 * step)
-    assert abs(sample.power_fd - fd) <= 1e-6
-    assert sample.capacity_definitional == h[3, 3].real - h[0, 0].real
-    curve = compute_curve(p, [0.7], "oracle-only", ALL_METRICS)
-    assert abs(curve.columns["capacity_reconciled"] - (p.xic - np.trace(h @ rho).real)) <= 1e-9
+    assert abs(sample["power_fd"][0] - fd) <= 1e-6
+    assert sample["capacity_definitional"] == h[3, 3].real - h[0, 0].real
+    assert abs(sample["capacity_reconciled"] - (p.xic - np.trace(h @ rho).real)) <= 1e-9
 
 
 # ------------------------------------------------------ one finite-difference path

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqbattery import (
     BatteryParams,
     ParameterOverflowError,
-    build_degenerate_hamiltonian,
     build_full_hamiltonian,
     gibbs_state_closed_form,
     gibbs_state_numeric,
@@ -15,7 +16,7 @@ from sqbattery import (
     thermal_terms,
 )
 from conftest import random_cloud
-from reference import build_charging_hamiltonian, check_density_matrix
+from reference import build_charging_hamiltonian, build_degenerate_hamiltonian, check_density_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -24,7 +25,7 @@ I2 = np.eye(2, dtype=complex)
 
 def kron_assembly(p):
     # independent tensor-product assembly; the zz coefficient is 2*xic,
-    # matching the entrywise matrix (its diagonal corners are +/- xic)
+    # so the diagonal corners are +/- xic
     return -0.5 * (
         p.xi1 * np.kron(SX, I2)
         + p.xi2 * np.kron(I2, SX)
@@ -43,17 +44,19 @@ def test_params_validation():
         BatteryParams(xi1=0.0, xi2=0.0, xic=0.0, temperature=1.0, ng1=1.5)
 
 
-def test_full_hamiltonian_reduces_at_degeneracy(rng):
-    for _ in range(20):
-        p = BatteryParams(
-            xi1=float(rng.uniform(0, 3)),
-            xi2=float(rng.uniform(0, 3)),
-            xic=float(rng.uniform(-2, 2)),
-            temperature=1.0,
-            xic1=float(rng.uniform(0, 5)),
-            xic2=float(rng.uniform(0, 5)),
-        )
-        assert np.array_equal(build_full_hamiltonian(p), build_degenerate_hamiltonian(p))
+ENERGY = st.one_of(st.sampled_from([0.0, 1e-300, 1e150]), st.floats(0.0, 1e150))
+COUPLING = st.one_of(st.sampled_from([0.0, 1e-300, -1e-300, 1e150, -1e150]),
+                     st.floats(-1e150, 1e150))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ENERGY, ENERGY, COUPLING, st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_full_hamiltonian_reduces_at_degeneracy(xi1, xi2, xic, xic1, xic2):
+    # values, not bytes: the Kronecker sum gives -0.0 where the entrywise
+    # reference has +0.0; the charging energies xic1, xic2 drop out at any size
+    p = BatteryParams(xi1=xi1, xi2=xi2, xic=xic, temperature=1.0, xic1=xic1, xic2=xic2)
+    assert np.array_equal(build_full_hamiltonian(p), build_degenerate_hamiltonian(p))
 
 
 def test_full_hamiltonian_all_zero():
@@ -70,7 +73,7 @@ def test_full_hamiltonian_gate_charge_term():
 
 def test_degenerate_hamiltonian_entries_and_kron(rng):
     p = BatteryParams(xi1=0, xi2=0, xic=1.0, temperature=1.0)
-    assert np.allclose(build_degenerate_hamiltonian(p), np.diag([1, -1, -1, 1]), atol=0)
+    assert np.allclose(build_full_hamiltonian(p), np.diag([1, -1, -1, 1]), atol=0)
     for _ in range(20):
         q = BatteryParams(
             xi1=float(rng.uniform(0, 3)),
@@ -78,7 +81,7 @@ def test_degenerate_hamiltonian_entries_and_kron(rng):
             xic=float(rng.uniform(-2, 2)),
             temperature=1.0,
         )
-        h = build_degenerate_hamiltonian(q)
+        h = build_full_hamiltonian(q)
         assert np.max(np.abs(h - kron_assembly(q))) <= 1e-15
         assert np.array_equal(h, h.conj().T)
 
@@ -148,14 +151,14 @@ def test_gibbs_numeric_zero_hamiltonian_and_high_t():
     rho = gibbs_state_numeric(np.zeros((4, 4), dtype=complex), 0.7)
     assert np.allclose(rho, np.eye(4) / 4, atol=1e-14)
     p = BatteryParams(xi1=1.5, xi2=0.5, xic=0.5, temperature=1e7)
-    h = build_degenerate_hamiltonian(p)
+    h = build_full_hamiltonian(p)
     assert np.max(np.abs(gibbs_state_numeric(h, p.temperature) - np.eye(4) / 4)) < 1e-6
 
 
 def test_gibbs_numeric_at_subnormal_temperature_is_the_ground_state():
     # gaps over T overflow to inf at T = 4e-324; under warnings-as-errors the
     # overflow must stay silent and the weights must be the ground-state limit
-    h = build_degenerate_hamiltonian(BatteryParams(xi1=1.5, xi2=0.5, xic=0.5, temperature=1.0))
+    h = build_full_hamiltonian(BatteryParams(xi1=1.5, xi2=0.5, xic=0.5, temperature=1.0))
     rho = gibbs_state_numeric(h, 4e-324)
     ground = np.linalg.eigh(h)[1][:, 0]
     assert np.max(np.abs(rho - np.outer(ground, ground.conj()))) <= 1e-14
@@ -164,7 +167,7 @@ def test_gibbs_numeric_at_subnormal_temperature_is_the_ground_state():
 def test_gibbs_numeric_diagonal_example():
     # xi1 = xi2 = 0, xic = 0.5, T = 0.5: weights exp(-/+1) on the diagonal
     p = BatteryParams(xi1=0, xi2=0, xic=0.5, temperature=0.5)
-    h = build_degenerate_hamiltonian(p)
+    h = build_full_hamiltonian(p)
     rho = gibbs_state_numeric(h, p.temperature)
     z = 2 * math.e + 2 / math.e
     expected = np.diag([1 / math.e, math.e, math.e, 1 / math.e]) / z
@@ -175,7 +178,7 @@ def test_gibbs_numeric_diagonal_example():
 def test_gibbs_closed_matches_numeric_on_cloud(rng, preset_params):
     worst = 0.0
     for p in random_cloud(300, seed=rng) + preset_params:
-        h = build_degenerate_hamiltonian(p)
+        h = build_full_hamiltonian(p)
         closed = gibbs_state_closed_form(p)
         numeric = gibbs_state_numeric(h, p.temperature)
         worst = max(worst, float(np.max(np.abs(closed - numeric))))
@@ -200,7 +203,7 @@ def test_gibbs_shifted_evaluation_regime():
     t = thermal_terms(p)
     assert all(math.isfinite(v) for v in dataclasses.astuple(t))
     closed = gibbs_state_closed_form(p)
-    h = build_degenerate_hamiltonian(p)
+    h = build_full_hamiltonian(p)
     numeric = gibbs_state_numeric(h, p.temperature)
     assert np.max(np.abs(closed - numeric)) <= 1e-10
     check_density_matrix(closed)
@@ -208,7 +211,7 @@ def test_gibbs_shifted_evaluation_regime():
 
 def test_thermal_mean_energy_identity(rng, preset_params):
     for p in random_cloud(100, seed=rng) + preset_params:
-        h = build_degenerate_hamiltonian(p)
+        h = build_full_hamiltonian(p)
         rho = gibbs_state_numeric(h, p.temperature)
         t = thermal_terms(p)
         expected = -(t.alpha_plus * t.rb_plus + t.alpha_minus * t.rb_minus) / 2
@@ -217,7 +220,7 @@ def test_thermal_mean_energy_identity(rng, preset_params):
 
 def test_gibbs_state_is_passive(preset_params):
     for p in preset_params:
-        h = build_degenerate_hamiltonian(p)
+        h = build_full_hamiltonian(p)
         rho = gibbs_state_numeric(h, p.temperature)
         dec = hermitian_eigendecomposition(h)
         populations = np.real(
@@ -229,7 +232,7 @@ def test_gibbs_state_is_passive(preset_params):
 def test_density_matrix_invariants(preset_params):
     for p in preset_params:
         check_density_matrix(gibbs_state_closed_form(p))
-        h = build_degenerate_hamiltonian(p)
+        h = build_full_hamiltonian(p)
         check_density_matrix(gibbs_state_numeric(h, p.temperature))
     with pytest.raises(ValueError):
         check_density_matrix(np.eye(4, dtype=complex))  # trace 4

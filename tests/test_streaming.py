@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from sqbattery import BatteryParams, SweepConfig, cli, dynamics, metrics, model, run_sweep
-from sqbattery.output import (figure_file_names, manifest_object, sweep_csv_text,
-                              sweep_json_text, write_figure_files)
+from sqbattery.output import (figure_file_names, sweep_csv_text, write_figure_files,
+                              write_json)
 
+from reference import _text
 from test_golden_outputs import ORACLE_FIGURE_SHA256
 
 POINT = ["point", "--xi1", "1.5", "--xi2", "0.5", "--xic", "0.3", "--temp", "0.1", "--tau", "0.7"]
@@ -67,7 +68,8 @@ def test_manifest_object_is_the_written_manifest(tmp_path, fmt):
     result = run_sweep(SweepConfig(base=base, varied=(("xi2", (0.5, 2.0)),), tau_count=5))
     paths = write_figure_files(result, "fig", tmp_path, fmt)
     names = figure_file_names("fig", fmt)[:-1]
-    assert manifest_object(result, names) == json.loads(paths[-1].read_text("utf-8"))
+    manifest = _text(lambda stream: write_json(result, stream, None, names))
+    assert json.loads(manifest) == json.loads(paths[-1].read_text("utf-8"))
 
 
 def benchmark_shaped_sweep(n: int):
@@ -91,7 +93,7 @@ def test_writing_a_sweep_holds_about_one_curve(tmp_path, fmt, n, bound):
     finally:
         tracemalloc.stop()
     assert code == 0
-    text = sweep_csv_text(result) if fmt == "csv" else sweep_json_text(result)
+    text = sweep_csv_text(result) if fmt == "csv" else _text(lambda s: write_json(result, s))
     assert out.read_bytes() == text.encode("utf-8")
     assert peak < bound, f"writing peaked at {peak / 1e6:.1f} MB"
 

@@ -12,7 +12,8 @@ from sqbattery import (
     run_sweep,
 )
 from sqbattery.metrics import ALL_METRICS
-from sqbattery.output import sweep_csv_text, sweep_json_text
+from sqbattery.output import sweep_csv_text, write_json
+from reference import _text, cell_bits
 
 
 BASE = BatteryParams(xi1=1.5, xi2=0.5, xic=0.5, temperature=0.1)
@@ -29,6 +30,13 @@ def test_config_validation():
         SweepConfig(base=BASE, varied=(("xi1", ()),))
     with pytest.raises(ValueError):
         SweepConfig(base=BASE, mode="other")
+
+
+def test_parameter_varied_twice_rejected():
+    # every curve would be computed at the last value only, under a label
+    # naming both
+    with pytest.raises(ValueError, match="'xi2' is varied more than once"):
+        SweepConfig(base=BASE, varied=(("xi2", (1.0, 2.0)), ("xi2", (3.0,))))
 
 
 @pytest.mark.parametrize("field", ["tau_start", "tau_stop"])
@@ -48,7 +56,7 @@ def test_single_point_sweep_equals_direct_call():
     assert len(result.curves) == 1
     assert len(result.curves[0].samples) == 1
     direct = compute_sample(BASE, 0.7, "corrected", ALL_METRICS)
-    assert result.curves[0].samples[0] == direct
+    assert cell_bits(result.curves[0].samples, 0) == cell_bits(direct, 0)
 
 
 def test_cell_independence_bit_for_bit():
@@ -56,9 +64,8 @@ def test_cell_independence_bit_for_bit():
     result = run_sweep(cfg)
     taus = cfg.tau_grid()
     curve = result.curves[1]
-    cell = curve.samples[17]
     redo = compute_sample(curve.params, float(taus[17]), cfg.mode, cfg.metrics)
-    assert redo == cell
+    assert cell_bits(redo, 0) == cell_bits(curve.samples, 17)
 
 
 def test_determinism_of_serialized_output():
@@ -66,19 +73,20 @@ def test_determinism_of_serialized_output():
     a = run_sweep(cfg)
     b = run_sweep(cfg)
     assert sweep_csv_text(a) == sweep_csv_text(b)
-    assert sweep_json_text(a) == sweep_json_text(b)
+    assert _text(lambda stream: write_json(a, stream)) == _text(lambda stream: write_json(b, stream))
 
 
 def test_summary_consistent_with_series():
     cfg = SweepConfig(base=BASE, tau_count=101)
     result = run_sweep(cfg)
     curve = result.curves[0]
-    energies = [s.ergotropy_closed for s in curve.samples]
+    columns = curve.samples.columns
+    energies = list(columns["ergotropy_closed"])
     k = int(np.argmax(energies))
     assert curve.summary.max_ergotropy == energies[k]
     assert curve.summary.tau_at_max == pytest.approx(float(cfg.tau_grid()[k]), abs=0)
-    assert curve.summary.max_power == max(s.power_closed for s in curve.samples)
-    assert curve.summary.capacity == curve.samples[0].capacity_closed
+    assert curve.summary.max_power == max(columns["power_closed"])
+    assert curve.summary.capacity == columns["capacity_closed"]
 
 
 def test_argmax_tie_goes_to_first_occurrence():
@@ -116,8 +124,8 @@ def test_overflow_cells_flagged_not_fatal():
     )
     result = run_sweep(cfg)
     clean, broken = result.curves
-    assert all(s.flag == "" for s in clean.samples)
-    assert all(s.flag == "overflow" for s in broken.samples)
+    assert clean.samples.flag == "" and len(clean.samples.columns["ergotropy_closed"]) == 3
+    assert broken.samples.flag == "overflow" and broken.samples.columns == {}
     assert broken.summary.max_ergotropy is None
 
 
@@ -161,7 +169,7 @@ def test_corrected_mode_peak_structure():
     for curve in result.curves:
         ebar = compute_sample(
             curve.params, np.pi / 4, "corrected", ("ergotropy_closed",)
-        ).ergotropy_closed
+        ).columns["ergotropy_closed"][0]
         assert curve.summary.max_ergotropy == pytest.approx(ebar, abs=1e-12)
         assert curve.summary.tau_at_max == pytest.approx(np.pi / 4, abs=1e-9)
 
@@ -175,14 +183,12 @@ def test_oracle_only_sweep_summary():
     )
     result = run_sweep(cfg)
     curve = result.curves[0]
-    assert all(s.ergotropy_closed is None for s in curve.samples)
-    assert curve.summary.max_ergotropy == max(
-        s.ergotropy_numeric for s in curve.samples
-    )
+    assert "ergotropy_closed" not in curve.samples.columns
+    assert curve.summary.max_ergotropy == max(curve.samples.columns["ergotropy_numeric"])
     # capacity falls back to the numeric reconciliation xic - tr(H R_th)
-    from sqbattery import build_degenerate_hamiltonian, gibbs_state_numeric
+    from sqbattery import build_full_hamiltonian, gibbs_state_numeric
 
-    h = build_degenerate_hamiltonian(BASE)
+    h = build_full_hamiltonian(BASE)
     rho = gibbs_state_numeric(h, BASE.temperature)
     assert curve.summary.capacity == pytest.approx(
         BASE.xic - float(np.trace(h @ rho).real), abs=1e-12

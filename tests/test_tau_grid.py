@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from sqbattery import BatteryParams, SweepConfig, dynamics, linalg, run_sweep, run_verification
 from sqbattery.metrics import DEFAULT_METRICS, ORACLE_METRICS, CurveColumns
-from sqbattery.output import MAIN_COLUMNS, ORACLE_COLUMNS, _column, csv_text, format_float
+from sqbattery.output import MAIN_COLUMNS, ORACLE_COLUMNS, _column, format_float, write_csv
 from sqbattery.sweep import Curve, CurveSummary, SweepResult
+from reference import _text
 
 BASE = BatteryParams(xi1=1.5, xi2=0.5, xic=0.5, temperature=0.3)
 
@@ -152,4 +153,5 @@ def per_cell_csv(result, metric_columns):
 @given(results(), st.sampled_from([MAIN_COLUMNS, MAIN_COLUMNS + ORACLE_COLUMNS,
                                    ("capacity",), ("power", "power_fd")]))
 def test_template_csv_equals_the_per_cell_formatting(result, metric_columns):
-    assert csv_text(result, metric_columns) == per_cell_csv(result, metric_columns)
+    text = _text(lambda stream: write_csv(result, metric_columns, stream))
+    assert text == per_cell_csv(result, metric_columns)
