@@ -43,6 +43,8 @@ _SX1 = np.kron(PAULI_X, IDENTITY_2)
 _SX2 = np.kron(IDENTITY_2, PAULI_X)
 _SZZ = np.kron(PAULI_Z, PAULI_Z)
 
+_TINY = 2.0**-1022  # the smallest normal float
+
 
 @dataclass(frozen=True)
 class BatteryParams:
@@ -132,14 +134,22 @@ def thermal_terms(p: BatteryParams, tol: Tolerances | None = None) -> ThermalTer
     """Evaluate the thermal closed-form terms, overflow-safely.
 
     Raises ``ParameterOverflowError`` when gap/(2T) is not representable at
-    all (e.g. Josephson energies near 1e200), which marks the parameter
-    regime as unusable even for the shifted evaluation.
+    all (e.g. Josephson energies near 1e200), when a term is not finite, or
+    when the energy scale max(xi1, xi2, 2|xic|), or xic, is too small for its
+    square to stay a normal float while T's square is not one either: the
+    gaps and xic^2 then lose their digits, and through 1/T the results do
+    too. Such regimes are unusable even for the shifted evaluation.
     """
     tol = resolve(tol)
     _require_degeneracy(p)
     x1, x2, xc, temp = p.xi1, p.xi2, p.xic, p.temperature
+    scale = max(x1, x2, 2 * abs(xc))
+    if temp * temp < _TINY and any(v * v < _TINY for v in (scale, xc) if v):
+        raise ParameterOverflowError(
+            f"energy scale {scale:g} and temperature {temp:g} are too small to square"
+        )
     # plain multiplications overflow to inf instead of raising, so the
-    # dedicated error below is the single overflow surface
+    # dedicated errors here are the single overflow surface
     s_plus = x1 + x2
     s_minus = x1 - x2
     alpha_plus = math.sqrt(4 * xc * xc + s_plus * s_plus)
@@ -169,16 +179,12 @@ def thermal_terms(p: BatteryParams, tol: Tolerances | None = None) -> ThermalTer
     else:
         rs_minus = math.exp(-shift) / (2 * temp * d_s)
 
-    return ThermalTerms(
-        alpha_plus=alpha_plus,
-        alpha_minus=alpha_minus,
-        ra_plus=a_plus_s / d_s,
-        ra_minus=a_minus_s / d_s,
-        rb_plus=b_plus_s / d_s,
-        rb_minus=b_minus_s / d_s,
-        rs_plus=rs_plus,
-        rs_minus=rs_minus,
-    )
+    terms = (alpha_plus, alpha_minus, a_plus_s / d_s, a_minus_s / d_s,
+             b_plus_s / d_s, b_minus_s / d_s, rs_plus, rs_minus)
+    if not all(map(math.isfinite, terms)):
+        # e.g. sinh(x)/alpha -> 1/(2T) at a subnormal T
+        raise ParameterOverflowError(f"thermal terms are not finite (got {terms})")
+    return ThermalTerms(*terms)
 
 
 def thermal_entries(p: BatteryParams, t: ThermalTerms):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -21,8 +22,6 @@ class Tolerances:
     # eigensolver (parallel-order Jacobi)
     jacobi_offdiag: float = 1e-13   # off-diagonal Frobenius target, relative to norm
     jacobi_max_sweeps: int = 100
-    # state invariants
-    density: float = 1e-10          # hermiticity / trace / positivity slack
     # cross-check suites (closed form vs numeric oracle)
     gibbs_equivalence: float = 1e-10
     evolved_equivalence: float = 1e-9
@@ -32,6 +31,19 @@ class Tolerances:
     fd_step: float = 1e-4           # central-difference step for the power oracle
     # hyperbolic terms switch to exponent-shifted evaluation past this bound
     exponent_bound: float = 700.0
+
+    def __post_init__(self):
+        # else a zero step or threshold, NaN or a string fails downstream, as a
+        # NaN column or a traceback; a sweep budget may be 0
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.type == "int":
+                kind, ok = "an integer >= 0", isinstance(value, int) and value >= 0
+            else:
+                kind = "a finite number > 0"
+                ok = isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+            if isinstance(value, bool) or not ok:
+                raise ValueError(f"tolerance {field.name} must be {kind}, got {value!r}")
 
     def replace(self, **changes) -> "Tolerances":
         return dataclasses.replace(self, **changes)

@@ -9,9 +9,8 @@ resolved (see README, "Known discrepancies in the original closed forms").
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,61 +81,12 @@ def preset_param_sets() -> list[BatteryParams]:
     return [p for name in PRESET_NAMES for _, p in _curve_cases(figure_preset(name))]
 
 
-_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hasher(const: int, multiplier: int):
-    """SeedSequence's hash: xor a running constant in, advance it, multiply, xorshift."""
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value, const = value ^ const, const * multiplier & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-    return hashmix
-
-
-def _seed_sequence_state(seed: int) -> list[int]:
-    """numpy's ``SeedSequence(seed).generate_state(4, np.uint64)`` for an int seed."""
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(word) for word in (words + [0] * 3)[:4]] + words[4:]
-    # each of the four pool words takes in the other three, then each entropy word past them
-    for src, dst in [*itertools.permutations(range(4), 2),
-                     *itertools.product(range(4, len(pool)), range(4))]:
-        mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])) & _MASK32
-        pool[dst] = mixed ^ mixed >> 16
-    state = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool[:4] * 2))
-    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
-
-
-class _PCG64:
-    """``np.random.default_rng(seed).uniform`` for an int seed, bit for bit: PCG64 (128-bit
-    LCG, XSL-RR output) seeded through SeedSequence. Importing ``numpy.random`` for it
-    would cost about a quarter of a ``verify quick`` call."""
-
-    def __init__(self, seed: int):
-        s_high, s_low, i_high, i_low = _seed_sequence_state(seed)
-        self.inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
-        self.state = ((self.inc + (s_high << 64 | s_low)) * _PCG_MULTIPLIER + self.inc) & _MASK128
-
-    def uniform(self, low: float, high: float, size: int | None = None):
-        draws = []
-        for _ in range(1 if size is None else size):
-            self.state = (self.state * _PCG_MULTIPLIER + self.inc) & _MASK128
-            word, rot = (self.state >> 64 ^ self.state) & _MASK64, self.state >> 122
-            unit = (((word >> rot | word << (64 - rot)) & _MASK64) >> 11) * 2.0**-53
-            draws.append(low + (high - low) * unit)
-        return draws[0] if size is None else draws
-
-
-def random_cloud(count: int, seed: int | np.random.Generator = 20260809) -> list[BatteryParams]:
-    """Random parameter cloud: xi in [0, 3], T in [0.05, 5], drawn as ``default_rng(seed)``
-    would draw it; ``seed`` is a non-negative int or a numpy ``Generator``, used as it is."""
-    rng = seed if hasattr(seed, "uniform") else _PCG64(operator.index(seed))
-    return [BatteryParams(*rng.uniform(0.0, 3.0, 3), temperature=rng.uniform(0.05, 5.0))
+def random_cloud(count: int, seed: int = 20260809) -> list[BatteryParams]:
+    """Random parameter cloud: xi1, xi2, xic in [0, 3], then T in [0.05, 5], per point,
+    drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return [BatteryParams(rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0),
+                          temperature=rng.uniform(0.05, 5.0))
             for _ in range(count)]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqbattery.verify import preset_param_sets, random_cloud  # noqa: F401
+from sqbattery.verify import preset_param_sets
 
 
 @pytest.fixture(scope="session")

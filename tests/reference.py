@@ -14,7 +14,7 @@ import numpy as np
 
 from sqbattery.linalg import SpectralDecomposition, hermitian_eigendecomposition
 from sqbattery.model import IDENTITY_2, PAULI_X, BatteryParams
-from sqbattery.tolerances import Tolerances, resolve
+from sqbattery.tolerances import Tolerances
 
 
 def is_unitary(m: np.ndarray, tol: float) -> bool:
@@ -72,24 +72,25 @@ def build_charging_hamiltonian(omega: float) -> np.ndarray:
     return omega * (np.kron(PAULI_X, IDENTITY_2) + np.kron(IDENTITY_2, PAULI_X))
 
 
-def check_density_matrix(
-    m: np.ndarray, tol: Tolerances | None = None
-) -> None:
+DENSITY_SLACK = 1e-10  # hermiticity / trace / positivity slack of a state
+
+
+def check_density_matrix(m: np.ndarray) -> None:
     """Raise ValueError unless m is Hermitian, unit-trace and PSD within slack."""
-    tol = resolve(tol)
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > tol.density:
+    if dev > DENSITY_SLACK:
         raise ValueError(f"state deviates from Hermitian by {dev:.3e}")
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > tol.density:
-        raise ValueError(f"state trace {tr} is not 1 within {tol.density:.1e}")
-    eigenvalues = hermitian_eigendecomposition(m, tol).eigenvalues
-    if eigenvalues[0] < -tol.density:
+    if abs(tr - 1.0) > DENSITY_SLACK:
+        raise ValueError(f"state trace {tr} is not 1 within {DENSITY_SLACK:.1e}")
+    eigenvalues = hermitian_eigendecomposition(m).eigenvalues
+    if eigenvalues[0] < -DENSITY_SLACK:
         raise ValueError(f"state has negative eigenvalue {eigenvalues[0]:.3e}")
 
 
 def numpy_random_cloud(count: int, seed=20260809) -> list[BatteryParams]:
-    """``verify.random_cloud`` drawn by ``np.random.default_rng(seed)`` itself."""
+    """Random parameter cloud, xi in [0, 3] and T in [0.05, 5], drawn by
+    ``np.random.default_rng(seed)``; ``seed`` may be a ``Generator``, used as it is."""
     rng = np.random.default_rng(seed)
     return [BatteryParams(*rng.uniform(0.0, 3.0, 3), temperature=rng.uniform(0.05, 5.0))
             for _ in range(count)]

@@ -39,7 +39,8 @@ from sqbattery import (
 )
 from sqbattery.cli import main as cli_main
 from sqbattery.sweep import figure_preset
-from sqbattery.verify import RESOLVED_DECISIONS, preset_param_sets, random_cloud
+from sqbattery.verify import RESOLVED_DECISIONS, preset_param_sets
+from reference import numpy_random_cloud
 
 TAUS = np.linspace(0.0, 2.0 * np.pi, 401)
 GRID_STEP = float(TAUS[1] - TAUS[0])
@@ -53,7 +54,7 @@ def report(number: int, name: str, ok: bool, detail: str = ""):
 def test_criterion_1_gibbs_equivalence():
     start = time.perf_counter()
     worst = 0.0
-    for p in preset_param_sets() + random_cloud(1000):
+    for p in preset_param_sets() + numpy_random_cloud(1000):
         closed = gibbs_state_closed_form(p)
         numeric = gibbs_state_numeric(build_full_hamiltonian(p), p.temperature)
         worst = max(worst, float(np.max(np.abs(closed - numeric))))
@@ -226,7 +227,7 @@ def test_criterion_6_companion_exact_dynamics_divergence():
 
 def test_criterion_7_state_operator_sanity():
     rng = np.random.default_rng(99)
-    cloud = random_cloud(1000, seed=7)
+    cloud = numpy_random_cloud(1000, seed=7)
     worst_herm = worst_trace = worst_eig = worst_unit = 0.0
     worst_ergo = 0.0
     eye = np.eye(4)

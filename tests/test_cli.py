@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sqbattery.cli import main
-from sqbattery.tolerances import DEFAULT, from_env
+from sqbattery.tolerances import DEFAULT, Tolerances, from_env
 
 
 def run_cli(*args, cwd=None):
@@ -325,6 +325,52 @@ def test_tolerance_env_parsing():
         from_env({"SQBATTERY_TOLERANCES": "{bad"})
     with pytest.raises(ValueError):
         from_env({"SQBATTERY_TOLERANCES": '{"nope": 1}'})
+
+
+def test_tolerances_reject_values_that_are_not_positive_numbers():
+    for field, value in [("fd_step", 0), ("fd_step", "x"), ("hermitian", None),
+                         ("hermitian", True), ("unitary", float("nan")),
+                         ("jacobi_offdiag", -1e-13), ("jacobi_max_sweeps", 2.5),
+                         ("jacobi_max_sweeps", -1)]:
+        with pytest.raises(ValueError, match=f"tolerance {field} must be"):
+            Tolerances(**{field: value})
+    assert Tolerances(jacobi_max_sweeps=0, fd_step=1).fd_step == 1
+
+
+TOL_POINT_ARGS = ["point", "--xi1", "1", "--xi2", "1", "--xic", "0.5", "--temp", "0.1",
+                  "--tau", "0.7", "--oracle"]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ('{"fd_step": 0}', "tolerance fd_step must be"),
+    ('{"fd_step": "x"}', "tolerance fd_step must be"),
+    ('{"hermitian": null}', "tolerance hermitian must be"),
+    ('{"jacobi_max_sweeps": 2.5}', "tolerance jacobi_max_sweeps must be"),
+    ('{"jacobi_offdiag": 0}', "tolerance jacobi_offdiag must be"),
+    ('{"density": 1e-9}', "unknown keys: ['density']"),
+])
+def test_invalid_tolerance_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                       overrides, message):
+    monkeypatch.setenv("SQBATTERY_TOLERANCES", overrides)
+    out = tmp_path / "sub" / "out.csv"
+    assert main([*TOL_POINT_ARGS, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--xi1", "1.5e-200", "--xi2", "0.5e-200", "--xic", "0.5e-200", "--temp", "1e-201",
+     "--tau", "0.7", "--oracle"],
+    ["--xi1", "1e-320", "--xi2", "0", "--xic", "0", "--temp", "1e-320", "--oracle",
+     "--format", "json"],
+], ids=["underflowing-gaps", "subnormal-energies-json"])
+def test_point_at_tiny_energy_scales_exits_3_and_writes_nothing(tmp_path, capsys, args):
+    # the squares in the gaps and in xic^2 leave the normal float range, so the
+    # closed forms would print 0 ergotropy, l1 coherence above 3, or bare NaN
+    out = tmp_path / "sub" / "out"
+    assert main(["point", *args, "--out", str(out)]) == 3
+    assert "overflows the thermal closed forms" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_verify_detects_corrupted_closed_form(monkeypatch):

@@ -9,7 +9,7 @@ import math
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqbattery import (
@@ -84,3 +84,32 @@ def test_overflowing_curve_flags_every_cell_without_warnings(xi1, taus, mode):
         curve = compute_curve(p, taus, mode, DEFAULT_METRICS)
     assert len(curve) == len(taus)
     assert curve.flag == "overflow" and curve.columns == {}
+
+
+SCALED_TAUS = (0.0, 0.3, 0.7, 1.1, 2.5)
+REFERENCE_CURVE = compute_curve(BatteryParams(1.5, 0.5, 0.5, 0.1), SCALED_TAUS, "corrected")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(-1070, 1023))
+@example(-600)  # gaps and xic^2 underflow: ergotropy 0, coherence above 3
+@example(-1064)  # subnormal energies: the terms are not finite
+@example(-511)
+@example(-510)
+@example(510)
+@example(511)
+def test_closed_columns_scale_with_the_energies_or_are_flagged(k):
+    # the closed forms are homogeneous in (xi1, xi2, xic, T), and a power of
+    # 2 scales every intermediate exactly until it leaves the normal range
+    s = 2.0**k
+    p = BatteryParams(1.5 * s, 0.5 * s, 0.5 * s, 0.1 * s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = compute_curve(p, SCALED_TAUS, "corrected")
+    if curve.flag:
+        assert curve.flag == "overflow" and curve.columns == {}
+        return
+    expected = REFERENCE_CURVE.columns
+    for name in ("ergotropy_closed", "power_closed", "capacity_closed"):
+        assert np.array_equal(curve.columns[name], s * expected[name]), name
+    assert np.array_equal(curve.columns["coherence_l1"], expected["coherence_l1"])

@@ -23,7 +23,7 @@ GOLDEN_SHA256 = {
     ("verbatim", "fig1_d_coherence_l1.csv"):
         "b965a2c8ac18772307555577dac230c19554f197a439661e6168533591261541",
     ("verbatim", "fig1_manifest.json"):
-        "6705f24d230ba529485fdfc8dfc57516db1cc2e541ec18c35fca27c65eb4167c",
+        "ac194ccc5e3ddce37a3f2ba7951d90c32674b7175c95c79ebe8c1e2e90287a5d",
     ("verbatim", "fig2_a_ergotropy.csv"):
         "c42a84771880b089bf32efc9c6fb71eda99ca6cdb3b64581a0cf623979ba0576",
     ("verbatim", "fig2_b_power.csv"):
@@ -33,7 +33,7 @@ GOLDEN_SHA256 = {
     ("verbatim", "fig2_d_coherence_l1.csv"):
         "3597f2ca22c728b3b5bd5864ca068b6219db39427dcf2c7ca01063bf7226084f",
     ("verbatim", "fig2_manifest.json"):
-        "c14d56358d3bba4ef752cf4d439fbf1e4b038b9cafc073d73258442401257e7a",
+        "14bed8999cd5202ae6a73274958a0705869cbdadcb3ef7fd7343e0869a44d73e",
     ("verbatim", "fig3_a_ergotropy.csv"):
         "c6618a8c9996510fe9acfef7d977b15484a4dc3930108baafa4129450b5447bb",
     ("verbatim", "fig3_b_power.csv"):
@@ -43,7 +43,7 @@ GOLDEN_SHA256 = {
     ("verbatim", "fig3_d_coherence_l1.csv"):
         "a781b6d41e2b5d097250fd710daa03c0938976faa289d409931850c99179a9f2",
     ("verbatim", "fig3_manifest.json"):
-        "313b7a716b8e7e6a3605b7dd76bfc7ddfa08256d1b3998db36d083dcd9844fdd",
+        "bb23a777173d61ba10e8bcb3a19ce35e88e5fb0cee41944ac790f30d22fda37a",
     ("verbatim", "fig4_a_ergotropy.csv"):
         "fe417fc37e006973128179a6aadf8d07b03895ffa73df0ab67fd81595c9712cd",
     ("verbatim", "fig4_b_power.csv"):
@@ -53,7 +53,7 @@ GOLDEN_SHA256 = {
     ("verbatim", "fig4_d_coherence_l1.csv"):
         "b7cf3efa27069bc3a31db79276376fa52dbbaf7282038c384283027a86f5b283",
     ("verbatim", "fig4_manifest.json"):
-        "aaf6b7c44a971006562e93457be8e5dde0eeeac756f8809a52a0d12443183031",
+        "0e5be8753021ed54db05c8387b97d04b6e7faf226bff355e8e6492b3201fc19b",
     ("corrected", "fig1_a_ergotropy.csv"):
         "eafdf95ba1793ee93add3530fc007312ec5c5f5eeeb2811197e5e13b26994a2e",
     ("corrected", "fig1_b_power.csv"):
@@ -63,7 +63,7 @@ GOLDEN_SHA256 = {
     ("corrected", "fig1_d_coherence_l1.csv"):
         "e5b8d078865193716ffbbfe5dabb5e0154b543cf0d70338e595120ae59657ab5",
     ("corrected", "fig1_manifest.json"):
-        "872a65e7f80d5d355bcbb895a053d935d5d3556be9e346ec61c87e3d0e8b9c6f",
+        "67eb1a1363dd7c550e9154fe7939abe9c50c5e85d24f3dcebfdb78369b8b74e5",
     ("corrected", "fig2_a_ergotropy.csv"):
         "481a3a31c619ba17dfc5e95d4004568c342e27893a25926486a6bbbcf34c0399",
     ("corrected", "fig2_b_power.csv"):
@@ -73,7 +73,7 @@ GOLDEN_SHA256 = {
     ("corrected", "fig2_d_coherence_l1.csv"):
         "b06c844669da539911d4b6e5c9d19186cade64a5eb5e22e57ffa013678b1d960",
     ("corrected", "fig2_manifest.json"):
-        "393982a38476c4031fed9caefe761d250f9f206816817effa319469adf40c6f8",
+        "498253b838ce861a2ae56823077306021b34f643e61009b38adc434a58523a45",
     ("corrected", "fig3_a_ergotropy.csv"):
         "9571a58c618db7f08b768bb835036bf31e2963dee6cc80b0b77227cf97b85f7f",
     ("corrected", "fig3_b_power.csv"):
@@ -83,7 +83,7 @@ GOLDEN_SHA256 = {
     ("corrected", "fig3_d_coherence_l1.csv"):
         "350afccb22109e5bb4327bd1e13fe93c572f345e408775f325a53603ecc20393",
     ("corrected", "fig3_manifest.json"):
-        "c072687ba5bcc06419217bf679935acd346d2611972966e66e13fe4092867311",
+        "5b6477c702e4bf09bcd3b575853b31fac0e4b9cdba8b458d3b1281aee2e38825",
     ("corrected", "fig4_a_ergotropy.csv"):
         "d1f3f260b5b86a720db066ef1b54e6d154b4bc534b58b8dfc0cf7357d370bade",
     ("corrected", "fig4_b_power.csv"):
@@ -93,7 +93,7 @@ GOLDEN_SHA256 = {
     ("corrected", "fig4_d_coherence_l1.csv"):
         "541c0d772e17b8fa459bf90c5e9973c1d67a7d8a30a4747be589152ec4423316",
     ("corrected", "fig4_manifest.json"):
-        "1f41e88593c0ba29a961a9be1c3cb4f5102d7f179ffe1b2014b576ac751f6f88",
+        "2631ba6973f223f8ca179ecfcd5ec411fa729710c1d5bb2e1e95a41f19a94b3d",
 }
 
 

@@ -21,11 +21,11 @@ GOLDEN_SHA256 = {
     ("sweep", "verbatim", "csv"):
         "8d12e6d63669b2a5661e6159fc2a036ff22a2ddd1d3495e816e47e881aa3465f",
     ("sweep", "verbatim", "json"):
-        "88a31f244cb713215f7746c6fc118cc11930a369fe15516ac2887e8781e80bec",
+        "ced4c767a206b37510da02ffb1a348550226c91f8ddbd3ff7598f970af78a31c",
     ("sweep", "corrected", "csv"):
         "5f37a182ae832c18d64ce36acf8f623c95b055089b050206bd51832cf1ce0b9b",
     ("sweep", "corrected", "json"):
-        "d6d643d1b043ed0fb554a37631398db0f2cedbbd3d776c5368d55b8970c769a2",
+        "adcb97ddfeb3f2a713a049a9dab082ce47e45e805897d0c44a974df3b91e92fb",
     ("point", "corrected", "csv"):
         "c8898b435a075105bdf89379e9f00f13404fa53d201dea95d593c99da9b1bfeb",
 }
@@ -51,7 +51,7 @@ ORACLE_FIGURE_SHA256 = {
     ("corrected", "fig1_d_coherence_l1.csv"):
         "e5b8d078865193716ffbbfe5dabb5e0154b543cf0d70338e595120ae59657ab5",
     ("corrected", "fig1_manifest.json"):
-        "12ddb3876d4dbd39d219da5c1aaf49046917a236f86bfbc391f5793dc64acbcb",
+        "749670137cd84c214406772bfb1c276da0500c5ca88e4419436aed9badd9b886",
     ("oracle-only", "fig1_a_ergotropy.csv"):
         "5971c8e4f10910a951120ef57408dddd03749b4b9bf7cafcc5fe239288aa33a9",
     ("oracle-only", "fig1_b_power.csv"):
@@ -61,7 +61,7 @@ ORACLE_FIGURE_SHA256 = {
     ("oracle-only", "fig1_d_coherence_l1.csv"):
         "4c28f42ecea16bd4c01ab5d0dc77cdec79d48ea70743bee41832c2bbf1cca80b",
     ("oracle-only", "fig1_manifest.json"):
-        "1ee953331263865ec4decd2a2934a8f464d190633728cd7c14b4c4d089cf9096",
+        "78a4761e1d502ba99cb010b3d94a17d0e38d2fce4d261cf42722e86d275d9102",
 }
 
 
@@ -77,8 +77,8 @@ def test_oracle_figure_matches_golden_digest(tmp_path, mode, capsys):
 # ``verify quick|full`` stdout: the cloud's parameter sets and every residual
 # the suites report, to the printed digits
 VERIFY_SHA256 = {
-    "quick": "1538d2ae0c20043916f655f7af998a0552f8d56855b3be1045aad2280abee870",
-    "full": "3ee0a1964cdf7b45e38ee320d0eb4cbf44e1d1e0ed8e81e74abc6ada3eab226f",
+    "quick": "7fbb7814cca429aaff99fa9b1c26d118814210417171018add5cde1465face46",
+    "full": "4752127211bbe4b90af9de4bff13d48647e1b5333c9298b263b9b4a3812cbab1",
 }
 
 

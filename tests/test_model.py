@@ -15,8 +15,8 @@ from sqbattery import (
     hermitian_eigendecomposition,
     thermal_terms,
 )
-from conftest import random_cloud
-from reference import build_charging_hamiltonian, build_degenerate_hamiltonian, check_density_matrix
+from reference import (build_charging_hamiltonian, build_degenerate_hamiltonian,
+                       check_density_matrix, numpy_random_cloud)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -177,7 +177,7 @@ def test_gibbs_numeric_diagonal_example():
 
 def test_gibbs_closed_matches_numeric_on_cloud(rng, preset_params):
     worst = 0.0
-    for p in random_cloud(300, seed=rng) + preset_params:
+    for p in numpy_random_cloud(300, seed=rng) + preset_params:
         h = build_full_hamiltonian(p)
         closed = gibbs_state_closed_form(p)
         numeric = gibbs_state_numeric(h, p.temperature)
@@ -210,7 +210,7 @@ def test_gibbs_shifted_evaluation_regime():
 
 
 def test_thermal_mean_energy_identity(rng, preset_params):
-    for p in random_cloud(100, seed=rng) + preset_params:
+    for p in numpy_random_cloud(100, seed=rng) + preset_params:
         h = build_full_hamiltonian(p)
         rho = gibbs_state_numeric(h, p.temperature)
         t = thermal_terms(p)

@@ -3,29 +3,32 @@
 Every name exported by ``sqbattery`` or by one of its layer modules must be
 read somewhere in ``src/`` outside ``__init__.py``, or be named in the
 README. A name the program never runs and the README never shows is dead
-weight; a reference the tests need belongs in ``tests/reference.py``.
+weight; a reference the tests need belongs in ``tests/reference.py``. So is
+a ``Tolerances`` field that no module outside ``tolerances.py`` reads.
 """
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
 
 import sqbattery
+from sqbattery.tolerances import Tolerances
 
 SRC = Path(sqbattery.__file__).parent
 README = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
 LAYERS = ("linalg", "model", "dynamics", "metrics", "sweep", "output", "verify")
 
 
-def names_read_in_src() -> set:
-    """Every name or attribute loaded by the modules of ``src/``, bar ``__init__.py``.
+def names_read_in_src(skip=("__init__.py",)) -> set:
+    """Every name or attribute loaded by the modules of ``src/``, bar those in ``skip``.
 
     Definitions and ``__all__`` entries bind or spell a name without reading it.
     """
     names = set()
     for path in SRC.glob("*.py"):
-        if path.name == "__init__.py":
+        if path.name in skip:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -45,3 +48,8 @@ def test_every_exported_name_is_used_or_documented():
         if name not in used and not re.search(rf"\b{re.escape(name)}\b", README)
     ]
     assert orphans == []
+
+
+def test_every_tolerance_is_read_outside_its_record():
+    used = names_read_in_src(skip=("__init__.py", "tolerances.py"))
+    assert [f.name for f in dataclasses.fields(Tolerances) if f.name not in used] == []
