@@ -205,7 +205,7 @@ def _cmd_point(args, tol) -> int:
     )
     result = run_sweep(cfg, tol)
     if result.curves[0].samples.flag == "overflow":
-        print("error: parameter regime overflows the thermal closed forms",
+        print("error: parameter regime overflows or underflows the thermal closed forms",
               file=sys.stderr)
         return 3
     return _emit_result(result, args)

@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from .exceptions import NotUnitaryError
+from .linalg import MAX_STACK
 from .model import BatteryParams, ThermalTerms, thermal_entries, thermal_terms
 from .tolerances import DEFAULT, Tolerances, resolve
 
@@ -77,7 +78,16 @@ class TauGrid:
     def __init__(self, taus, step: float = DEFAULT.fd_step):
         self.scalar, self.step = np.ndim(taus) == 0, step
         self.taus = np.array(taus, dtype=float, ndmin=1)
-        self.nodes = np.concatenate([self.taus, self.taus + step, self.taus - step])
+        if not self.taus.size:
+            raise ValueError("tau grid is empty")
+        if not np.isfinite(self.taus).all():
+            raise ValueError("taus must be finite")
+        if not (math.isfinite(step) and step > 0):
+            raise ValueError(f"finite-difference step must be finite and positive, got {step!r}")
+        with np.errstate(over="ignore"):
+            self.nodes = np.concatenate([self.taus, self.taus + step, self.taus - step])
+        if not np.isfinite(self.nodes).all():
+            raise ValueError(f"finite-difference nodes tau +/- {step!r} are not finite")
         self.taus.flags.writeable = self.nodes.flags.writeable = False
 
     def __getattr__(self, name: str):
@@ -93,10 +103,30 @@ class TauGrid:
         setattr(self, name, value)
         return value
 
-    def evolve(self, state: np.ndarray, stop: int, tol: Tolerances) -> np.ndarray:
-        """:func:`evolve` of ``state`` by the unitaries at the first ``stop`` nodes."""
+    def central_difference(self, energies: np.ndarray) -> np.ndarray:
+        """dE/dtau at every tau, from energies at every tau + step, then every tau - step."""
+        half = len(energies) // 2
+        return (energies[:half] - energies[half:]) / (2.0 * self.step)
+
+    def require_resolved(self, tol: Tolerances) -> None:
+        """Raise ``ValueError`` at the first tau whose finite-difference nodes are
+        not resolved: (tau + step) - (tau - step) is off 2 step by more than
+        ``tol.power_equivalence`` of it, as from tau = 2**24 on with the defaults."""
+        count, width = len(self.taus), 2.0 * self.step
+        spread = self.nodes[count:2 * count] - self.nodes[2 * count:]
+        bad = ~(np.abs(spread - width) <= tol.power_equivalence * width)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"finite-difference nodes tau +/- {self.step!r} of tau {float(self.taus[i])!r} "
+                f"are {float(spread[i])!r} apart, not {width!r} within power_equivalence"
+            )
+
+    def evolve(self, state: np.ndarray, nodes: slice, tol: Tolerances, out=None) -> np.ndarray:
+        """:func:`evolve` of ``state`` by the unitaries at ``self.nodes[nodes]``,
+        into ``out`` if given."""
         u, dev = self.unitaries
-        return _conjugate(state, u[:stop], dev[:stop], tol)
+        return _conjugate(state, u[nodes], dev[nodes], tol, out)
 
 
 def as_grid(tau, step: float = DEFAULT.fd_step) -> TauGrid:
@@ -106,7 +136,11 @@ def as_grid(tau, step: float = DEFAULT.fd_step) -> TauGrid:
 
 def _matrix_stack(rows) -> np.ndarray:
     """C-contiguous ``(N, 4, 4)`` complex stack from a 4x4 grid of length-N arrays."""
-    return np.ascontiguousarray(np.array(rows, dtype=complex).transpose(2, 0, 1))
+    stack = np.empty((len(rows[0][0]), 4, 4), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            stack[:, i, j] = entry
+    return stack
 
 
 def charging_unitary(tau: float) -> np.ndarray:
@@ -137,19 +171,29 @@ def evolve(state: np.ndarray, u: np.ndarray, tol: Tolerances | None = None) -> n
 
 
 def _unitarity_deviation(u: np.ndarray) -> np.ndarray:
-    """max |u u† - I| of one matrix, or of each matrix of a stack."""
-    return np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1])).max(axis=(-2, -1))
+    """max |u u† - I| of one matrix, or of each matrix of a stack, whose
+    products are formed ``MAX_STACK`` matrices at a time."""
+    n = u.shape[-1]
+    flat = u.reshape(-1, n, n)
+    dev = np.empty(len(flat))
+    for i in range(0, len(flat), MAX_STACK):
+        part = flat[i:i + MAX_STACK]
+        product = part @ part.conj().swapaxes(-1, -2)
+        product -= np.eye(n)
+        dev[i:i + MAX_STACK] = np.abs(product).max(axis=(-2, -1))
+    return dev.reshape(u.shape[:-2])
 
 
-def _conjugate(state, u, dev, tol: Tolerances) -> np.ndarray:
-    if np.any(dev > tol.unitary):
+def _conjugate(state, u, dev, tol: Tolerances, out=None) -> np.ndarray:
+    # not "any(dev > tol)": a NaN deviation must fail too
+    if not np.all(dev <= tol.unitary):
         i = int(np.argmax(dev))
         which = f"matrix {i} of the stack" if dev.ndim else "matrix"
         raise NotUnitaryError(
             f"{which} deviates from unitarity by {float(dev.flat[i]):.3e} "
             f"(tolerance {tol.unitary:.1e})"
         )
-    return u @ state @ u.conj().swapaxes(-1, -2)
+    return np.matmul(u @ state, u.conj().swapaxes(-1, -2), out=out)
 
 
 def evolved_state_closed_form(
@@ -171,10 +215,38 @@ def evolved_state_closed_form(
 
 def _evolved_states(p: BatteryParams, t: ThermalTerms, g: TauGrid, mode: str) -> np.ndarray:
     """The closed-form states of ``mode`` over ``g``, from the thermal terms ``t`` of ``p``."""
+    r11, r12, r13, r14, r22, r23, r24, r33, r34 = _evolved_entries(p, t, g, mode)
+    return _matrix_stack([
+        [r11, r12, r13, r14],
+        [np.conj(r12), r22, r23, r24],
+        [np.conj(r13), np.conj(r23), r33, r34],
+        [r14, np.conj(r24), np.conj(r34), r11],
+    ])
+
+
+def _closed_coherence(p: BatteryParams, t: ThermalTerms, g: TauGrid, mode: str) -> np.ndarray:
+    """The l1 coherence of the closed-form states of ``mode``, from their
+    distinct off-diagonal entries rather than a stack. The sum of the 16
+    magnitudes (zeros on the diagonal) keeps numpy's pairwise order for 16
+    contiguous terms: r[j] = m[j] + m[j + 8], then
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)); so the bits match
+    those of the stack's."""
+    _, r12, r13, r14, _, r23, r24, _, r34 = _evolved_entries(p, t, g, mode)
+    a12, a13, a14, a23, a24, a34 = map(np.abs, (r12, r13, r14, r23, r24, r34))
+    return ((a13 + (a12 + a23)) + (a13 + (a14 + a34))) + (((a12 + a14) + a24) + ((a23 + a34) + a24))
+
+
+def _evolved_entries(p: BatteryParams, t: ThermalTerms, g: TauGrid, mode: str) -> tuple:
+    """The distinct entries (r11, r12, r13, r14, r22, r23, r24, r33, r34) of the
+    closed-form states of ``mode``, each an array over the taus of ``g``.
+
+    Both variants are Hermitian with r44 = r11 (verbatim ones real, so the
+    lower triangle is their conjugate there too); corrected ones have r33 = r22.
+    """
     return (_evolved_corrected if mode == "corrected" else _evolved_verbatim)(p, t, g)
 
 
-def _evolved_corrected(p: BatteryParams, t: ThermalTerms, g: TauGrid) -> np.ndarray:
+def _evolved_corrected(p: BatteryParams, t: ThermalTerms, g: TauGrid) -> tuple:
     """Exact entries of U(tau) R U(tau)†.
 
     Conjugating the thermal state (which commutes with X(x)X) by the
@@ -200,15 +272,10 @@ def _evolved_corrected(p: BatteryParams, t: ThermalTerms, g: TauGrid) -> np.ndar
     r13 = f1 * p13 + f2 * p12 + off + 1j * f4 * diag_gap
     r24 = f1 * p13 + f2 * p12 + off - 1j * f4 * diag_gap
     r34 = f1 * p12 + f2 * p13 + off - 1j * f4 * diag_gap
-    return _matrix_stack([
-        [r11, r12, r13, r14],
-        [np.conj(r12), r22, r23, r24],
-        [np.conj(r13), np.conj(r23), r22, r34],
-        [r14, np.conj(r24), np.conj(r34), r11],
-    ])
+    return r11, r12, r13, r14, r22, r23, r24, r22, r34
 
 
-def _evolved_verbatim(p: BatteryParams, t: ThermalTerms, g: TauGrid) -> np.ndarray:
+def _evolved_verbatim(p: BatteryParams, t: ThermalTerms, g: TauGrid) -> tuple:
     """Originally published element expressions, evaluated unchanged.
 
     All entries are real as printed; the matrix is symmetric but its trace
@@ -267,9 +334,4 @@ def _evolved_verbatim(p: BatteryParams, t: ThermalTerms, g: TauGrid) -> np.ndarr
         + (x1 - x2) * t.rs_minus
         - (x1 + x2) * t.rs_plus
     ) / 4.0
-    return _matrix_stack([
-        [r11, r12, r13, r14],
-        [r12, r22, r23, r24],
-        [r13, r23, r33, r34],
-        [r14, r24, r34, r11],
-    ])
+    return r11, r12, r13, r14, r22, r23, r24, r33, r34

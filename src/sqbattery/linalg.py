@@ -20,8 +20,10 @@ __all__ = ["SpectralDecomposition", "hermitian_eigendecomposition"]
 # matrices decomposed together; larger stacks are split into chunks of this
 # size, which bounds the kernel's temporaries
 MAX_STACK = 512
-# _round_robin(n) by n: built once per process and shared, so read-only
+# _round_robin(n) and _triangles(n) by n: built once per process and shared,
+# so read-only
 _ROUNDS: dict[int, tuple] = {}
+_TRIANGLES: dict[int, tuple] = {}
 
 
 @dataclass(frozen=True)
@@ -35,10 +37,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
-
-
-def _dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
 
 
 def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -69,16 +67,48 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     return tuple(rounds)
 
 
+def _triangles(n: int) -> tuple[np.ndarray, ...]:
+    """Rows and columns of the upper triangle of an n x n matrix, with the
+    diagonal, then without it."""
+    if n not in _TRIANGLES:
+        indices = np.triu_indices(n) + np.triu_indices(n, 1)
+        for a in indices:
+            a.flags.writeable = False
+        _TRIANGLES[n] = indices
+    return _TRIANGLES[n]
+
+
 def _offdiag_norm(a: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix's off-diagonal part; gathered stack-first,
     so each norm sums its terms in the order a stack-first array gives."""
-    off = a.transpose(2, 0, 1)[:, ~np.eye(a.shape[0], dtype=bool)]
-    return np.sqrt((off.real**2 + off.imag**2).sum(axis=-1))
+    off = ~np.eye(a.shape[0], dtype=bool)
+    squares = a.real.transpose(2, 0, 1)[:, off]
+    squares **= 2
+    imag = a.imag.transpose(2, 0, 1)[:, off]
+    imag **= 2
+    squares += imag
+    return np.sqrt(squares.sum(axis=-1))
 
 
 def _select(every: bool, on: np.ndarray, new, old):
     """``new`` where ``on``, else ``old``; all of ``new`` if ``every`` matrix rotates."""
     return new if every else np.where(on, new, old)
+
+
+def _rotate(m: np.ndarray, p, q, every: bool, on: np.ndarray, c, plus, minus) -> None:
+    """``m[p], m[q] = c m[p] + plus m[q], c m[q] - minus m[p]`` where ``on``, in
+    place, one pair at a time through views: each new value has the bits of
+    that expression, and only one pair's new values are held at once."""
+    for k in range(len(p)):
+        x, y = m[p[k]], m[q[k]]
+        new_x = c[k] * x
+        new_x += plus[k] * y
+        new_y = c[k] * y
+        new_y -= minus[k] * x
+        if not every:
+            np.copyto(new_x, x, where=~on[k])
+            np.copyto(new_y, y, where=~on[k])
+        x[...], y[...] = new_x, new_y
 
 
 def _jacobi_sweep(av: np.ndarray, n: int, skip: np.ndarray, rounds) -> None:
@@ -91,37 +121,39 @@ def _jacobi_sweep(av: np.ndarray, n: int, skip: np.ndarray, rounds) -> None:
     the identity), so a matrix's result does not depend on the other
     matrices of the stack.
     """
-    a = av[:n]
     for p, q, pq, qp in rounds:
-        beta = a[p, q]
-        absb = np.abs(beta)
-        rot = absb > skip
-        if not rot.any():
+        angles = _rotation(av[:n], p, q, skip)
+        if angles is None:
             continue
-        every = rot.all()
-        absb = _select(every, rot, absb, 1.0)
-        phase = beta / absb
-        # rotation angle for the 2x2 block [[app, |b|], [|b|, aqq]]
-        theta = (a[q, q].real - a[p, p].real) / (2.0 * absb)
-        t = -np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(1.0, theta))
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = t * c
-        sp, spc = s * phase, s * phase.conj()
-
+        every, rot, c, sp, spc = angles
         # columns p,q of the rotation: [[c, -s*phase], [s*conj(phase), c]]
-        mp, mq = av[:, p], av[:, q]
-        av[:, p] = _select(every, rot, c * mp + spc * mq, mp)
-        av[:, q] = _select(every, rot, c * mq - sp * mp, mq)
-
-        mp, mq = a[p], a[q]
-        cc, spr, spcr, on = c[:, None], sp[:, None], spc[:, None], rot[:, None]
-        a[p] = _select(every, on, cc * mp + spr * mq, mp)
-        a[q] = _select(every, on, cc * mq - spcr * mp, mq)
+        _rotate(av.swapaxes(0, 1), p, q, every, rot, c, spc, sp)
+        a = av[:n]
+        _rotate(a, p, q, every, rot, c, sp, spc)
 
         # the rotated pivots are exactly zero, their diagonals exactly real
         on = np.concatenate([rot, rot])
         a[pq, qp] = _select(every, on, 0.0, a[pq, qp])
         a[pq, pq] = _select(every, on, a[pq, pq].real, a[pq, pq])
+
+
+def _rotation(a: np.ndarray, p, q, skip: np.ndarray):
+    """The rotation of one round, ``(every, rot, c, s*phase, s*conj(phase))``
+    with ``rot`` the pairs that turn, or None if none does."""
+    beta = a[p, q]
+    absb = np.abs(beta)
+    rot = absb > skip
+    if not rot.any():
+        return None
+    every = rot.all()
+    absb = _select(every, rot, absb, 1.0)
+    phase = beta / absb
+    # rotation angle for the 2x2 block [[app, |b|], [|b|, aqq]]
+    theta = (a[q, q].real - a[p, p].real) / (2.0 * absb)
+    t = -np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(1.0, theta))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    return every, rot, c, s * phase, s * phase.conj()
 
 
 def hermitian_eigendecomposition(
@@ -175,9 +207,14 @@ def _decompose(m: np.ndarray, offset: int, tol: Tolerances,
         raise ValueError(
             f"matrix {offset + int(np.argmin(finite))} of the stack has non-finite entries"
         )
+    # |m - m^dagger| is symmetric: its upper triangle holds its max
+    rows, cols, upper, lower = _triangles(n)
+    dev = m[:, cols, rows]
+    np.conjugate(dev, out=dev)
     with np.errstate(over="ignore"):
-        dev = np.abs(m - _dagger(m)).max(axis=(-2, -1))
-    if np.any(dev > tol.hermitian):
+        np.subtract(m[:, rows, cols], dev, out=dev)
+    dev = np.abs(dev).max(axis=-1)
+    if not np.all(dev <= tol.hermitian):  # a NaN deviation fails too
         i = int(np.argmax(dev))
         raise NotHermitianError(
             f"matrix {offset + i} of the stack deviates from Hermitian by "
@@ -190,10 +227,19 @@ def _decompose(m: np.ndarray, offset: int, tol: Tolerances,
     a = np.empty_like(m)
     a.real = np.ldexp(m.real, -e)
     a.imag = np.ldexp(m.imag, -e)
-    a = (a + _dagger(a)) / 2.0
+    # the Hermitian part, (a + a^dagger) / 2, a triangle at a time
+    above, below = a[:, upper, lower], a[:, lower, upper]
+    a[:, upper, lower] = above + below.conj()
+    a[:, lower, upper] = below + above.conj()
+    del above, below
+    diagonal = np.arange(n)
+    a[:, diagonal, diagonal] += a[:, diagonal, diagonal].conj()
+    a /= 2.0
 
     # target relative to the (scaled) matrix norm
-    norm = np.sqrt((a.real**2 + a.imag**2).sum(axis=(-2, -1)))
+    squares = a.real**2
+    squares += a.imag**2
+    norm = np.sqrt(squares.sum(axis=(-2, -1)))
     target = tol.jacobi_offdiag * np.maximum(1.0, norm)
     # entries this small cannot push the off-diagonal norm above target
     skip = target / (2.0 * n)
@@ -204,28 +250,31 @@ def _decompose(m: np.ndarray, offset: int, tol: Tolerances,
     av[:n] = a.transpose(1, 2, 0)
     if vectors:
         av[n:] = np.eye(n)[:, :, None]
-    a = av[:n]
-    done = _offdiag_norm(a) <= target
-    for _ in range(tol.jacobi_max_sweeps):
-        if done.all():
+    del a, squares
+    # converged matrices leave av: their diagonals go to w (vectors to v)
+    w = np.empty((count, n))
+    v = np.empty((count, n, n), dtype=complex) if vectors else None
+    live = np.arange(count)  # the stack index of each matrix left in av
+    done = _offdiag_norm(av[:n]) <= target
+    for sweep in range(tol.jacobi_max_sweeps + 1):
+        if done.any():
+            w[live[done]] = np.diagonal(av[:n, :, done], axis1=0, axis2=1).real
+            if vectors:
+                v[live[done]] = av[n:, :, done].transpose(2, 0, 1)
+            av, live = av[..., ~done], live[~done]
+        if not len(live) or sweep == tol.jacobi_max_sweeps:
             break
-        # while no matrix has converged, the sweep runs on av itself, not a copy
-        live = np.flatnonzero(~done) if done.any() else slice(None)
-        sub = av[..., live]
-        _jacobi_sweep(sub, n, skip[live], rounds)
-        av[..., live] = sub
-        done[live] = _offdiag_norm(sub[:n]) <= target[live]
-    if not done.all():
-        i = int(np.argmin(done))
+        _jacobi_sweep(av, n, skip[live], rounds)
+        done = _offdiag_norm(av[:n]) <= target[live]
+    if len(live):
+        i = live[0]
         raise EigenConvergenceError(
             f"Jacobi sweeps exhausted ({tol.jacobi_max_sweeps}) for matrix "
             f"{offset + i} of the stack: off-diagonal norm "
-            f"{_offdiag_norm(a[..., i:i + 1])[0]:.3e} above target {target[i]:.3e} "
+            f"{_offdiag_norm(av[:n, :, :1])[0]:.3e} above target {target[i]:.3e} "
             f"(both relative to its largest entry)"
         )
 
-    eigenvalues = np.diagonal(a, axis1=0, axis2=1).real
-    order = np.argsort(eigenvalues, axis=-1, kind="stable")
-    eigenvalues = np.ldexp(np.take_along_axis(eigenvalues, order, axis=-1), e[:, 0])
-    v = av[n:].transpose(2, 0, 1)
+    order = np.argsort(w, axis=-1, kind="stable")
+    eigenvalues = np.ldexp(np.take_along_axis(w, order, axis=-1), e[:, 0])
     return eigenvalues, np.take_along_axis(v, order[:, None, :], axis=-1) if vectors else None

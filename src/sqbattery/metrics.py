@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TauGrid, _evolved_states, as_grid, validate_mode
-from .linalg import hermitian_eigendecomposition
+from .dynamics import TauGrid, _closed_coherence, as_grid, validate_mode
+from .linalg import MAX_STACK, hermitian_eigendecomposition
 from .model import (
     BatteryParams,
     ThermalTerms,
@@ -69,17 +69,16 @@ def ergotropy(state: np.ndarray, h: np.ndarray, tol: Tolerances | None = None):
     """
     state = np.asarray(state, dtype=complex)
     states = state.reshape(-1, *state.shape[-2:])
-    values = _stack_ergotropy(states, np.asarray(h, dtype=complex), tol)
+    h = np.asarray(h, dtype=complex)
+    spectra = hermitian_eigendecomposition(
+        np.concatenate([states, h[None]]), tol, vectors=False).eigenvalues
+    values = _ergotropies(states, h, spectra[:-1], spectra[-1])
     return float(values[0]) if state.ndim == 2 else values
 
 
-def _stack_ergotropy(states: np.ndarray, h: np.ndarray, tol: Tolerances | None, levels=None):
-    """:func:`ergotropy` of each state of a stack. Given ``levels``, the
-    ascending eigenvalues of h, only the states are decomposed."""
-    stack = states if levels is not None else np.concatenate([states, h[None]])
-    spectra = hermitian_eigendecomposition(stack, tol, vectors=False).eigenvalues
-    if levels is None:
-        spectra, levels = spectra[:-1], spectra[-1]
+def _ergotropies(states: np.ndarray, h: np.ndarray, spectra: np.ndarray, levels: np.ndarray):
+    """:func:`ergotropy` of each state of a stack, given the states' ascending
+    ``spectra`` and ``levels``, the ascending eigenvalues of h."""
     return _trace_real(states @ h) - (spectra[:, ::-1] * levels).sum(axis=-1)
 
 
@@ -156,38 +155,52 @@ def _power_closed(p: BatteryParams, t: ThermalTerms, g: TauGrid, mode: str):
     return float(values[0]) if g.scalar else values
 
 
-def central_difference(energies: np.ndarray, step: float) -> np.ndarray:
-    """Derivatives from energies at every tau + step, then every tau - step."""
-    half = len(energies) // 2
-    return (energies[:half] - energies[half:]) / (2.0 * step)
+def _numeric_pass(params, grid: TauGrid, nodes: slice, tol: Tolerances,
+                  evolved: int | None = None, spectra: bool = True):
+    """The numeric route of a stack of parameter sets over one tau grid.
 
-
-def _require_resolved_nodes(grid: TauGrid, tol: Tolerances) -> None:
-    """Raise ``ValueError`` at the first tau whose finite-difference nodes are
-    not resolved: (tau + step) - (tau - step) is off 2 step by more than
-    ``tol.power_equivalence`` of it, as from tau = 2**24 on with the defaults."""
-    count, width = len(grid.taus), 2.0 * grid.step
-    spread = grid.nodes[count:2 * count] - grid.nodes[2 * count:]
-    bad = ~(np.abs(spread - width) <= tol.power_equivalence * width)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"finite-difference nodes tau +/- {grid.step!r} of tau {float(grid.taus[i])!r} "
-            f"are {float(spread[i])!r} apart, not {width!r} within power_equivalence"
-        )
-
-
-def _numeric_route(p: BatteryParams, grid: TauGrid, stop: int, tol: Tolerances):
-    """How a parameter set becomes (H, its eigenvalues, rho_th, evolved stack).
-
-    H is the full Hamiltonian, gate charges included, decomposed once;
-    rho_th is its Gibbs state, and the stack holds U(tau) rho_th
-    U(tau)^dagger at the first ``stop`` nodes of ``grid``.
+    Every full Hamiltonian H, gate charges included, is decomposed in one
+    call, with eigenvectors, for its Gibbs state rho_th. Returns the H
+    stack, the rho_th stack and the chunks of :func:`_evolved_chunks` for
+    the first ``evolved`` sets (all by default).
     """
-    h = build_full_hamiltonian(p)
-    dec = hermitian_eigendecomposition(h, tol)
-    rho = _gibbs_state(dec, p.temperature)
-    return h, dec.eigenvalues, rho, grid.evolve(rho, stop, tol)
+    hs = np.array([build_full_hamiltonian(p) for p in params])
+    dec = hermitian_eigendecomposition(hs, tol)
+    rhos = _gibbs_state(dec, [p.temperature for p in params])
+    sets = len(hs) if evolved is None else evolved
+    chunks = _evolved_chunks(grid, nodes, hs[:sets], dec.eigenvalues, rhos, tol, spectra)
+    return hs, rhos, chunks
+
+
+def _evolved_chunks(grid: TauGrid, nodes: slice, hs, levels, rhos, tol: Tolerances,
+                    spectra: bool):
+    """Yield ``(i, lo, states, energies)``: the states U(tau) rho_i
+    U(tau)^dagger of set ``i`` at the grid nodes from ``lo`` on, within
+    ``nodes``, and their ergotropies (None unless ``spectra``).
+
+    The (set, node) pairs are evolved and decomposed, eigenvalues only, in
+    chunks of at most ``MAX_STACK`` that share one buffer, so only one chunk
+    of states is held however long the grid: each yielded ``states`` is
+    overwritten by the next chunk. Every value is that of its matrix alone.
+    """
+    start, width = nodes.start, nodes.stop - nodes.start
+    total = len(hs) * width
+    buffer = np.empty((min(total, MAX_STACK), *hs.shape[1:]), dtype=complex)
+    for first in range(0, total, MAX_STACK):
+        last, k, runs = min(first + MAX_STACK, total), first, []
+        while k < last:  # the chunk's runs of one set's nodes: (i, lo, size, offset)
+            i, j = divmod(k, width)
+            runs.append((i, start + j, min(width - j, last - k), k - first))
+            k += runs[-1][2]
+        for i, lo, size, at in runs:
+            grid.evolve(rhos[i], slice(lo, lo + size), tol, out=buffer[at:at + size])
+        stack = buffer[:last - first]
+        if spectra:
+            eigs = hermitian_eigendecomposition(stack, tol, vectors=False).eigenvalues
+        for i, lo, size, at in runs:
+            states = stack[at:at + size]
+            yield i, lo, states, (_ergotropies(states, hs[i], eigs[at:at + size], levels[i])
+                                  if spectra else None)
 
 
 def power_fd(
@@ -203,10 +216,7 @@ def power_fd(
     an array).
     """
     tol = resolve(tol)
-    step = tol.fd_step if step is None else step
-    if step <= 0:
-        raise ValueError("finite-difference step must be positive")
-    grid = TauGrid(tau, step)
+    grid = TauGrid(tau, tol.fd_step if step is None else step)  # checks the step
     fd = compute_curve(p, grid, "corrected", ("power_fd",), tol).columns["power_fd"]
     return float(fd[0]) if grid.scalar else fd
 
@@ -327,7 +337,8 @@ def compute_curve(
     built and decomposed once, for its Gibbs state and for the passive
     energies; the numeric columns (``ergotropy_numeric``, ``power_fd`` at
     tau +/- the grid's step, and coherence in oracle-only mode) come from
-    one stack of evolved states and one eigenvalues-only call on it; each
+    one :func:`_numeric_pass`, which evolves and decomposes (eigenvalues
+    only) at most ``MAX_STACK`` states at a time; each
     closed form is one call over the whole tau array, and the
     tau-independent capacities are computed once. In
     oracle-only mode each closed-form metric gives way to its numeric
@@ -336,7 +347,7 @@ def compute_curve(
     thermal terms, so it flags the whole curve in-band rather than raising;
     the closed forms go first, so such a curve makes no eigensolver call.
     A ``power_fd`` column raises ``ValueError`` at a tau too large for the
-    grid's step (see :func:`_require_resolved_nodes`).
+    grid's step (see :meth:`TauGrid.require_resolved`).
     """
     validate_mode(mode, allow_oracle_only=True)
     unknown = set(metrics) - set(ALL_METRICS)
@@ -383,7 +394,7 @@ _THERMAL_BODIES = {
     "ergotropy_closed": _ergotropy_closed,
     "power_closed": _power_closed,
     "capacity_closed": lambda p, t, grid, mode: _capacity_closed(p, t),
-    "coherence_l1": lambda p, t, grid, mode: l1_coherence(_evolved_states(p, t, grid, mode)),
+    "coherence_l1": _closed_coherence,
 }
 
 
@@ -396,29 +407,30 @@ def _numeric_columns(
 ) -> CurveColumns:
     """The oracle columns of one curve, each an array over the taus, flagged
     if ill-conditioned; in oracle-only mode also the coherence and the
-    reconciled capacity of the numeric route. The stacked ergotropy
-    decomposes only the states whose columns are selected."""
-    oracle_only = mode == "oracle-only"
-    want_coherence = "coherence_l1" in metrics and oracle_only
-    want_numeric = "ergotropy_numeric" in metrics
-    want_power = "power_fd" in metrics
-    if not (want_numeric or want_power or oracle_only):
-        return CurveColumns(grid.taus, {})
-    if want_power:
-        _require_resolved_nodes(grid, tol)
-    count = len(grid.taus)
-    stop = 3 * count if want_power else count if want_numeric or want_coherence else 0
-    h, levels, rho, states = _numeric_route(p, grid, stop, tol)
-    columns = {}
-    if want_coherence:
-        columns["coherence_l1"] = l1_coherence(states[:count])
-    if want_numeric or want_power:
-        energies = _stack_ergotropy(states if want_numeric else states[count:], h, tol, levels)
-        if want_numeric:
-            columns["ergotropy_numeric"] = energies[:count]
-        if want_power:
-            columns["power_fd"] = central_difference(energies[-2 * count:], grid.step)
+    reconciled capacity of the numeric route. Only the nodes whose columns
+    are selected are evolved, and decomposed only for an ergotropy column."""
+    count, columns = len(grid.taus), {}
+    coherence = "coherence_l1" in metrics and mode == "oracle-only"
+    numeric, power = "ergotropy_numeric" in metrics, "power_fd" in metrics
+    if not (numeric or power or mode == "oracle-only"):
+        return CurveColumns(grid.taus, columns)
+    if power:
+        grid.require_resolved(tol)
+    nodes = slice(0 if numeric or coherence else count, 3 * count if power else count)
+    hs, rhos, chunks = _numeric_pass((p,), grid, nodes, tol, spectra=numeric or power)
+    energies = np.empty(3 * count)
+    if coherence:
+        columns["coherence_l1"] = np.empty(count)
+    for _, lo, states, values in chunks:
+        if values is not None:
+            energies[lo:lo + len(values)] = values
+        if coherence and lo < count:  # the states at the taus themselves
+            columns["coherence_l1"][lo:lo + len(states)] = l1_coherence(states[:count - lo])
+    if numeric:
+        columns["ergotropy_numeric"] = energies[:count]
+    if power:
+        columns["power_fd"] = grid.central_difference(energies[count:])
     if "capacity_reconciled" in metrics:
-        columns["capacity_reconciled"] = capacity_reconciled(p, h, rho)
-    ill = np.abs(h).max() * np.finfo(float).eps > tol.ergotropy_equivalence
+        columns["capacity_reconciled"] = capacity_reconciled(p, hs[0], rhos[0])
+    ill = np.abs(hs[0]).max() * np.finfo(float).eps > tol.ergotropy_equivalence
     return CurveColumns(grid.taus, columns, "ill_conditioned" if ill else "")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,13 @@ class SweepConfig:
             raise ValueError("tau_start must be finite")
         if not math.isfinite(self.tau_stop):
             raise ValueError("tau_stop must be finite")
-        if self.tau_count < 1:
+        try:
+            count = operator.index(self.tau_count)
+        except TypeError:  # a float or a string
+            count = None
+        if count is None or isinstance(self.tau_count, bool):
+            raise ValueError(f"tau_count must be an integer, got {self.tau_count!r}")
+        if count < 1:
             raise ValueError("tau_count must be at least 1")
         if self.tau_count > 1 and not self.tau_stop > self.tau_start:
             raise ValueError("tau_stop must exceed tau_start for multi-point grids")

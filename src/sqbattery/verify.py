@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, metrics, model
-from .linalg import hermitian_eigendecomposition
 from .model import BatteryParams
 from .sweep import PRESET_NAMES, _curve_cases, figure_preset
 from .tolerances import Tolerances, resolve
@@ -97,13 +96,14 @@ def _suite(name: str, residuals: list, tolerance: float, detail: str) -> SuiteRe
 
 
 def run_verification(level: str = "quick", tol: Tolerances | None = None) -> VerificationReport:
-    """Run the five suites as reductions over one numeric pass per parameter set.
+    """Run the five suites as reductions over one numeric pass.
 
-    The thermal suite decomposes every Hamiltonian (presets and cloud) in
-    one stacked call, which also gives each preset's H spectrum; each
-    preset's Gibbs state is then evolved once over tau, tau + fd_step and
-    tau - fd_step, and one eigenvalues-only call on those states serves
-    both the ergotropy and the power suite; all share one ``TauGrid``.
+    The pass decomposes every Hamiltonian (presets and cloud) in one stacked
+    call, for the thermal suite's Gibbs states; it then evolves each
+    preset's Gibbs state over tau, tau + fd_step and tau - fd_step on one
+    ``TauGrid``, in chunks whose eigenvalues-only call serves both the
+    ergotropy and the power suite. Each chunk is reduced to its residuals
+    before the next is evolved.
     """
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
@@ -113,24 +113,29 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     taus = np.linspace(0.0, 2.0 * np.pi, 401 if level == "full" else 81)
     grid, n, step = dynamics.TauGrid(taus, tol.fd_step), len(taus), tol.fd_step
 
-    hs = np.array([model.build_full_hamiltonian(p) for p in param_sets])
-    dec = hermitian_eigendecomposition(hs, tol)
-    rhos = model._gibbs_state(dec, [p.temperature for p in param_sets])
+    hs, rhos, chunks = metrics._numeric_pass(param_sets, grid, slice(0, 3 * n), tol,
+                                             evolved=len(presets))
     closed_rhos = np.array([model.gibbs_state_closed_form(p, tol) for p in param_sets])
     gibbs = [np.abs(closed_rhos - rhos)]
 
-    evolved, ergotropies, powers, capacities = [], [], [], []
-    for p, h, levels, rho in zip(presets, hs, dec.eigenvalues, rhos):
-        states = grid.evolve(rho, 3 * n, tol)
-        energies = metrics._stack_ergotropy(states, h, tol, levels)
-        closed_states = dynamics.evolved_state_closed_form(p, grid, "corrected", tol)
-        evolved.append(np.abs(closed_states - states[:n]))
-        e_spectral = energies[:n]
-        e_reference = metrics.ergotropy_vs_reference(states[:n], rho, h)
+    energies, e_reference = np.empty((len(presets), 3 * n)), np.empty((len(presets), n))
+    evolved, closed = [], {}
+    for i, lo, states, values in chunks:
+        energies[i, lo:lo + len(values)] = values
+        if lo < n:  # the states at the taus themselves
+            states, hi = states[:n - lo], min(n, lo + len(states))
+            if i not in closed:  # runs come preset by preset: keep one preset's states
+                closed = {i: dynamics.evolved_state_closed_form(presets[i], grid, "corrected", tol)}
+            evolved.append(np.abs(closed[i][lo:hi] - states).max())
+            e_reference[i, lo:hi] = metrics.ergotropy_vs_reference(states, rhos[i], hs[i])
+
+    ergotropies, powers, capacities = [], [], []
+    for p, h, rho, e, e_ref in zip(presets, hs, rhos, energies, e_reference):
+        e_spectral = e[:n]
         e_closed = metrics.ergotropy_closed_form(p, grid, "corrected", tol)
-        ergotropies += [np.abs(e_spectral - e_reference), np.abs(e_spectral - e_closed),
-                        np.abs(e_reference - e_closed)]
-        fd = metrics.central_difference(energies[n:], step)
+        ergotropies += [np.abs(e_spectral - e_ref), np.abs(e_spectral - e_closed),
+                        np.abs(e_ref - e_closed)]
+        fd = grid.central_difference(e[n:])
         powers.append(np.abs(metrics.power_closed_form(p, grid, "corrected", tol) - fd))
         closed_capacity = metrics.capacity_closed_form(p, tol)
         capacities += [abs(closed_capacity - metrics.capacity_reconciled(p, h, rho)),

@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sqbattery.verify import preset_param_sets
+
+# child processes (python -m sqbattery) import the package from this
+# checkout's src, as the suite does through pyproject's pytest pythonpath
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture(scope="session")

@@ -369,7 +369,7 @@ def test_point_at_tiny_energy_scales_exits_3_and_writes_nothing(tmp_path, capsys
     # closed forms would print 0 ergotropy, l1 coherence above 3, or bare NaN
     out = tmp_path / "sub" / "out"
     assert main(["point", *args, "--out", str(out)]) == 3
-    assert "overflows the thermal closed forms" in capsys.readouterr().err
+    assert "overflows or underflows the thermal closed forms" in capsys.readouterr().err
     assert not out.parent.exists()
 
 

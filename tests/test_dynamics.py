@@ -54,6 +54,15 @@ def test_evolve_rejects_non_unitary():
         evolve(np.eye(4, dtype=complex) / 4, 0.5 * np.eye(4, dtype=complex))
 
 
+def test_evolve_rejects_a_nan_unitary():
+    # a NaN deviation from unitarity compares False with "> tol" and passed
+    u = np.full((4, 4), np.nan) + 0j
+    with pytest.raises(NotUnitaryError, match="by nan"):
+        evolve(np.eye(4, dtype=complex) / 4, u)
+    with pytest.raises(NotUnitaryError, match="matrix 1 of the stack"):
+        evolve(np.eye(4, dtype=complex) / 4, np.stack([np.eye(4), u]))
+
+
 def test_evolve_preserves_spectrum_and_trace(rng):
     for _ in range(30):
         rho = random_density(rng, 4)

@@ -25,6 +25,7 @@ from sqbattery import (
 )
 from sqbattery import metrics as metrics_mod
 from sqbattery import model as model_mod
+from sqbattery.linalg import MAX_STACK
 from sqbattery.metrics import ALL_METRICS
 from conftest import random_density, random_hermitian
 from reference import build_charging_hamiltonian, passive_state
@@ -408,14 +409,16 @@ def test_oracle_route_reads_the_gate_charges():
 
 def test_power_only_curve_decomposes_only_its_nodes(monkeypatch):
     # H with eigenvectors for the Gibbs state, then the 2n states at
-    # tau +/- step eigenvalues-only: no state at tau, and H only once
+    # tau +/- step eigenvalues-only, in chunks of at most MAX_STACK: no state
+    # at tau, and H only once
     p = BatteryParams(1.5, 0.5, 0.5, 0.1)
     taus = np.linspace(0.0, 2.0 * np.pi, 401)
     calls = eigensolver_calls(monkeypatch)
     compute_curve(p, taus, "corrected", ("power_fd",))
     power_fd(p, taus)
     sizes = [(1 if len(shape) == 2 else shape[0], vectors) for shape, vectors in calls]
-    assert sizes == [(1, True), (2 * len(taus), False)] * 2
+    chunks = [(MAX_STACK, False), (2 * len(taus) - MAX_STACK, False)]
+    assert sizes == ([(1, True)] + chunks) * 2
 
 
 def test_power_fd_is_the_compute_curve_column():

@@ -237,3 +237,32 @@ def test_oracle_curve_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 1.5e6, f"one curve peaked at {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("mode", ["corrected", "oracle-only"])
+def test_long_curve_peak_memory_is_set_by_the_chunk(mode):
+    # the evolved states are evolved and decomposed MAX_STACK nodes at a
+    # time, and closed-form coherence is read off the distinct entries, so a
+    # 4001-tau curve peaks near a 401-tau one; holding every state peaked at
+    # 9.3 MB (corrected) and 9.2 MB (oracle-only)
+    grid = dynamics.TauGrid(np.linspace(0.0, 2 * np.pi, 4001))
+    compute_curve(BASE, grid, mode, ALL_METRICS)  # builds the grid's unitaries
+    tracemalloc.start()
+    try:
+        compute_curve(BASE, grid, mode, ALL_METRICS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, f"one curve peaked at {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("mode", ["corrected", "verbatim", "oracle-only"])
+def test_cells_across_chunk_boundaries_equal_single_cells(mode):
+    # 200 taus give 600 nodes: the chunk boundary at MAX_STACK falls inside
+    # the tau - step block, and at count + MAX_STACK for a power-only curve
+    taus = np.linspace(0.0, 2 * np.pi, 200)
+    assert 2 * len(taus) < MAX_STACK < 3 * len(taus)
+    for metrics in (ALL_METRICS, ("power_fd",)):
+        curve = compute_curve(BASE, taus, mode, metrics)
+        for i, tau in enumerate(taus.tolist()):
+            assert cell_bits(curve, i) == cell_bits(compute_sample(BASE, tau, mode, metrics), 0)

@@ -32,6 +32,18 @@ def test_config_validation():
         SweepConfig(base=BASE, mode="other")
 
 
+@pytest.mark.parametrize("count", [2.5, 3.0, True, "3", None])
+def test_tau_count_must_be_an_integer(count):
+    # 2.5 failed later inside numpy, and True ran a one-point sweep
+    with pytest.raises(ValueError, match=f"tau_count must be an integer, got {count!r}"):
+        SweepConfig(base=BASE, tau_count=count)
+
+
+def test_tau_count_takes_numpy_integers():
+    cfg = SweepConfig(base=BASE, tau_count=np.int64(3))
+    assert len(run_sweep(cfg).curves[0].samples) == 3
+
+
 def test_parameter_varied_twice_rejected():
     # every curve would be computed at the last value only, under a label
     # naming both

@@ -14,7 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqbattery import BatteryParams, SweepConfig, dynamics, linalg, run_sweep, run_verification
+from sqbattery import (
+    BatteryParams,
+    SweepConfig,
+    compute_curve,
+    dynamics,
+    linalg,
+    power_fd,
+    run_sweep,
+    run_verification,
+)
 from sqbattery.metrics import DEFAULT_METRICS, ORACLE_METRICS, CurveColumns
 from sqbattery.output import MAIN_COLUMNS, ORACLE_COLUMNS, _column, format_float, write_csv
 from sqbattery.sweep import Curve, CurveSummary, SweepResult
@@ -82,6 +91,36 @@ def test_grid_factors_are_the_scalar_expressions_and_read_only():
     assert u.tobytes() == dynamics.charging_unitaries(grid.nodes).tobytes()
     assert not (u.flags.writeable or dev.flags.writeable)
     assert dynamics.TauGrid(0.3).scalar and not dynamics.TauGrid([0.3]).scalar
+
+
+@pytest.mark.parametrize("taus, message", [
+    ([], "tau grid is empty"),
+    ([0.3, math.nan], "taus must be finite"),
+    ([math.inf], "taus must be finite"),
+    ([-math.inf, 0.3], "taus must be finite"),
+], ids=["empty", "nan", "inf", "-inf"])
+def test_grids_without_finite_taus_are_rejected(taus, message):
+    # nan gave unflagged nan cells, inf "math domain error" and [] a message
+    # about the shape of the eigensolver's input
+    with pytest.raises(ValueError, match=message):
+        dynamics.TauGrid(taus)
+    for metrics in (DEFAULT_METRICS, DEFAULT_METRICS + ORACLE_METRICS):
+        with pytest.raises(ValueError, match=message):
+            compute_curve(BASE, taus, "corrected", metrics)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-4, math.nan, math.inf])
+def test_finite_difference_steps_must_be_finite_and_positive(step):
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        dynamics.TauGrid([0.3], step)
+    # a NaN step warned of invalid values before naming the nodes
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        power_fd(BASE, 0.3, step=step)
+
+
+def test_grids_whose_nodes_overflow_are_rejected():
+    with pytest.raises(ValueError, match="nodes tau \\+/- 1e\\+308 are not finite"):
+        dynamics.TauGrid([1e308], 1e308)
 
 
 def test_round_robin_schedule_is_built_once_and_read_only():

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import random
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 import sqbattery.metrics as metrics_mod
 import sqbattery.model as model_mod
 import sqbattery.verify as verify_mod
-from sqbattery.linalg import hermitian_eigendecomposition
+from sqbattery.linalg import MAX_STACK, hermitian_eigendecomposition
 from sqbattery.model import BatteryParams
 
 
@@ -34,8 +36,9 @@ def test_nan_residual_fails_its_suite(monkeypatch, name, suite):
 
 
 def test_quick_decomposes_every_input_once(monkeypatch):
-    # the thermal suite's Hamiltonians with eigenvectors, then each preset's
-    # 3 x 81 evolved states eigenvalues-only; H's spectrum is not recomputed
+    # the thermal suite's Hamiltonians with eigenvectors, then the 16 presets'
+    # 3 x 81 evolved states eigenvalues-only, in chunks of at most MAX_STACK;
+    # H's spectrum is not recomputed
     inputs = []
 
     def counting(m, tol=None, **kwargs):
@@ -43,12 +46,27 @@ def test_quick_decomposes_every_input_once(monkeypatch):
         inputs.append((m.shape, kwargs.get("vectors", True), m.tobytes()))
         return hermitian_eigendecomposition(m, tol, **kwargs)
 
-    for module in (model_mod, metrics_mod, verify_mod):
+    for module in (model_mod, metrics_mod):
         monkeypatch.setattr(module, "hermitian_eigendecomposition", counting)
     assert verify_mod.run_verification("quick").passed
     calls = [(shape, vectors) for shape, vectors, _ in inputs]
-    assert calls == [((116, 4, 4), True)] + [((243, 4, 4), False)] * 16
+    full, rest = divmod(16 * 243, MAX_STACK)
+    assert calls == ([((116, 4, 4), True)] + [((MAX_STACK, 4, 4), False)] * full
+                     + [((rest, 4, 4), False)])
     assert len({(shape, data) for shape, _, data in inputs}) == len(inputs)
+
+
+def test_verify_reaches_no_private_name_but_the_numeric_pass():
+    # verify reduces the one shared pass; every other name it takes from
+    # metrics or model is public
+    tree = ast.parse(inspect.getsource(verify_mod))
+    private = {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in ("metrics", "model") and node.attr.startswith("_")}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module in ("metrics", "model") for alias in node.names}
+    assert private == {"metrics._numeric_pass"}
+    assert not any(name.startswith("_") for name in imported)
 
 
 # the first point of the default cloud (seed 20260809), as literals
