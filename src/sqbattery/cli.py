@@ -5,7 +5,8 @@ tau and varied parameters), ``figure`` (preset reproduction, one data file
 per panel plus a manifest), ``verify`` (cross-check suites).
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments or
-unknown preset, 3 overflow at a requested point, 4 I/O failure.
+unknown preset, 3 the requested regime cannot be computed (the thermal terms
+overflow or underflow, or the eigensolver does not converge), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from pathlib import Path
 
 from . import output
 from .dynamics import MODES
-from .exceptions import UnknownPresetError
+from .exceptions import EigenConvergenceError, UnknownPresetError
 from .metrics import DEFAULT_METRICS, ORACLE_METRICS
 from .model import BatteryParams
-from .sweep import PRESET_NAMES, SweepConfig, figure_preset, run_sweep
+from .sweep import PRESET_NAMES, SweepConfig, SweepResult, figure_preset, stream_sweep
 from .tolerances import from_env
 from .verify import run_verification
 
@@ -121,20 +122,19 @@ def _load_config(path: str | None) -> dict:
 
 def _setting(args, config: dict, key: str, default):
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+    return config.get(key, default) if value is None else value
 
 
-def _params_from(args, config: dict) -> BatteryParams:
-    return BatteryParams(
+def _sweep_config(args, config: dict, **grid) -> SweepConfig:
+    """A point's or sweep's parameters, mode and metrics, over the tau ``grid``."""
+    base = BatteryParams(
         xi1=float(_setting(args, config, "xi1", 0.0)),
         xi2=float(_setting(args, config, "xi2", 0.0)),
         xic=float(_setting(args, config, "xic", 0.0)),
         temperature=float(_setting(args, config, "temp", 1.0)),
     )
+    return SweepConfig(base=base, metrics=_metric_selection(args.oracle),
+                       mode=_setting(args, config, "mode", "corrected"), **grid)
 
 
 def _parse_vary(vary_args: list[str]) -> tuple:
@@ -161,16 +161,31 @@ def _metric_selection(include_oracle: bool) -> tuple[str, ...]:
 def _write(out: str | None, write) -> int:
     """Call ``write`` on the file ``out`` (its directories made first) or on stdout;
     exit 4 on ``OSError``, quietly when the reader of stdout has gone.
-    Callers evaluate first, so a rejection opens nothing."""
+    A regular file is written beside ``out`` and renamed onto it once
+    complete, so a failure part-way leaves ``out`` as it was; a special file
+    (``/dev/null``, a FIFO) is written in place, never renamed onto."""
     try:
         if out is None:
             write(sys.stdout)
             sys.stdout.flush()
             return 0
-        path = Path(out)
+        path = Path(out).resolve()
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8", newline="") as stream:
-            write(stream)
+        if path.exists() and not path.is_file():
+            with path.open("w", encoding="utf-8", newline="") as stream:
+                write(stream)
+            return 0
+        temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        stream = temporary.open("x", encoding="utf-8", newline="")
+        try:
+            with stream:
+                if path.exists():
+                    temporary.chmod(path.stat().st_mode & 0o7777)
+                write(stream)
+            temporary.replace(path)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         if out is not None or not isinstance(exc, BrokenPipeError):
             print(f"error: cannot write {out or 'output'}: {exc}", file=sys.stderr)
@@ -189,48 +204,35 @@ def _emit_result(result, args) -> int:
 
 def _cmd_point(args, tol) -> int:
     config = _load_config(args.config)
-    params = _params_from(args, config)
     tau = float(_setting(args, config, "tau", 0.0))
     if not math.isfinite(tau):  # else the one-point sweep would name its tau_start
         raise ValueError("tau must be finite")
-    mode = _setting(args, config, "mode", "corrected")
-    cfg = SweepConfig(
-        base=params,
-        varied=(),
-        tau_start=tau,
-        tau_stop=tau,
-        tau_count=1,
-        metrics=_metric_selection(args.oracle),
-        mode=mode,
-    )
-    result = run_sweep(cfg, tol)
-    if result.curves[0].samples.flag == "overflow":
+    cfg = _sweep_config(args, config, tau_start=tau, tau_stop=tau, tau_count=1)
+    result = stream_sweep(cfg, tol)
+    curve = next(result.curves)
+    if curve.samples.flag == "overflow":
         print("error: parameter regime overflows or underflows the thermal closed forms",
               file=sys.stderr)
         return 3
-    return _emit_result(result, args)
+    return _emit_result(SweepResult(cfg, (curve,), result.provenance), args)
 
 
 def _cmd_sweep(args, tol) -> int:
     config = _load_config(args.config)
-    params = _params_from(args, config)
-    mode = _setting(args, config, "mode", "corrected")
-    cfg = SweepConfig(
-        base=params,
+    cfg = _sweep_config(
+        args, config,
         varied=_parse_vary(args.vary),
         tau_start=float(_setting(args, config, "tau_start", 0.0)),
         tau_stop=float(_setting(args, config, "tau_stop", 6.283185307179586)),
         tau_count=int(_setting(args, config, "tau_count", 401)),
-        metrics=_metric_selection(args.oracle),
-        mode=mode,
     )
-    return _emit_result(run_sweep(cfg, tol), args)
+    return _emit_result(stream_sweep(cfg, tol), args)
 
 
 def _cmd_figure(args, tol) -> int:
     mode = args.mode if args.mode is not None else "verbatim"
     cfg = figure_preset(args.name, mode=mode, metrics=_metric_selection(args.oracle))
-    result = run_sweep(cfg, tol)
+    result = stream_sweep(cfg, tol)
 
     def write(stdout) -> None:
         paths = output.write_figure_files(result, args.name, args.out, args.fmt, args.oracle)
@@ -267,6 +269,9 @@ def main(argv=None) -> int:
         return 2
     except OverflowError as exc:
         print(f"error: overflow: {exc}", file=sys.stderr)
+        return 3
+    except EigenConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -155,8 +155,9 @@ def charging_unitary(tau: float) -> np.ndarray:
 
 def charging_unitaries(taus) -> np.ndarray:
     """Stack ``(N, 4, 4)`` of :func:`charging_unitary`, one per tau."""
-    g = TauGrid(taus)
-    a, b, c = g.cos_sq, -g.sin_sq, -1j * g.sin * g.cos
+    sin, cos, sin_sq, cos_sq = (per_tau(FACTORS[name], taus)
+                                for name in ("sin", "cos", "sin_sq", "cos_sq"))
+    a, b, c = cos_sq, -sin_sq, -1j * sin * cos
     return _matrix_stack([[a, c, c, b], [c, a, b, c], [c, b, a, c], [b, c, c, a]])
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .linalg import MAX_STACK
 from .metrics import main_fields
 from .sweep import Curve, SweepResult
 
@@ -64,35 +65,47 @@ def _series(value, count: int):
 
 def write_csv(result: SweepResult, metric_columns: tuple[str, ...], stream) -> None:
     """Write the header (curve columns, tau, the given metric columns, flag),
-    then each curve as one ``%`` over a template of its rows, to ``stream``.
+    then the rows of each curve as it is read, to ``stream``."""
+    _write_csv(result, metric_columns, stream, {})
+
+
+def _write_csv(result, metric_columns, stream, tau_cells: dict) -> None:
+    stream.write(",".join(CURVE_COLUMNS + ("tau",) + metric_columns + ("flag",)) + "\n")
+    for curve in result.curves:
+        stream.writelines(_csv_rows(curve, result.config.mode, metric_columns, tau_cells))
+
+
+def _csv_rows(curve: Curve, mode: str, metric_columns, tau_cells: dict):
+    """Yield one curve's rows, each block of ``MAX_STACK`` rows one ``%`` over
+    a template of its rows, so a long curve's text is bounded.
 
     The curve columns (label and parameters), the tau-independent columns
     and the flag are formatted once per curve into the template (the label
     and flag with ``%`` escaped; formatted floats hold none); the tau cells,
-    formatted once per tau grid, fill ``%s`` slots and every other column
-    ``%.17g`` slots, which format like :func:`format_float`.
+    formatted once per tau grid into ``tau_cells``, which a figure's panels
+    share, fill ``%s`` slots and every other column ``%.17g`` slots, which
+    format like :func:`format_float`.
     """
-    mode = result.config.mode
-    stream.write(",".join(CURVE_COLUMNS + ("tau",) + metric_columns + ("flag",)) + "\n")
-    tau_cells = {}
-    for curve in result.curves:
-        p, taus = curve.params, curve.samples.taus
-        key = taus.tobytes()
-        if key not in tau_cells:
-            tau_cells[key] = list(map(format_float, taus.tolist()))
-        cells = [curve.label.replace("%", "%%"),
-                 *map(format_float, (p.xi1, p.xi2, p.xic, p.temperature)), "%s"]
-        columns = [tau_cells[key]]
-        for value in (_column(curve, name, mode) for name in metric_columns):
-            array = isinstance(value, np.ndarray)
-            if array:
-                columns.append(value.tolist())
-            cells.append("%.17g" if array else format_float(value))
-        row = ",".join(cells + [curve.samples.flag.replace("%", "%%")]) + "\n"
-        values = [None] * (len(taus) * len(columns))
-        for i, column in enumerate(columns):
-            values[i::len(columns)] = column
-        stream.write((row * len(taus)) % tuple(values))
+    p, taus = curve.params, curve.samples.taus
+    key = taus.tobytes()
+    if key not in tau_cells:
+        tau_cells[key] = list(map(format_float, taus.tolist()))
+    cells = [curve.label.replace("%", "%%"),
+             *map(format_float, (p.xi1, p.xi2, p.xic, p.temperature)), "%s"]
+    arrays = []
+    for value in (_column(curve, name, mode) for name in metric_columns):
+        array = isinstance(value, np.ndarray)
+        if array:
+            arrays.append(value)
+        cells.append("%.17g" if array else format_float(value))
+    row = ",".join(cells + [curve.samples.flag.replace("%", "%%")]) + "\n"
+    for lo in range(0, len(taus), MAX_STACK):
+        block = [tau_cells[key][lo:lo + MAX_STACK],
+                 *(array[lo:lo + MAX_STACK].tolist() for array in arrays)]
+        values = [None] * (len(block[0]) * len(block))
+        for i, column in enumerate(block):
+            values[i::len(block)] = column
+        yield (row * len(block[0])) % tuple(values)
 
 
 def sweep_columns(include_oracle: bool = False) -> tuple[str, ...]:
@@ -125,19 +138,21 @@ def write_json(result: SweepResult, stream, sample_keys=SAMPLE_KEYS,
                files: list[str] | None = None) -> None:
     """Write config, provenance, curves and, if given, a manifest's ``files``
     to ``stream`` as ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
-    would. Each curve is dumped alone and re-indented, so only one curve's
-    samples are held at a time; ``sample_keys=None`` leaves them out."""
+    would. Each curve is dumped alone, as it is read, and re-indented, so
+    only one curve's samples are held at a time; ``sample_keys=None`` leaves
+    them out."""
     top = dict(config=dataclasses.asdict(result.config), curves=[], provenance=result.provenance)
     if files is not None:
         top["files"] = files
     # the top-level empty list is the only '"curves": []' of the dump
     head, _, tail = json.dumps(top, sort_keys=True, indent=2).partition('"curves": []')
     stream.write(head + '"curves": [')
-    for i, curve in enumerate(result.curves):
+    count = 0
+    for count, curve in enumerate(result.curves, 1):
         entry = json.dumps(_curve_object(curve, result.config.mode, sample_keys),
                            sort_keys=True, indent=2)
-        stream.write(("," if i else "") + "\n    " + entry.replace("\n", "\n    "))
-    stream.write(("\n  ]" if result.curves else "]") + tail + "\n")
+        stream.write(("," if count > 1 else "") + "\n    " + entry.replace("\n", "\n    "))
+    stream.write(("\n  ]" if count else "]") + tail + "\n")
 
 
 def figure_file_names(name: str, fmt: str) -> list[str]:
@@ -154,16 +169,19 @@ def write_figure_files(
     fmt: str = "csv",
     include_oracle: bool = False,
 ) -> list[Path]:
-    """Write one data file per panel plus a manifest; returns the paths."""
+    """Write one data file per panel plus a manifest; returns the paths.
+    The curves (a figure has four) are collected before ``out_dir`` is made."""
+    result = dataclasses.replace(result, curves=tuple(result.curves))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     file_names = figure_file_names(name, fmt)
     paths = [out / fname for fname in file_names]
+    tau_cells = {}
     for path, (_, metric, oracle) in zip(paths, PANELS):
         columns = (metric,) + ((oracle,) if include_oracle and oracle else ())
         with path.open("w", encoding="utf-8", newline="") as stream:
             if fmt == "csv":
-                write_csv(result, columns, stream)
+                _write_csv(result, columns, stream, tau_cells)
             else:
                 write_json(result, stream, ("tau", "flag") + columns)
     with paths[-1].open("w", encoding="utf-8", newline="") as stream:

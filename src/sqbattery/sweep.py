@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import __about__
 from .dynamics import TauGrid, validate_mode
 from .exceptions import UnknownPresetError
-from .metrics import DEFAULT_METRICS, CurveColumns, compute_curve, main_fields
+from .metrics import CLOSED_FIELDS, DEFAULT_METRICS, CurveColumns, compute_curve, main_fields
 from .model import BatteryParams
 from .tolerances import Tolerances, resolve
 
@@ -32,6 +33,7 @@ __all__ = [
     "SweepResult",
     "figure_preset",
     "run_sweep",
+    "stream_sweep",
 ]
 
 VARIABLE_PARAMS = ("xi1", "xi2", "xic", "temperature")
@@ -99,8 +101,15 @@ class Curve:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's config, curves and provenance.
+
+    :func:`run_sweep` gives a tuple of curves. The writers of
+    :mod:`sqbattery.output` read ``curves`` once, in order, so the iterator
+    of :func:`stream_sweep` is written curve by curve.
+    """
+
     config: SweepConfig
-    curves: tuple[Curve, ...]
+    curves: Iterable[Curve]
     provenance: dict
 
 
@@ -142,15 +151,24 @@ def summarize_curve(curve: CurveColumns, mode: str) -> CurveSummary:
     )
 
 
-def run_sweep(cfg: SweepConfig, tol: Tolerances | None = None) -> SweepResult:
-    """Evaluate every (curve, tau) cell of the configured grid."""
+def stream_sweep(cfg: SweepConfig, tol: Tolerances | None = None) -> SweepResult:
+    """The result of :func:`run_sweep` with ``curves`` an iterator that
+    evaluates each curve over the sweep's one tau grid when it is drawn, so
+    only one curve's columns need be alive at a time.
+
+    The grid, the first curve and, when ``power_fd`` is selected, the
+    grid's finite-difference nodes are built, evaluated and checked on call,
+    so a request that fails at once fails before anything is drawn.
+    """
     tol = resolve(tol)
     grid = TauGrid(cfg.tau_grid(), tol.fd_step)
-    curves = []
-    for label, params in _curve_cases(cfg):
-        samples = compute_curve(params, grid, cfg.mode, cfg.metrics, tol)
-        summary = summarize_curve(samples, cfg.mode)
-        curves.append(Curve(label=label, params=params, samples=samples, summary=summary))
+    curves = (_curve(label, params, grid, cfg, tol) for label, params in _curve_cases(cfg))
+    first = next(curves)
+    # power_fd, or in oracle-only mode the power column it stands in for; an
+    # overflowing first curve has not checked the nodes
+    if "power_fd" in cfg.metrics or (cfg.mode == "oracle-only"
+                                     and CLOSED_FIELDS["power"] in cfg.metrics):
+        grid.require_resolved(tol)
     provenance = {
         "package": __about__.NAME,
         "version": __about__.VERSION,
@@ -158,7 +176,21 @@ def run_sweep(cfg: SweepConfig, tol: Tolerances | None = None) -> SweepResult:
         "metrics": list(cfg.metrics),
         "tolerances": dataclasses.asdict(tol),
     }
-    return SweepResult(config=cfg, curves=tuple(curves), provenance=provenance)
+    return SweepResult(config=cfg, curves=itertools.chain((first,), curves),
+                       provenance=provenance)
+
+
+def _curve(label: str, params: BatteryParams, grid: TauGrid, cfg: SweepConfig,
+           tol: Tolerances) -> Curve:
+    samples = compute_curve(params, grid, cfg.mode, cfg.metrics, tol)
+    return Curve(label=label, params=params, samples=samples,
+                 summary=summarize_curve(samples, cfg.mode))
+
+
+def run_sweep(cfg: SweepConfig, tol: Tolerances | None = None) -> SweepResult:
+    """Evaluate every (curve, tau) cell of the configured grid."""
+    result = stream_sweep(cfg, tol)
+    return dataclasses.replace(result, curves=tuple(result.curves))
 
 
 # Figure presets: parameter grids of the reproduced figure panels. Each

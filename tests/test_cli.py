@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from sqbattery import EigenConvergenceError, sweep
 from sqbattery.cli import main
 from sqbattery.tolerances import DEFAULT, Tolerances, from_env
 
@@ -467,3 +469,84 @@ def test_closed_stdout_pipe_exits_4_quietly():
         os.close(write_end)
     assert proc.returncode == 4
     assert proc.stderr == ""
+
+
+def test_unconverged_eigensolver_exits_3_and_writes_nothing(tmp_path):
+    out = tmp_path / "x.csv"
+    env = dict(os.environ, SQBATTERY_TOLERANCES='{"jacobi_max_sweeps": 0}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "sqbattery", *SWEEP_ARGS, "--oracle", "--tau-count", "3",
+         "--out", str(out)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: Jacobi sweeps exhausted (0)")
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def square_sweep(n: int) -> list[str]:
+    """An n x n xi2-by-temperature sweep over 401 taus, written to the null device."""
+    xi2 = ",".join(repr(0.1 + 0.2 * i) for i in range(n))
+    temps = ",".join(repr(10.0 ** (-3.0 + 0.25 * i)) for i in range(n))
+    return ["sweep", "--xi1", "1.5", "--xic", "0.5", "--vary", f"xi2={xi2}",
+            "--vary", f"temperature={temps}", "--out", os.devnull]
+
+
+def test_sweep_memory_is_one_curve_however_many_curves():
+    peaks = {}
+    for n in (4, 16):
+        assert main(square_sweep(n)) == 0  # imports and first-use caches settle
+        tracemalloc.start()
+        try:
+            assert main(square_sweep(n)) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] <= 1.1 * peaks[4], peaks
+    assert peaks[16] <= 1e6, peaks
+    assert Path(os.devnull).is_char_device()  # written in place, never renamed onto
+
+
+def test_out_file_is_replaced_whole_and_keeps_its_mode(tmp_path):
+    out = tmp_path / "out.csv"
+    out.write_text("old\n")
+    out.chmod(0o600)
+    assert main([*POINT_ARGS, "--out", str(out)]) == 0
+    assert out.read_text().startswith("label,")
+    assert out.stat().st_mode & 0o777 == 0o600
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def fail_on_second_curve(monkeypatch):
+    compute_curve, calls = sweep.compute_curve, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise EigenConvergenceError("no convergence on the second curve")
+        return compute_curve(*args)
+
+    monkeypatch.setattr(sweep, "compute_curve", failing)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("existing", [None, b"kept\n"], ids=["new", "existing"])
+def test_failure_part_way_leaves_out_as_it_was(tmp_path, monkeypatch, capsys, fmt, existing):
+    out = tmp_path / "out"
+    if existing is not None:
+        out.write_bytes(existing)
+    fail_on_second_curve(monkeypatch)
+    assert main([*SWEEP_ARGS, "--format", fmt, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: no convergence on the second curve\n"
+    # no partial file and no temporary one beside it
+    assert list(tmp_path.iterdir()) == ([] if existing is None else [out])
+    if existing is not None:
+        assert out.read_bytes() == existing
+
+
+def test_failure_part_way_on_stdout_keeps_the_rows_written(monkeypatch, capsys):
+    fail_on_second_curve(monkeypatch)
+    assert main(list(SWEEP_ARGS)) == 3
+    captured = capsys.readouterr()
+    rows = parse_csv(captured.out)
+    assert {row["label"] for row in rows} == {"xi2=0.5"} and len(rows) == 401
+    assert captured.err == "error: no convergence on the second curve\n"

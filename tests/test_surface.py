@@ -53,3 +53,14 @@ def test_every_exported_name_is_used_or_documented():
 def test_every_tolerance_is_read_outside_its_record():
     used = names_read_in_src(skip=("__init__.py", "tolerances.py"))
     assert [f.name for f in dataclasses.fields(Tolerances) if f.name not in used] == []
+
+
+def test_the_cli_never_holds_a_whole_sweep():
+    # the command line streams each curve to its writer as it is evaluated;
+    # run_sweep would hold every curve of a request before the first is written
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "run_sweep" not in names

@@ -19,13 +19,16 @@ from sqbattery import (
     SweepConfig,
     compute_curve,
     dynamics,
+    figure_preset,
     linalg,
     power_fd,
     run_sweep,
     run_verification,
 )
 from sqbattery.metrics import DEFAULT_METRICS, ORACLE_METRICS, CurveColumns
-from sqbattery.output import MAIN_COLUMNS, ORACLE_COLUMNS, _column, format_float, write_csv
+from sqbattery import output
+from sqbattery.output import (MAIN_COLUMNS, ORACLE_COLUMNS, _column, format_float, write_csv,
+                              write_figure_files)
 from sqbattery.sweep import Curve, CurveSummary, SweepResult
 from reference import _text
 
@@ -194,3 +197,22 @@ def per_cell_csv(result, metric_columns):
 def test_template_csv_equals_the_per_cell_formatting(result, metric_columns):
     text = _text(lambda stream: write_csv(result, metric_columns, stream))
     assert text == per_cell_csv(result, metric_columns)
+
+
+def test_a_curve_longer_than_a_block_is_the_per_cell_formatting():
+    # the rows of a long curve are formatted MAX_STACK at a time
+    cfg = SweepConfig(base=BASE, varied=(("xi2", (0.5, 2.0)),),
+                      tau_count=2 * linalg.MAX_STACK + 3, metrics=DEFAULT_METRICS + ORACLE_METRICS)
+    result = run_sweep(cfg)
+    columns = MAIN_COLUMNS + ORACLE_COLUMNS
+    assert _text(lambda stream: write_csv(result, columns, stream)) == per_cell_csv(result, columns)
+
+
+def test_a_figure_formats_its_tau_column_once(monkeypatch, tmp_path):
+    result = run_sweep(figure_preset("fig1"))
+    calls = counted(monkeypatch, output, "format_float")
+    write_figure_files(result, "fig1", tmp_path)
+    taus = result.curves[0].samples.taus.tolist()
+    # the 401 taus once for all four panels, plus each curve's parameters and constants
+    assert len(calls) < 2 * len(taus)
+    assert sum(args == (taus[1],) for args in calls) == 1
