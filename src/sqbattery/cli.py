@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import output
 from .dynamics import MODES
-from .exceptions import EigenConvergenceError, UnknownPresetError
+from .exceptions import EigenConvergenceError
 from .metrics import DEFAULT_METRICS, ORACLE_METRICS
 from .model import BatteryParams
 from .sweep import PRESET_NAMES, SweepConfig, SweepResult, figure_preset, stream_sweep
@@ -154,38 +154,19 @@ def _parse_vary(vary_args: list[str]) -> tuple:
     return tuple(varied)
 
 
-def _metric_selection(include_oracle: bool) -> tuple[str, ...]:
-    return DEFAULT_METRICS + ORACLE_METRICS if include_oracle else DEFAULT_METRICS
+def _metric_selection(oracle: bool) -> tuple[str, ...]:
+    return DEFAULT_METRICS + ORACLE_METRICS if oracle else DEFAULT_METRICS
 
 
 def _write(out: str | None, write) -> int:
-    """Call ``write`` on the file ``out`` (its directories made first) or on stdout;
-    exit 4 on ``OSError``, quietly when the reader of stdout has gone.
-    A regular file is written beside ``out`` and renamed onto it once
-    complete, so a failure part-way leaves ``out`` as it was; a special file
-    (``/dev/null``, a FIFO) is written in place, never renamed onto."""
+    """Call ``write`` on the file ``out``, by :func:`output.write_file`, or on
+    stdout; exit 4 on ``OSError``, quietly when the reader of stdout has gone."""
     try:
         if out is None:
             write(sys.stdout)
             sys.stdout.flush()
-            return 0
-        path = Path(out).resolve()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if path.exists() and not path.is_file():
-            with path.open("w", encoding="utf-8", newline="") as stream:
-                write(stream)
-            return 0
-        temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        stream = temporary.open("x", encoding="utf-8", newline="")
-        try:
-            with stream:
-                if path.exists():
-                    temporary.chmod(path.stat().st_mode & 0o7777)
-                write(stream)
-            temporary.replace(path)
-        except BaseException:
-            temporary.unlink(missing_ok=True)
-            raise
+        else:
+            output.write_file(out, write)
     except OSError as exc:
         if out is not None or not isinstance(exc, BrokenPipeError):
             print(f"error: cannot write {out or 'output'}: {exc}", file=sys.stderr)
@@ -197,7 +178,7 @@ def _write(out: str | None, write) -> int:
 
 def _emit_result(result, args) -> int:
     if args.fmt == "csv":
-        columns = output.sweep_columns(args.oracle)
+        columns = output.sweep_columns(result.config)
         return _write(args.out, lambda stream: output.write_csv(result, columns, stream))
     return _write(args.out, lambda stream: output.write_json(result, stream))
 
@@ -219,13 +200,11 @@ def _cmd_point(args, tol) -> int:
 
 def _cmd_sweep(args, tol) -> int:
     config = _load_config(args.config)
-    cfg = _sweep_config(
-        args, config,
-        varied=_parse_vary(args.vary),
-        tau_start=float(_setting(args, config, "tau_start", 0.0)),
-        tau_stop=float(_setting(args, config, "tau_stop", 6.283185307179586)),
-        tau_count=int(_setting(args, config, "tau_count", 401)),
-    )
+    # only the tau settings given; SweepConfig holds the defaults
+    grid = {key: kind(value) for key, kind in
+            (("tau_start", float), ("tau_stop", float), ("tau_count", int))
+            if (value := _setting(args, config, key, None)) is not None}
+    cfg = _sweep_config(args, config, varied=_parse_vary(args.vary), **grid)
     return _emit_result(stream_sweep(cfg, tol), args)
 
 
@@ -233,12 +212,12 @@ def _cmd_figure(args, tol) -> int:
     mode = args.mode if args.mode is not None else "verbatim"
     cfg = figure_preset(args.name, mode=mode, metrics=_metric_selection(args.oracle))
     result = stream_sweep(cfg, tol)
-
-    def write(stdout) -> None:
-        paths = output.write_figure_files(result, args.name, args.out, args.fmt, args.oracle)
-        stdout.write("".join(f"{p}\n" for p in paths))
-
-    return _write(None, write)
+    try:
+        paths = output.write_figure_files(result, args.name, args.out, args.fmt)
+    except OSError as exc:  # a figure file failed, not stdout
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 4
+    return _write(None, lambda stdout: stdout.write("".join(f"{p}\n" for p in paths)))
 
 
 def _cmd_verify(args, tol) -> int:
@@ -264,9 +243,6 @@ def main(argv=None) -> int:
         if args.command == "figure":
             return _cmd_figure(args, tol)
         return _cmd_verify(args, tol)
-    except UnknownPresetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OverflowError as exc:
         print(f"error: overflow: {exc}", file=sys.stderr)
         return 3

@@ -110,20 +110,20 @@ def ergotropy_closed_form(
     ``TauGrid`` (an array); the thermal terms are evaluated once.
     """
     validate_mode(mode)
-    return _ergotropy_closed(p, thermal_terms(p, tol), as_grid(tau), mode)
+    g = as_grid(tau)
+    values = _ergotropy_closed(p, thermal_terms(p, tol), g, mode)
+    return float(values[0]) if g.scalar else values
 
 
 def _ergotropy_closed(p: BatteryParams, t: ThermalTerms, g: TauGrid, mode: str):
     if mode == "corrected":
-        values = 4.0 * p.xic**2 * t.rs_plus * g.sin2_sq
-    else:
-        xc = p.xic
-        values = g.sin_sq * (
-            4 * xc * (xc * g.cos2 * (t.rs_minus + t.rs_plus) + g.cos_sq * (t.ra_plus - t.ra_minus))
-            + t.alpha_minus * t.rb_minus
-            + t.alpha_plus * t.rb_plus
-        )
-    return float(values[0]) if g.scalar else values
+        return 4.0 * p.xic**2 * t.rs_plus * g.sin2_sq
+    xc = p.xic
+    return g.sin_sq * (
+        4 * xc * (xc * g.cos2 * (t.rs_minus + t.rs_plus) + g.cos_sq * (t.ra_plus - t.ra_minus))
+        + t.alpha_minus * t.rb_minus
+        + t.alpha_plus * t.rb_plus
+    )
 
 
 def power_closed_form(
@@ -139,24 +139,24 @@ def power_closed_form(
     array of them, like :func:`ergotropy_closed_form`.
     """
     validate_mode(mode)
-    return _power_closed(p, thermal_terms(p, tol), as_grid(tau), mode)
+    g = as_grid(tau)
+    values = _power_closed(p, thermal_terms(p, tol), g, mode)
+    return float(values[0]) if g.scalar else values
 
 
 def _power_closed(p: BatteryParams, t: ThermalTerms, g: TauGrid, mode: str):
     if mode == "corrected":
-        values = 8.0 * p.xic**2 * t.rs_plus * g.sin4
-    else:
-        xc, x1, x2, c2 = p.xic, p.xi1, p.xi2, g.cos2
-        values = g.sin2 * (
-            4 * xc * c2 * (t.ra_plus - t.ra_minus)
-            + t.rs_plus * (8 * xc * xc * c2 + (x1 + x2) ** 2)
-            + t.rs_minus * (8 * xc * xc * c2 + (x1 - x2) ** 2)
-        )
-    return float(values[0]) if g.scalar else values
+        return 8.0 * p.xic**2 * t.rs_plus * g.sin4
+    xc, x1, x2, c2 = p.xic, p.xi1, p.xi2, g.cos2
+    return g.sin2 * (
+        4 * xc * c2 * (t.ra_plus - t.ra_minus)
+        + t.rs_plus * (8 * xc * xc * c2 + (x1 + x2) ** 2)
+        + t.rs_minus * (8 * xc * xc * c2 + (x1 - x2) ** 2)
+    )
 
 
 def _numeric_pass(params, grid: TauGrid, nodes: slice, tol: Tolerances,
-                  evolved: int | None = None, spectra: bool = True):
+                  evolved: int | None = None):
     """The numeric route of a stack of parameter sets over one tau grid.
 
     Every full Hamiltonian H, gate charges included, is decomposed in one
@@ -168,15 +168,14 @@ def _numeric_pass(params, grid: TauGrid, nodes: slice, tol: Tolerances,
     dec = hermitian_eigendecomposition(hs, tol)
     rhos = _gibbs_state(dec, [p.temperature for p in params])
     sets = len(hs) if evolved is None else evolved
-    chunks = _evolved_chunks(grid, nodes, hs[:sets], dec.eigenvalues, rhos, tol, spectra)
+    chunks = _evolved_chunks(grid, nodes, hs[:sets], dec.eigenvalues, rhos, tol)
     return hs, rhos, chunks
 
 
-def _evolved_chunks(grid: TauGrid, nodes: slice, hs, levels, rhos, tol: Tolerances,
-                    spectra: bool):
+def _evolved_chunks(grid: TauGrid, nodes: slice, hs, levels, rhos, tol: Tolerances):
     """Yield ``(i, lo, states, energies)``: the states U(tau) rho_i
     U(tau)^dagger of set ``i`` at the grid nodes from ``lo`` on, within
-    ``nodes``, and their ergotropies (None unless ``spectra``).
+    ``nodes``, and their ergotropies.
 
     The (set, node) pairs are evolved and decomposed, eigenvalues only, in
     chunks of at most ``MAX_STACK`` that share one buffer, so only one chunk
@@ -195,12 +194,10 @@ def _evolved_chunks(grid: TauGrid, nodes: slice, hs, levels, rhos, tol: Toleranc
         for i, lo, size, at in runs:
             grid.evolve(rhos[i], slice(lo, lo + size), tol, out=buffer[at:at + size])
         stack = buffer[:last - first]
-        if spectra:
-            eigs = hermitian_eigendecomposition(stack, tol, vectors=False).eigenvalues
+        eigs = hermitian_eigendecomposition(stack, tol, vectors=False).eigenvalues
         for i, lo, size, at in runs:
             states = stack[at:at + size]
-            yield i, lo, states, (_ergotropies(states, hs[i], eigs[at:at + size], levels[i])
-                                  if spectra else None)
+            yield i, lo, states, _ergotropies(states, hs[i], eigs[at:at + size], levels[i])
 
 
 def power_fd(
@@ -346,8 +343,9 @@ def compute_curve(
     the mode's closed-form states. Overflow comes from the tau-independent
     thermal terms, so it flags the whole curve in-band rather than raising;
     the closed forms go first, so such a curve makes no eigensolver call.
-    A ``power_fd`` column raises ``ValueError`` at a tau too large for the
-    grid's step (see :meth:`TauGrid.require_resolved`).
+    A ``power_fd`` column, or in oracle-only mode the power column it stands
+    in for, raises ``ValueError`` at a tau too large for the grid's step
+    (see :meth:`TauGrid.require_resolved`), before any overflow is flagged.
     """
     validate_mode(mode, allow_oracle_only=True)
     unknown = set(metrics) - set(ALL_METRICS)
@@ -358,6 +356,8 @@ def compute_curve(
         counterparts = dict(zip(CLOSED_FIELDS.values(), NUMERIC_FIELDS.values()))
         metrics = tuple(counterparts.get(m, m) for m in metrics)
     grid = as_grid(taus, tol.fd_step)
+    if "power_fd" in metrics:
+        grid.require_resolved(tol)
     try:
         closed = _closed_columns(p, grid, mode, metrics, tol)
         numeric = _numeric_columns(p, grid, mode, metrics, tol)
@@ -408,22 +408,19 @@ def _numeric_columns(
     """The oracle columns of one curve, each an array over the taus, flagged
     if ill-conditioned; in oracle-only mode also the coherence and the
     reconciled capacity of the numeric route. Only the nodes whose columns
-    are selected are evolved, and decomposed only for an ergotropy column."""
+    are selected are evolved."""
     count, columns = len(grid.taus), {}
     coherence = "coherence_l1" in metrics and mode == "oracle-only"
     numeric, power = "ergotropy_numeric" in metrics, "power_fd" in metrics
     if not (numeric or power or mode == "oracle-only"):
         return CurveColumns(grid.taus, columns)
-    if power:
-        grid.require_resolved(tol)
     nodes = slice(0 if numeric or coherence else count, 3 * count if power else count)
-    hs, rhos, chunks = _numeric_pass((p,), grid, nodes, tol, spectra=numeric or power)
+    hs, rhos, chunks = _numeric_pass((p,), grid, nodes, tol)
     energies = np.empty(3 * count)
     if coherence:
         columns["coherence_l1"] = np.empty(count)
     for _, lo, states, values in chunks:
-        if values is not None:
-            energies[lo:lo + len(values)] = values
+        energies[lo:lo + len(values)] = values
         if coherence and lo < count:  # the states at the taus themselves
             columns["coherence_l1"][lo:lo + len(states)] = l1_coherence(states[:count - lo])
     if numeric:

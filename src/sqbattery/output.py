@@ -11,14 +11,15 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import os
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .linalg import MAX_STACK
-from .metrics import main_fields
-from .sweep import Curve, SweepResult
+from .metrics import ORACLE_METRICS, main_fields
+from .sweep import Curve, SweepConfig, SweepResult
 
 __all__ = [
     "PANELS",
@@ -28,6 +29,7 @@ __all__ = [
     "sweep_columns",
     "write_csv",
     "write_figure_files",
+    "write_file",
     "write_json",
 ]
 
@@ -108,15 +110,17 @@ def _csv_rows(curve: Curve, mode: str, metric_columns, tau_cells: dict):
         yield (row * len(block[0])) % tuple(values)
 
 
-def sweep_columns(include_oracle: bool = False) -> tuple[str, ...]:
-    """The metric columns of a sweep: the main ones, then the oracle ones if asked."""
-    return MAIN_COLUMNS + (ORACLE_COLUMNS if include_oracle else ())
+def sweep_columns(config: SweepConfig) -> tuple[str, ...]:
+    """The metric columns of a sweep: the main ones, then the oracle ones if
+    ``config`` selects an oracle metric."""
+    oracle = not set(config.metrics).isdisjoint(ORACLE_METRICS)
+    return MAIN_COLUMNS + (ORACLE_COLUMNS if oracle else ())
 
 
-def sweep_csv_text(result: SweepResult, include_oracle: bool = False) -> str:
-    """Full sweep as one CSV document (all main metric columns)."""
+def sweep_csv_text(result: SweepResult) -> str:
+    """Full sweep as one CSV document, in the columns of :func:`sweep_columns`."""
     stream = io.StringIO()
-    write_csv(result, sweep_columns(include_oracle), stream)
+    write_csv(result, sweep_columns(result.config), stream)
     return stream.getvalue()
 
 
@@ -162,28 +166,53 @@ def figure_file_names(name: str, fmt: str) -> list[str]:
     return files
 
 
+def write_file(path: str | Path, write) -> None:
+    """Call ``write`` on a text stream to the file ``path``, its directories
+    made first.
+
+    A regular file is written beside ``path`` and renamed onto it once
+    complete, keeping the mode bits of the file it replaces, so a failure
+    part-way leaves ``path`` as it was; a special file (``/dev/null``, a
+    FIFO) is written in place, never renamed onto.
+    """
+    path = Path(path).resolve()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.exists() and not path.is_file():
+        with path.open("w", encoding="utf-8", newline="") as stream:
+            write(stream)
+        return
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    stream = temporary.open("x", encoding="utf-8", newline="")
+    try:
+        with stream:
+            if path.exists():
+                temporary.chmod(path.stat().st_mode & 0o7777)
+            write(stream)
+        temporary.replace(path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def write_figure_files(
     result: SweepResult,
     name: str,
     out_dir: str | Path,
     fmt: str = "csv",
-    include_oracle: bool = False,
 ) -> list[Path]:
-    """Write one data file per panel plus a manifest; returns the paths.
-    The curves (a figure has four) are collected before ``out_dir`` is made."""
+    """Write one data file per panel plus a manifest, each by
+    :func:`write_file`; returns the paths. A panel carries its oracle
+    companion column when :func:`sweep_columns` has it. The curves (a
+    figure has four) are collected before ``out_dir`` is made."""
     result = dataclasses.replace(result, curves=tuple(result.curves))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     file_names = figure_file_names(name, fmt)
-    paths = [out / fname for fname in file_names]
-    tau_cells = {}
+    paths = [Path(out_dir) / fname for fname in file_names]
+    wanted, tau_cells = sweep_columns(result.config), {}
     for path, (_, metric, oracle) in zip(paths, PANELS):
-        columns = (metric,) + ((oracle,) if include_oracle and oracle else ())
-        with path.open("w", encoding="utf-8", newline="") as stream:
-            if fmt == "csv":
-                _write_csv(result, columns, stream, tau_cells)
-            else:
-                write_json(result, stream, ("tau", "flag") + columns)
-    with paths[-1].open("w", encoding="utf-8", newline="") as stream:
-        write_json(result, stream, None, file_names[:-1])
+        columns = (metric, oracle) if oracle in wanted else (metric,)
+        if fmt == "csv":
+            write_file(path, lambda stream: _write_csv(result, columns, stream, tau_cells))
+        else:
+            write_file(path, lambda stream: write_json(result, stream, ("tau", "flag") + columns))
+    write_file(paths[-1], lambda stream: write_json(result, stream, None, file_names[:-1]))
     return paths

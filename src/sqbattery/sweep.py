@@ -21,7 +21,7 @@ import numpy as np
 from . import __about__
 from .dynamics import TauGrid, validate_mode
 from .exceptions import UnknownPresetError
-from .metrics import CLOSED_FIELDS, DEFAULT_METRICS, CurveColumns, compute_curve, main_fields
+from .metrics import DEFAULT_METRICS, CurveColumns, compute_curve, main_fields
 from .model import BatteryParams
 from .tolerances import Tolerances, resolve
 
@@ -156,19 +156,14 @@ def stream_sweep(cfg: SweepConfig, tol: Tolerances | None = None) -> SweepResult
     evaluates each curve over the sweep's one tau grid when it is drawn, so
     only one curve's columns need be alive at a time.
 
-    The grid, the first curve and, when ``power_fd`` is selected, the
-    grid's finite-difference nodes are built, evaluated and checked on call,
-    so a request that fails at once fails before anything is drawn.
+    The grid and the first curve are built and evaluated on call, so a
+    request that fails at once, such as one whose finite-difference nodes
+    :func:`compute_curve` rejects, fails before anything is drawn.
     """
     tol = resolve(tol)
     grid = TauGrid(cfg.tau_grid(), tol.fd_step)
     curves = (_curve(label, params, grid, cfg, tol) for label, params in _curve_cases(cfg))
     first = next(curves)
-    # power_fd, or in oracle-only mode the power column it stands in for; an
-    # overflowing first curve has not checked the nodes
-    if "power_fd" in cfg.metrics or (cfg.mode == "oracle-only"
-                                     and CLOSED_FIELDS["power"] in cfg.metrics):
-        grid.require_resolved(tol)
     provenance = {
         "package": __about__.NAME,
         "version": __about__.VERSION,

@@ -543,6 +543,21 @@ def test_failure_part_way_leaves_out_as_it_was(tmp_path, monkeypatch, capsys, fm
         assert out.read_bytes() == existing
 
 
+def test_figure_file_that_cannot_be_written_leaves_each_panel_whole(tmp_path, capsys):
+    # each figure file is replaced whole, as an --out file is; the set of
+    # them is not written all or nothing
+    assert main(["figure", "fig1", "--out", str(tmp_path)]) == 0
+    panels = {f: f.read_bytes() for f in tmp_path.iterdir() if f.suffix == ".csv"}
+    manifest = tmp_path / "fig1_manifest.json"
+    manifest.unlink()
+    manifest.mkdir()
+    capsys.readouterr()
+    assert main(["figure", "fig1", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and str(manifest) in err
+    assert {f: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()} == panels
+
+
 def test_failure_part_way_on_stdout_keeps_the_rows_written(monkeypatch, capsys):
     fail_on_second_curve(monkeypatch)
     assert main(list(SWEEP_ARGS)) == 3

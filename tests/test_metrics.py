@@ -27,6 +27,7 @@ from sqbattery import metrics as metrics_mod
 from sqbattery import model as model_mod
 from sqbattery.linalg import MAX_STACK
 from sqbattery.metrics import ALL_METRICS
+from sqbattery.sweep import summarize_curve
 from conftest import random_density, random_hermitian
 from reference import build_charging_hamiltonian, passive_state
 
@@ -346,6 +347,19 @@ def test_compute_sample_oracle_only_mode():
     s = compute_sample(p, 0.5, mode="oracle-only", metrics=ALL_METRICS)
     assert set(s.columns) == {"ergotropy_numeric", "power_fd", "capacity_definitional",
                               "capacity_reconciled", "coherence_l1"}
+
+
+@pytest.mark.parametrize("mode", ["corrected", "verbatim"])
+def test_scalar_tau_curve_is_its_one_tau_sample(mode):
+    # every per-tau column is an array, the closed forms' too
+    p = BatteryParams(xi1=1.5, xi2=0.5, xic=0.5, temperature=0.1)
+    curve = compute_curve(p, 0.3, mode, ALL_METRICS)
+    sample = compute_sample(p, 0.3, mode, ALL_METRICS)
+    assert curve.columns.keys() == sample.columns.keys()
+    for name, value in sample.columns.items():
+        assert type(curve.columns[name]) is type(value), name
+        assert np.asarray(curve.columns[name]).tobytes() == np.asarray(value).tobytes(), name
+    assert summarize_curve(curve, mode) == summarize_curve(sample, mode)
 
 
 def test_compute_sample_overflow_flagged_in_band():

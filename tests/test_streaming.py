@@ -1,4 +1,4 @@
-"""Outputs are written curve by curve, after the whole sweep is evaluated.
+"""Outputs are written curve by curve, each curve as it is evaluated.
 
 Stdout carries the bytes of an ``--out`` file, writing a sweep holds about
 one curve's rows rather than the document, and the closed-form columns of a
@@ -88,7 +88,7 @@ def test_writing_a_sweep_holds_about_one_curve(tmp_path, fmt, n, bound):
     out = tmp_path / f"sweep.{fmt}"
     tracemalloc.start()
     try:
-        code = cli._emit_result(result, argparse.Namespace(fmt=fmt, oracle=False, out=str(out)))
+        code = cli._emit_result(result, argparse.Namespace(fmt=fmt, out=str(out)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

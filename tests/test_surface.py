@@ -55,12 +55,28 @@ def test_every_tolerance_is_read_outside_its_record():
     assert [f.name for f in dataclasses.fields(Tolerances) if f.name not in used] == []
 
 
+def names_in(path: Path) -> set:
+    """Every name, attribute and imported name that the module at ``path`` spells."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return names | {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
 def test_the_cli_never_holds_a_whole_sweep():
     # the command line streams each curve to its writer as it is evaluated;
     # run_sweep would hold every curve of a request before the first is written
-    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    names |= {alias.name for node in ast.walk(tree)
-              if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert "run_sweep" not in names
+    assert "run_sweep" not in names_in(SRC / "cli.py")
+
+
+def test_each_request_is_stated_once():
+    # SweepConfig.metrics alone says which columns are written, and
+    # metrics.compute_curve alone applies the finite-difference rule and
+    # maps each main column to its closed-form or numeric column
+    owned = {"require_resolved", "CLOSED_FIELDS", "NUMERIC_FIELDS"}
+    offenders = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+                 if path.name != "metrics.py" for name in sorted(names_in(path) & owned)]
+    offenders += [path.name for path in SRC.glob("*.py")
+                  if "include_oracle" in path.read_text(encoding="utf-8")]
+    assert offenders == []

@@ -11,8 +11,9 @@ from sqbattery import (
     figure_preset,
     run_sweep,
 )
-from sqbattery.metrics import ALL_METRICS
-from sqbattery.output import sweep_csv_text, write_json
+from sqbattery.metrics import ALL_METRICS, DEFAULT_METRICS
+from sqbattery.output import (CURVE_COLUMNS, MAIN_COLUMNS, ORACLE_COLUMNS, sweep_csv_text,
+                              write_figure_files, write_json)
 from reference import _text, cell_bits
 
 
@@ -86,6 +87,21 @@ def test_determinism_of_serialized_output():
     b = run_sweep(cfg)
     assert sweep_csv_text(a) == sweep_csv_text(b)
     assert _text(lambda stream: write_json(a, stream)) == _text(lambda stream: write_json(b, stream))
+
+
+@pytest.mark.parametrize("metrics, oracle", [
+    (DEFAULT_METRICS, False), (ALL_METRICS, True), (("power_fd",), True),
+])
+def test_oracle_columns_are_written_exactly_when_selected(tmp_path, metrics, oracle):
+    # the config's metrics alone decide the columns, the panels' companions too
+    result = run_sweep(SweepConfig(base=BASE, tau_count=3, metrics=metrics))
+    header, *rows = (line.split(",") for line in sweep_csv_text(result).splitlines())
+    assert header == [*CURVE_COLUMNS, "tau", *MAIN_COLUMNS,
+                      *(ORACLE_COLUMNS if oracle else ()), "flag"]
+    if oracle:
+        assert all(row[header.index("power_fd")] for row in rows)
+    panel = write_figure_files(result, "fig", tmp_path)[1].read_text("utf-8")
+    assert panel.split("\n")[0].endswith(",power,power_fd,flag" if oracle else ",power,flag")
 
 
 def test_summary_consistent_with_series():
