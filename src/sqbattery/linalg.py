@@ -198,17 +198,17 @@ def hermitian_eigendecomposition(
     return SpectralDecomposition(w, v)
 
 
-def _decompose(m: np.ndarray, offset: int, tol: Tolerances,
-               vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigenvalues and eigenvectors (or None) of one chunk; ``offset`` numbers its matrices."""
-    count, n = m.shape[0], m.shape[-1]
+def _check_input(m: np.ndarray, offset: int, tol: Tolerances) -> None:
+    """Reject a stack ``(N, n, n)`` as the eigensolver does: ``ValueError``
+    for a matrix with non-finite entries, ``NotHermitianError`` for one that
+    is not Hermitian within ``tol.hermitian``; ``offset`` numbers its matrices."""
     finite = np.isfinite(m).all(axis=(-2, -1))
     if not finite.all():
         raise ValueError(
             f"matrix {offset + int(np.argmin(finite))} of the stack has non-finite entries"
         )
     # |m - m^dagger| is symmetric: its upper triangle holds its max
-    rows, cols, upper, lower = _triangles(n)
+    rows, cols = _triangles(m.shape[-1])[:2]
     dev = m[:, cols, rows]
     np.conjugate(dev, out=dev)
     with np.errstate(over="ignore"):
@@ -220,6 +220,14 @@ def _decompose(m: np.ndarray, offset: int, tol: Tolerances,
             f"matrix {offset + i} of the stack deviates from Hermitian by "
             f"{dev[i]:.3e} (tolerance {tol.hermitian:.1e})"
         )
+
+
+def _decompose(m: np.ndarray, offset: int, tol: Tolerances,
+               vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues and eigenvectors (or None) of one chunk; ``offset`` numbers its matrices."""
+    _check_input(m, offset, tol)
+    count, n = m.shape[0], m.shape[-1]
+    upper, lower = _triangles(n)[2:]
 
     # scale by 2**-e, with 2**e just above the largest real or imaginary part
     top = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1))

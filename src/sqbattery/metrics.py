@@ -14,16 +14,19 @@ default) or ``verbatim`` (the originally published expressions; see README).
 The closed forms take tau arrays or grids and the numeric routes take stacks:
 :func:`compute_curve` evaluates one parameter set over a whole tau grid,
 every column once per curve, and :func:`compute_sample` is its one-tau case.
+Its oracle reads each evolved state's spectrum off its Gibbs weights, so a
+curve decomposes only H; ``verify``'s spectral leg checks that identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .dynamics import TauGrid, _closed_coherence, as_grid, validate_mode
-from .linalg import MAX_STACK, hermitian_eigendecomposition
+from .linalg import MAX_STACK, _check_input, hermitian_eigendecomposition
 from .model import (
     BatteryParams,
     ThermalTerms,
@@ -52,9 +55,10 @@ __all__ = [
 ]
 
 
-def _trace_real(m: np.ndarray):
-    """Real part of the trace of a matrix (float) or of each matrix of a stack."""
-    t = np.trace(m, axis1=-2, axis2=-1).real
+def _energies(m: np.ndarray, h: np.ndarray):
+    """Re tr(m h) of a matrix or stack, h Hermitian: sum of Re m_ij Re h_ij + Im m_ij Im h_ij."""
+    m, h = (np.ascontiguousarray(a, dtype=complex).view(float) for a in (m, h))
+    t = (m * h).sum(axis=(-2, -1))
     return float(t) if t.ndim == 0 else t
 
 
@@ -77,16 +81,13 @@ def ergotropy(state: np.ndarray, h: np.ndarray, tol: Tolerances | None = None):
 
 
 def _ergotropies(states: np.ndarray, h: np.ndarray, spectra: np.ndarray, levels: np.ndarray):
-    """:func:`ergotropy` of each state of a stack, given the states' ascending
-    ``spectra`` and ``levels``, the ascending eigenvalues of h."""
-    return _trace_real(states @ h) - (spectra[:, ::-1] * levels).sum(axis=-1)
+    """:func:`ergotropy` of a stack, from its and h's ascending ``spectra`` and ``levels``."""
+    return _energies(states, h) - (spectra[:, ::-1] * levels).sum(axis=-1)
 
 
-def ergotropy_vs_reference(
-    state: np.ndarray, reference: np.ndarray, h: np.ndarray
-):
+def ergotropy_vs_reference(state: np.ndarray, reference: np.ndarray, h: np.ndarray):
     """tr((state - reference) h): extractable work against a fixed reference."""
-    return _trace_real((state - reference) @ h)
+    return _energies(state - reference, h)
 
 
 def ergotropy_closed_form(
@@ -155,31 +156,33 @@ def _power_closed(p: BatteryParams, t: ThermalTerms, g: TauGrid, mode: str):
     )
 
 
-def _numeric_pass(params, grid: TauGrid, nodes: slice, tol: Tolerances,
-                  evolved: int | None = None):
+def _numeric_pass(params, grid: TauGrid, tol: Tolerances, evolved: int | None = None):
     """The numeric route of a stack of parameter sets over one tau grid.
 
     Every full Hamiltonian H, gate charges included, is decomposed in one
-    call, with eigenvectors, for its Gibbs state rho_th. Returns the H
-    stack, the rho_th stack and the chunks of :func:`_evolved_chunks` for
-    the first ``evolved`` sets (all by default).
+    call, with eigenvectors, for its Gibbs state rho_th and passive energy.
+    Returns the H and rho_th stacks and ``chunks(nodes, spectral=False)``:
+    :func:`_evolved_chunks` of the first ``evolved`` sets (by default all).
     """
     hs = np.array([build_full_hamiltonian(p) for p in params])
     dec = hermitian_eigendecomposition(hs, tol)
-    rhos = _gibbs_state(dec, [p.temperature for p in params])
+    rhos, passive = _gibbs_state(dec, [p.temperature for p in params])
     sets = len(hs) if evolved is None else evolved
-    chunks = _evolved_chunks(grid, nodes, hs[:sets], dec.eigenvalues, rhos, tol)
-    return hs, rhos, chunks
+    return hs, rhos, partial(_evolved_chunks, grid, hs[:sets], dec.eigenvalues, passive, rhos, tol)
 
 
-def _evolved_chunks(grid: TauGrid, nodes: slice, hs, levels, rhos, tol: Tolerances):
-    """Yield ``(i, lo, states, energies)``: the states U(tau) rho_i
+def _evolved_chunks(grid: TauGrid, hs, levels, passive, rhos, tol: Tolerances, nodes: slice,
+                    spectral: bool = False):
+    """Yield ``(i, lo, states, energies, spectral)``: the states U(tau) rho_i
     U(tau)^dagger of set ``i`` at the grid nodes from ``lo`` on, within
-    ``nodes``, and their ergotropies.
+    ``nodes``, their ergotropies and, if ``spectral``, their sorted-spectrum
+    ergotropies against the ``levels`` of H_i (else None).
 
-    The (set, node) pairs are evolved and decomposed, eigenvalues only, in
-    chunks of at most ``MAX_STACK`` that share one buffer, so only one chunk
-    of states is held however long the grid: each yielded ``states`` is
+    A unitary keeps rho_i's spectrum, its Gibbs weights, so each ergotropy is
+    tr(state H_i) - ``passive[i]`` and no state is decomposed but for the
+    ``spectral`` leg, which checks that identity; each chunk still passes the
+    eigensolver's input check. The (set, node) pairs are evolved in chunks of
+    at most ``MAX_STACK`` that share one buffer: each yielded ``states`` is
     overwritten by the next chunk. Every value is that of its matrix alone.
     """
     start, width = nodes.start, nodes.stop - nodes.start
@@ -194,18 +197,16 @@ def _evolved_chunks(grid: TauGrid, nodes: slice, hs, levels, rhos, tol: Toleranc
         for i, lo, size, at in runs:
             grid.evolve(rhos[i], slice(lo, lo + size), tol, out=buffer[at:at + size])
         stack = buffer[:last - first]
-        eigs = hermitian_eigendecomposition(stack, tol, vectors=False).eigenvalues
+        _check_input(stack, 0, tol)
+        if spectral:
+            eigs = hermitian_eigendecomposition(stack, tol, vectors=False).eigenvalues
         for i, lo, size, at in runs:
             states = stack[at:at + size]
-            yield i, lo, states, _ergotropies(states, hs[i], eigs[at:at + size], levels[i])
+            yield i, lo, states, _energies(states, hs[i]) - passive[i], (
+                _ergotropies(states, hs[i], eigs[at:at + size], levels[i]) if spectral else None)
 
 
-def power_fd(
-    p: BatteryParams,
-    tau,
-    step: float | None = None,
-    tol: Tolerances | None = None,
-):
+def power_fd(p: BatteryParams, tau, step: float | None = None, tol: Tolerances | None = None):
     """Central-difference dE/dtau through the fully numeric ergotropy route:
     the ``power_fd`` column of :func:`compute_curve` on ``TauGrid(tau, step)``.
 
@@ -232,9 +233,7 @@ def capacity_closed_form(p: BatteryParams, tol: Tolerances | None = None) -> flo
 
 
 def _capacity_closed(p: BatteryParams, t: ThermalTerms) -> float:
-    return p.xic + 0.5 * (
-        t.alpha_minus * t.rb_minus + t.alpha_plus * t.rb_plus
-    )
+    return p.xic + 0.5 * (t.alpha_minus * t.rb_minus + t.alpha_plus * t.rb_plus)
 
 
 def capacity_reconciled(p: BatteryParams, h: np.ndarray, rho: np.ndarray) -> float:
@@ -242,7 +241,7 @@ def capacity_reconciled(p: BatteryParams, h: np.ndarray, rho: np.ndarray) -> flo
 
     The numeric counterpart of :func:`capacity_closed_form`.
     """
-    return p.xic - _trace_real(h @ rho)
+    return p.xic - _energies(rho, h)
 
 
 def l1_coherence(state: np.ndarray):
@@ -331,11 +330,12 @@ def compute_curve(
 
     ``taus`` is an array or a ``TauGrid``, which a sweep shares between its
     curves. Every column is evaluated once per curve. The Hamiltonian is
-    built and decomposed once, for its Gibbs state and for the passive
-    energies; the numeric columns (``ergotropy_numeric``, ``power_fd`` at
-    tau +/- the grid's step, and coherence in oracle-only mode) come from
-    one :func:`_numeric_pass`, which evolves and decomposes (eigenvalues
-    only) at most ``MAX_STACK`` states at a time; each
+    built and decomposed once (the curve's one eigensolver call), for its
+    Gibbs state and the passive energy every evolved state shares; the
+    numeric columns (``ergotropy_numeric``, ``power_fd`` at tau +/- the
+    grid's step, and coherence in oracle-only mode) come from one
+    :func:`_numeric_pass`, which evolves at most ``MAX_STACK`` states at a
+    time and reads their spectrum off the Gibbs weights; each
     closed form is one call over the whole tau array, and the
     tau-independent capacities are computed once. In
     oracle-only mode each closed-form metric gives way to its numeric
@@ -415,11 +415,11 @@ def _numeric_columns(
     if not (numeric or power or mode == "oracle-only"):
         return CurveColumns(grid.taus, columns)
     nodes = slice(0 if numeric or coherence else count, 3 * count if power else count)
-    hs, rhos, chunks = _numeric_pass((p,), grid, nodes, tol)
+    hs, rhos, chunks = _numeric_pass((p,), grid, tol)
     energies = np.empty(3 * count)
     if coherence:
         columns["coherence_l1"] = np.empty(count)
-    for _, lo, states, values in chunks:
+    for _, lo, states, values, _ in chunks(nodes):
         energies[lo:lo + len(values)] = values
         if coherence and lo < count:  # the states at the taus themselves
             columns["coherence_l1"][lo:lo + len(states)] = l1_coherence(states[:count - lo])

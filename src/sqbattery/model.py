@@ -162,11 +162,14 @@ def thermal_terms(p: BatteryParams, tol: Tolerances | None = None) -> ThermalTer
         )
 
     shift = max(xp, xm) if max(xp, xm) > tol.exponent_bound else 0.0
+    # shifted (by xp >= xm), xm - shift is taken from alpha+ - alpha- =
+    # 4 xi1 xi2 / (alpha+ + alpha-), not as a difference of two numbers near alpha/2T
+    xm_s = -(2.0 * x1 * x2 / (alpha_plus + alpha_minus)) / temp if shift else xm
     # scaled cosh/sinh: all exponents are <= 0 after shifting
     a_plus_s = 0.5 * (math.exp(xp - shift) + math.exp(-xp - shift))
-    a_minus_s = 0.5 * (math.exp(xm - shift) + math.exp(-xm - shift))
+    a_minus_s = 0.5 * (math.exp(xm_s) + math.exp(-xm - shift))
     b_plus_s = 0.5 * (math.exp(xp - shift) - math.exp(-xp - shift))
-    b_minus_s = 0.5 * (math.exp(xm - shift) - math.exp(-xm - shift))
+    b_minus_s = 0.5 * (math.exp(xm_s) - math.exp(-xm - shift))
     d_s = a_plus_s + a_minus_s
 
     # sinh(x)/alpha has the finite limit 1/(2T) as alpha -> 0
@@ -230,12 +233,14 @@ def gibbs_state_numeric(
     """
     if np.any(np.asarray(temperature, dtype=float) <= 0):
         raise ValueError("temperature must be positive")
-    return _gibbs_state(hermitian_eigendecomposition(h, tol), temperature)
+    return _gibbs_state(hermitian_eigendecomposition(h, tol), temperature)[0]
 
 
-def _gibbs_state(dec: SpectralDecomposition, temperature) -> np.ndarray:
+def _gibbs_state(dec: SpectralDecomposition, temperature) -> tuple[np.ndarray, np.ndarray]:
     """The Gibbs state of the matrix or stack that ``dec`` decomposes, at the
-    positive ``temperature`` (one, or one per matrix)."""
+    positive ``temperature`` (one, or one per matrix), and its passive energy
+    sum_k w_k e_k: its weights w_k are its spectrum, non-increasing over the
+    ascending eigenvalues e_k, so no state with that spectrum has less energy."""
     e = dec.eigenvalues
     with np.errstate(over="ignore"):
         scaled = (e - e[..., :1]) / np.asarray(temperature, dtype=float)[..., None]
@@ -243,4 +248,4 @@ def _gibbs_state(dec: SpectralDecomposition, temperature) -> np.ndarray:
     w /= w.sum(axis=-1, keepdims=True)
     v = dec.eigenvectors
     rho = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return (rho + rho.conj().swapaxes(-1, -2)) / 2.0
+    return (rho + rho.conj().swapaxes(-1, -2)) / 2.0, (w * e).sum(axis=-1)

@@ -60,11 +60,6 @@ def _column(curve: Curve, name: str, mode: str):
     return columns.columns.get(main_fields(mode).get(name, name))
 
 
-def _series(value, count: int):
-    """``count`` cells of a column: an array's elements, or one value repeated."""
-    return value.tolist() if isinstance(value, np.ndarray) else repeat(value, count)
-
-
 def write_csv(result: SweepResult, metric_columns: tuple[str, ...], stream) -> None:
     """Write the header (curve columns, tau, the given metric columns, flag),
     then the rows of each curve as it is read, to ``stream``."""
@@ -124,27 +119,46 @@ def sweep_csv_text(result: SweepResult) -> str:
     return stream.getvalue()
 
 
-def _curve_object(curve: Curve, mode: str, sample_keys) -> dict:
-    """One curve's label, params, summary and, unless ``sample_keys`` is None, samples."""
+def _curve_text(curve: Curve, mode: str, sample_keys):
+    """Yield one curve's label, params, summary and, unless ``sample_keys`` is
+    None, samples as text, re-indented to its place in the curves list.
+
+    The samples are dumped ``MAX_STACK`` at a time into the slot of an empty
+    ``"samples"`` list, so only one block of sample objects is held.
+    """
     entry = {
         "label": curve.label,
         "params": dataclasses.asdict(curve.params),
         "summary": dataclasses.asdict(curve.summary),
     }
     if sample_keys is not None:
-        count = len(curve.samples)
-        columns = [_series(_column(curve, key, mode), count) for key in sample_keys]
-        entry["samples"] = [dict(zip(sample_keys, values)) for values in zip(*columns)]
-    return entry
+        entry["samples"] = []
+    text = json.dumps(entry, sort_keys=True, indent=2).replace("\n", "\n    ")
+    if sample_keys is None:
+        yield text
+        return
+    # labels are dumped escaped, so the key is the only '"samples": []'
+    head, _, tail = text.partition('"samples": []')
+    yield head + '"samples": ['
+    columns = [_column(curve, key, mode) for key in sample_keys]
+    for lo in range(0, len(curve.samples), MAX_STACK):
+        hi = min(lo + MAX_STACK, len(curve.samples))
+        cells = [c[lo:hi].tolist() if isinstance(c, np.ndarray) else repeat(c, hi - lo)
+                 for c in columns]
+        block = json.dumps([dict(zip(sample_keys, row)) for row in zip(*cells)],
+                           sort_keys=True, indent=2)
+        # the block's objects without its brackets, each at the samples' indent
+        yield ("," if lo else "") + block[1:-2].replace("\n", "\n      ")
+    yield "\n      ]" + tail
 
 
 def write_json(result: SweepResult, stream, sample_keys=SAMPLE_KEYS,
                files: list[str] | None = None) -> None:
     """Write config, provenance, curves and, if given, a manifest's ``files``
     to ``stream`` as ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
-    would. Each curve is dumped alone, as it is read, and re-indented, so
-    only one curve's samples are held at a time; ``sample_keys=None`` leaves
-    them out."""
+    would. Each curve is written as it is read, by :func:`_curve_text`, so
+    only one block of one curve's samples is held at a time;
+    ``sample_keys=None`` leaves them out."""
     top = dict(config=dataclasses.asdict(result.config), curves=[], provenance=result.provenance)
     if files is not None:
         top["files"] = files
@@ -153,9 +167,8 @@ def write_json(result: SweepResult, stream, sample_keys=SAMPLE_KEYS,
     stream.write(head + '"curves": [')
     count = 0
     for count, curve in enumerate(result.curves, 1):
-        entry = json.dumps(_curve_object(curve, result.config.mode, sample_keys),
-                           sort_keys=True, indent=2)
-        stream.write(("," if count > 1 else "") + "\n    " + entry.replace("\n", "\n    "))
+        stream.write(("," if count > 1 else "") + "\n    ")
+        stream.writelines(_curve_text(curve, result.config.mode, sample_keys))
     stream.write(("\n  ]" if count else "]") + tail + "\n")
 
 

@@ -100,9 +100,12 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
 
     The pass decomposes every Hamiltonian (presets and cloud) in one stacked
     call, for the thermal suite's Gibbs states; it then evolves each
-    preset's Gibbs state over tau, tau + fd_step and tau - fd_step on one
-    ``TauGrid``, in chunks whose eigenvalues-only call serves both the
-    ergotropy and the power suite. Each chunk is reduced to its residuals
+    preset's Gibbs state on one ``TauGrid``, in chunks of at most
+    ``MAX_STACK`` states across presets. The oracle reads each evolved
+    state's spectrum off its Gibbs weights; the ergotropy suite's spectral
+    leg, which checks that identity, decomposes the states at the taus
+    (eigenvalues only, one call per chunk), while those at tau +/- fd_step
+    only feed the power suite. Each chunk is reduced to its residuals
     before the next is evolved.
     """
     if level not in ("quick", "full"):
@@ -113,29 +116,30 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     taus = np.linspace(0.0, 2.0 * np.pi, 401 if level == "full" else 81)
     grid, n, step = dynamics.TauGrid(taus, tol.fd_step), len(taus), tol.fd_step
 
-    hs, rhos, chunks = metrics._numeric_pass(param_sets, grid, slice(0, 3 * n), tol,
-                                             evolved=len(presets))
+    hs, rhos, chunks = metrics._numeric_pass(param_sets, grid, tol, evolved=len(presets))
     closed_rhos = np.array([model.gibbs_state_closed_form(p, tol) for p in param_sets])
     gibbs = [np.abs(closed_rhos - rhos)]
 
-    energies, e_reference = np.empty((len(presets), 3 * n)), np.empty((len(presets), n))
+    oracle, spectral, e_reference = (np.empty((len(presets), n)) for _ in range(3))
     evolved, closed = [], {}
-    for i, lo, states, values in chunks:
-        energies[i, lo:lo + len(values)] = values
-        if lo < n:  # the states at the taus themselves
-            states, hi = states[:n - lo], min(n, lo + len(states))
-            if i not in closed:  # runs come preset by preset: keep one preset's states
-                closed = {i: dynamics.evolved_state_closed_form(presets[i], grid, "corrected", tol)}
-            evolved.append(np.abs(closed[i][lo:hi] - states).max())
-            e_reference[i, lo:hi] = metrics.ergotropy_vs_reference(states, rhos[i], hs[i])
+    for i, lo, states, values, by_spectrum in chunks(slice(0, n), spectral=True):
+        hi = lo + len(states)
+        oracle[i, lo:hi], spectral[i, lo:hi] = values, by_spectrum
+        if i not in closed:  # runs come preset by preset: keep one preset's states
+            closed = {i: dynamics.evolved_state_closed_form(presets[i], grid, "corrected", tol)}
+        evolved.append(np.abs(closed[i][lo:hi] - states).max())
+        e_reference[i, lo:hi] = metrics.ergotropy_vs_reference(states, rhos[i], hs[i])
+    shifted = np.empty((len(presets), 2 * n))  # at every tau + step, then every tau - step
+    for i, lo, _, values, _ in chunks(slice(n, 3 * n)):
+        shifted[i, lo - n:lo - n + len(values)] = values
 
     ergotropies, powers, capacities = [], [], []
-    for p, h, rho, e, e_ref in zip(presets, hs, rhos, energies, e_reference):
-        e_spectral = e[:n]
+    for p, h, rho, e_oracle, e_spectral, e_ref, e_shifted in zip(
+            presets, hs, rhos, oracle, spectral, e_reference, shifted):
         e_closed = metrics.ergotropy_closed_form(p, grid, "corrected", tol)
-        ergotropies += [np.abs(e_spectral - e_ref), np.abs(e_spectral - e_closed),
-                        np.abs(e_ref - e_closed)]
-        fd = grid.central_difference(e[n:])
+        ergotropies += [np.abs(e_spectral - e_oracle), np.abs(e_spectral - e_ref),
+                        np.abs(e_spectral - e_closed), np.abs(e_ref - e_closed)]
+        fd = grid.central_difference(e_shifted)
         powers.append(np.abs(metrics.power_closed_form(p, grid, "corrected", tol) - fd))
         closed_capacity = metrics.capacity_closed_form(p, tol)
         capacities += [abs(closed_capacity - metrics.capacity_reconciled(p, h, rho)),
@@ -152,9 +156,10 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
                f"{len(param_sets)} parameter sets"),
         _suite("evolved state closed form vs numeric", evolved, tol.evolved_equivalence,
                f"{len(presets)} parameter sets x {n} tau points"),
-        _suite("ergotropy: spectral vs thermal-reference vs closed form", ergotropies,
-               tol.ergotropy_equivalence,
-               f"pairwise over {len(presets)} parameter sets x {n} tau points"),
+        _suite("ergotropy: spectral vs Gibbs-weight, thermal-reference and closed form",
+               ergotropies, tol.ergotropy_equivalence,
+               f"{len(presets)} parameter sets x {n} tau points; the spectral leg checks "
+               "the Gibbs-weight spectrum the oracle reads"),
         _suite("power closed form vs finite-difference derivative", powers,
                tol.power_equivalence, f"central difference h={step:g}, global scale 1.0"),
         _suite("capacity reconciliation and limits", capacities, tol.capacity_equivalence,

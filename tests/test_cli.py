@@ -404,7 +404,7 @@ def test_point_flags_cancellation_at_huge_energies():
     assert proc.returncode == 0, proc.stderr
     row = parse_csv(proc.stdout)[0]
     assert row["flag"] == "ill_conditioned"
-    assert row["ergotropy"] == "-1.6996415770136547e+184"
+    assert row["ergotropy"] == "-8.4982078850682736e+183"
 
 
 def test_point_oracle_rejects_unresolved_finite_difference_nodes():

@@ -75,8 +75,8 @@ def test_shared_formatter_is_17_significant_digits(x):
 
 
 def test_oracle_only_sweep_decomposes_every_input_once(monkeypatch):
-    # per curve: H with eigenvectors, then its 3 x 5 evolved states
-    # eigenvalues-only; H's spectrum is not recomputed for the ergotropy
+    # per curve: H with eigenvectors, once; the evolved states' spectra are
+    # its Gibbs weights, so none of them is decomposed
     inputs = []
 
     def counting(m, tol=None, **kwargs):
@@ -90,7 +90,7 @@ def test_oracle_only_sweep_decomposes_every_input_once(monkeypatch):
                       varied=(("xic", (0.5, 1.0)),), tau_count=5, mode="oracle-only")
     result = run_sweep(cfg)
     calls = [(shape[0] if len(shape) == 3 else 1, vectors) for shape, vectors, _ in inputs]
-    assert calls == [(1, True), (15, False)] * 2
+    assert calls == [(1, True)] * 2
     assert len({(shape, data) for shape, _, data in inputs}) == len(inputs)
     for curve in result.curves:
         p = curve.params

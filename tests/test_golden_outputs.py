@@ -43,9 +43,9 @@ def test_output_matches_golden_digest(tmp_path, command, mode, fmt):
 # and in oracle-only mode the numeric route behind the main columns too
 ORACLE_FIGURE_SHA256 = {
     ("corrected", "fig1_a_ergotropy.csv"):
-        "1722cedb6abd4d573ae2babe6fbb936fe3045c2cc6bd870e78b53282dd5ad1fc",
+        "0dce8440365da7a90490995d090dd3d4f84f457a09109d28e5fcac181fc34773",
     ("corrected", "fig1_b_power.csv"):
-        "7a2ff894d31982b9e0e378eb5c09a7592c48f584ec46d9f1b2a9883942c771ed",
+        "1159bcaa60b964c8f74a58242da5871c6f3056b87048cd85c3b523f89a62b8d6",
     ("corrected", "fig1_c_capacity.csv"):
         "22b70e897a24c1a7f5893d657fca2034b1adac4a6fbb6e68d01777228f74832c",
     ("corrected", "fig1_d_coherence_l1.csv"):
@@ -53,15 +53,15 @@ ORACLE_FIGURE_SHA256 = {
     ("corrected", "fig1_manifest.json"):
         "749670137cd84c214406772bfb1c276da0500c5ca88e4419436aed9badd9b886",
     ("oracle-only", "fig1_a_ergotropy.csv"):
-        "5971c8e4f10910a951120ef57408dddd03749b4b9bf7cafcc5fe239288aa33a9",
+        "7764f8f53d8738cd1a86d4a8af3e540b6e68972ef551868c678fb168b88a8d70",
     ("oracle-only", "fig1_b_power.csv"):
-        "e3a81f21d1608720366b8c5a6c3c3446984106942fed4d81a0b0698517a2701e",
+        "67bd33e3f18f08660fc7a48ed278eb6e60050166f7c61137259f7e19faf4448e",
     ("oracle-only", "fig1_c_capacity.csv"):
         "917ba8a45f33aead50fb4c3d5c2bab39507140256d7b595d278a9b50c40bb9ba",
     ("oracle-only", "fig1_d_coherence_l1.csv"):
         "4c28f42ecea16bd4c01ab5d0dc77cdec79d48ea70743bee41832c2bbf1cca80b",
     ("oracle-only", "fig1_manifest.json"):
-        "78a4761e1d502ba99cb010b3d94a17d0e38d2fce4d261cf42722e86d275d9102",
+        "a4e0150a2b7983d4ceb630d8a42ca9d73560ee828cb4571b0d36b5fc806ccb1b",
 }
 
 
@@ -77,8 +77,8 @@ def test_oracle_figure_matches_golden_digest(tmp_path, mode, capsys):
 # ``verify quick|full`` stdout: the cloud's parameter sets and every residual
 # the suites report, to the printed digits
 VERIFY_SHA256 = {
-    "quick": "7fbb7814cca429aaff99fa9b1c26d118814210417171018add5cde1465face46",
-    "full": "4752127211bbe4b90af9de4bff13d48647e1b5333c9298b263b9b4a3812cbab1",
+    "quick": "74aba4a5e03675eebe19f3b2a706bebd6df15f652a074eec8d41d5718e939980",
+    "full": "bf4af2600b385af575577d75d7122782be0576c4d66d32dfdbc0c17fce6d1439",
 }
 
 

@@ -1,14 +1,20 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqbattery import (
+    DEFAULT_TOLERANCES,
     BatteryParams,
+    NotHermitianError,
     build_full_hamiltonian,
     capacity_closed_form,
     capacity_definitional,
+    charging_unitaries,
     charging_unitary,
     compute_curve,
     compute_sample,
@@ -23,6 +29,7 @@ from sqbattery import (
     power_fd,
     thermal_terms,
 )
+from sqbattery import dynamics as dynamics_mod
 from sqbattery import metrics as metrics_mod
 from sqbattery import model as model_mod
 from sqbattery.linalg import MAX_STACK
@@ -258,6 +265,36 @@ def test_capacity_reconciliation(preset_params):
         assert abs(capacity_closed_form(p) - reconciled) <= 1e-10
 
 
+# alpha/2T >= 1e5, past exponent_bound, with exp(xm - xp) from 0.05 to 0.83:
+# there xm - xp taken as a difference of two numbers near alpha/2T is off by
+# about eps alpha/2T, which the thermal terms used to carry
+SHIFTED = [(2.0, 2.0, 1724.0, 1.5e-3), (1.0, 3.0, 500.0, 1e-3), (3.0, 0.5, 2000.0, 2e-3)]
+
+
+@pytest.mark.parametrize("xi1, xi2, xic, temp", SHIFTED)
+def test_shifted_closed_forms_match_50_digits(xi1, xi2, xic, temp):
+    taus = [0.3, 0.7, 1.1]
+    with mpmath.workdps(50):
+        x1, x2, xc, t = map(mpmath.mpf, (xi1, xi2, xic, temp))
+        a_plus = mpmath.sqrt(4 * xc**2 + (x1 + x2) ** 2)
+        a_minus = mpmath.sqrt(4 * xc**2 + (x1 - x2) ** 2)
+        b_plus, b_minus = mpmath.sinh(a_plus / (2 * t)), mpmath.sinh(a_minus / (2 * t))
+        d = mpmath.cosh(a_plus / (2 * t)) + mpmath.cosh(a_minus / (2 * t))
+        rs_plus = b_plus / a_plus / d
+        expected = {
+            ergotropy_closed_form: [4 * xc**2 * rs_plus * mpmath.sin(2 * mpmath.mpf(tau)) ** 2
+                                    for tau in taus],
+            power_closed_form: [8 * xc**2 * rs_plus * mpmath.sin(4 * mpmath.mpf(tau))
+                                for tau in taus],
+            capacity_closed_form: [xc + (a_minus * b_minus + a_plus * b_plus) / (2 * d)],
+        }
+        p = BatteryParams(xi1, xi2, xic, temp)
+        for fn, want in expected.items():
+            got = fn(p) if fn is capacity_closed_form else fn(p, taus)
+            errors = [abs((mpmath.mpf(g) - w) / w) for g, w in zip(np.atleast_1d(got), want)]
+            assert max(errors) <= 1e-12, fn.__name__
+
+
 # ------------------------------------------------------------------- coherence
 
 def test_l1_coherence_diagonal_states_are_incoherent(rng):
@@ -422,17 +459,71 @@ def test_oracle_route_reads_the_gate_charges():
 # ------------------------------------------------------ one finite-difference path
 
 def test_power_only_curve_decomposes_only_its_nodes(monkeypatch):
-    # H with eigenvectors for the Gibbs state, then the 2n states at
-    # tau +/- step eigenvalues-only, in chunks of at most MAX_STACK: no state
-    # at tau, and H only once
+    # H once, with eigenvectors, for the Gibbs state and its passive energy;
+    # the 2n states at tau +/- step are evolved and checked in chunks of at
+    # most MAX_STACK, but not decomposed: no state at tau
     p = BatteryParams(1.5, 0.5, 0.5, 0.1)
     taus = np.linspace(0.0, 2.0 * np.pi, 401)
-    calls = eigensolver_calls(monkeypatch)
+    calls, checked = eigensolver_calls(monkeypatch), []
+    check = metrics_mod._check_input
+    monkeypatch.setattr(metrics_mod, "_check_input",
+                        lambda m, *args: checked.append(len(m)) or check(m, *args))
     compute_curve(p, taus, "corrected", ("power_fd",))
     power_fd(p, taus)
-    sizes = [(1 if len(shape) == 2 else shape[0], vectors) for shape, vectors in calls]
-    chunks = [(MAX_STACK, False), (2 * len(taus) - MAX_STACK, False)]
-    assert sizes == ([(1, True)] + chunks) * 2
+    assert calls == [((1, 4, 4), True)] * 2
+    assert checked == [MAX_STACK, 2 * len(taus) - MAX_STACK] * 2
+
+
+@pytest.mark.parametrize("mode", ["corrected", "verbatim", "oracle-only"])
+def test_curve_makes_one_eigensolver_call(monkeypatch, mode):
+    # every evolved state's spectrum is the Gibbs weights of H's one call
+    calls = eigensolver_calls(monkeypatch)
+    taus = np.linspace(0.0, 2.0 * np.pi, 401)
+    compute_curve(BatteryParams(1.5, 0.5, 0.5, 0.1), taus, mode, ALL_METRICS)
+    assert calls == [((1, 4, 4), True)]
+
+
+@pytest.mark.parametrize("metric", ["ergotropy_numeric", "power_fd"])
+@pytest.mark.parametrize("corrupt, error", [(math.nan, ValueError), (1e-3, NotHermitianError)],
+                         ids=["nan", "not-hermitian"])
+def test_corrupt_evolved_state_is_rejected(monkeypatch, metric, corrupt, error):
+    # undecomposed, an evolved state still meets the eigensolver's input check
+    conjugate = dynamics_mod._conjugate
+
+    def corrupting(*args, **kwargs):
+        states = conjugate(*args, **kwargs)
+        states[-1, 0, 1] += corrupt
+        return states
+
+    monkeypatch.setattr(dynamics_mod, "_conjugate", corrupting)
+    with pytest.raises(ValueError) as caught:
+        compute_curve(BatteryParams(1.5, 0.5, 0.5, 0.1), [0.3, 0.7], "corrected", (metric,))
+    assert caught.type is error
+
+
+@settings(max_examples=150, deadline=None)
+@given(xi1=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+       xi2=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+       xic=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+       log_t=st.floats(-3.0, 1.0),
+       taus=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=3))
+def test_gibbs_weight_oracle_matches_the_sorted_spectrum(xi1, xi2, xic, log_t, taus):
+    # the curve reads each evolved state's spectrum off the Gibbs weights;
+    # the public ergotropy decomposes it
+    p, tol = BatteryParams(xi1, xi2, xic, 10.0 ** log_t), DEFAULT_TOLERANCES
+    curve = compute_curve(p, taus, "corrected", ("ergotropy_numeric", "power_fd"))
+    assert curve.flag == ""
+    h = build_full_hamiltonian(p)
+    rho = gibbs_state_numeric(h, p.temperature)
+
+    def spectral(nodes):
+        return ergotropy(evolve(rho, charging_unitaries(nodes)), h)
+
+    taus, step = np.array(taus), tol.fd_step
+    error = np.abs(curve.columns["ergotropy_numeric"] - spectral(taus))
+    assert error.max() <= tol.ergotropy_equivalence
+    fd = (spectral(taus + step) - spectral(taus - step)) / (2.0 * step)
+    assert np.abs(curve.columns["power_fd"] - fd).max() <= tol.power_equivalence
 
 
 def test_power_fd_is_the_compute_curve_column():

@@ -98,6 +98,23 @@ def test_writing_a_sweep_holds_about_one_curve(tmp_path, fmt, n, bound):
     assert peak < bound, f"writing peaked at {peak / 1e6:.1f} MB"
 
 
+def test_json_sweep_holds_one_block_of_samples():
+    # a 4001-tau curve's sample objects, built and dumped at once, peaked at
+    # 10.5 MB; dumped MAX_STACK at a time they peak at about 2 MB. The peak is
+    # one curve's, so four curves show it as well as the 64 of the benchmark
+    args = ["sweep", "--xi1", "1.5", "--xic", "0.5", "--vary", "xi2=0.5,2.5",
+            "--vary", "temperature=0.01,1", "--tau-count", "4001",
+            "--format", "json", "--out", os.devnull]
+    tracemalloc.start()
+    try:
+        code = cli.main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 3e6, f"writing peaked at {peak / 1e6:.1f} MB"
+
+
 @pytest.mark.parametrize("mode", ["corrected", "verbatim"])
 def test_thermal_terms_once_per_closed_form_curve(monkeypatch, mode):
     seen = []

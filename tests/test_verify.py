@@ -36,9 +36,10 @@ def test_nan_residual_fails_its_suite(monkeypatch, name, suite):
 
 
 def test_quick_decomposes_every_input_once(monkeypatch):
-    # the thermal suite's Hamiltonians with eigenvectors, then the 16 presets'
-    # 3 x 81 evolved states eigenvalues-only, in chunks of at most MAX_STACK;
-    # H's spectrum is not recomputed
+    # the thermal suite's Hamiltonians with eigenvectors, then, for the
+    # spectral leg, the 16 presets' 81 states at the taus eigenvalues-only, in
+    # chunks of at most MAX_STACK across presets; neither H's spectrum nor the
+    # states at tau +/- fd_step, which only feed the power suite, are decomposed
     inputs = []
 
     def counting(m, tol=None, **kwargs):
@@ -50,7 +51,7 @@ def test_quick_decomposes_every_input_once(monkeypatch):
         monkeypatch.setattr(module, "hermitian_eigendecomposition", counting)
     assert verify_mod.run_verification("quick").passed
     calls = [(shape, vectors) for shape, vectors, _ in inputs]
-    full, rest = divmod(16 * 243, MAX_STACK)
+    full, rest = divmod(16 * 81, MAX_STACK)
     assert calls == ([((116, 4, 4), True)] + [((MAX_STACK, 4, 4), False)] * full
                      + [((rest, 4, 4), False)])
     assert len({(shape, data) for shape, _, data in inputs}) == len(inputs)
