@@ -99,7 +99,9 @@ _CONFIG_TYPES = {
 }
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(args) -> dict:
+    """The object in ``args.config``: the settings of the command's own flags."""
+    path = args.config
     if path is None:
         return {}
     try:
@@ -110,7 +112,7 @@ def _load_config(path: str | None) -> dict:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a flat JSON object")
-    unknown = set(data) - set(_CONFIG_TYPES)
+    unknown = set(data) - (set(_CONFIG_TYPES) & set(vars(args)))
     if unknown:
         raise ValueError(f"config file {path} has unknown keys: {sorted(unknown)}")
     for key, value in data.items():
@@ -184,7 +186,7 @@ def _emit_result(result, args) -> int:
 
 
 def _cmd_point(args, tol) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     tau = float(_setting(args, config, "tau", 0.0))
     if not math.isfinite(tau):  # else the one-point sweep would name its tau_start
         raise ValueError("tau must be finite")
@@ -199,7 +201,7 @@ def _cmd_point(args, tol) -> int:
 
 
 def _cmd_sweep(args, tol) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     # only the tau settings given; SweepConfig holds the defaults
     grid = {key: kind(value) for key, kind in
             (("tau_start", float), ("tau_stop", float), ("tau_count", int))

@@ -22,7 +22,7 @@ import numpy as np
 from .exceptions import NotUnitaryError
 from .linalg import MAX_STACK
 from .model import BatteryParams, ThermalTerms, thermal_entries, thermal_terms
-from .tolerances import DEFAULT, Tolerances, resolve
+from .tolerances import Tolerances, resolve
 
 __all__ = [
     "MODES",
@@ -68,26 +68,25 @@ FACTORS = {
 class TauGrid:
     """A tau grid and the work that depends on it alone, done at most once.
 
-    ``nodes`` are the taus, then every tau + step, then every tau - step.
+    ``nodes`` are the taus, then every tau + step, then every tau - step,
+    where ``step`` is ``tol.fd_step``, which :class:`Tolerances` has checked.
     Each :data:`FACTORS` name is that factor at every tau (via
     :func:`per_tau`), and ``unitaries`` the charging unitaries at every node
     with their deviations from unitarity; both are built on first access.
     All arrays are read-only, as a sweep's curves share them.
     """
 
-    def __init__(self, taus, step: float = DEFAULT.fd_step):
-        self.scalar, self.step = np.ndim(taus) == 0, step
+    def __init__(self, taus, tol: Tolerances | None = None):
+        self.scalar, self.step = np.ndim(taus) == 0, resolve(tol).fd_step
         self.taus = np.array(taus, dtype=float, ndmin=1)
         if not self.taus.size:
             raise ValueError("tau grid is empty")
         if not np.isfinite(self.taus).all():
             raise ValueError("taus must be finite")
-        if not (math.isfinite(step) and step > 0):
-            raise ValueError(f"finite-difference step must be finite and positive, got {step!r}")
         with np.errstate(over="ignore"):
-            self.nodes = np.concatenate([self.taus, self.taus + step, self.taus - step])
+            self.nodes = np.concatenate([self.taus, self.taus + self.step, self.taus - self.step])
         if not np.isfinite(self.nodes).all():
-            raise ValueError(f"finite-difference nodes tau +/- {step!r} are not finite")
+            raise ValueError(f"finite-difference nodes tau +/- {self.step!r} are not finite")
         self.taus.flags.writeable = self.nodes.flags.writeable = False
 
     def __getattr__(self, name: str):
@@ -129,9 +128,10 @@ class TauGrid:
         return _conjugate(state, u[nodes], dev[nodes], tol, out)
 
 
-def as_grid(tau, step: float = DEFAULT.fd_step) -> TauGrid:
-    """``tau`` if it is a :class:`TauGrid`, else a one-off grid of its taus."""
-    return tau if isinstance(tau, TauGrid) else TauGrid(tau, step)
+def as_grid(tau, tol: Tolerances | None = None) -> TauGrid:
+    """``tau`` if it is a :class:`TauGrid`, whose own tolerances fixed its
+    step, else a one-off grid of its taus at the ``fd_step`` of ``tol``."""
+    return tau if isinstance(tau, TauGrid) else TauGrid(tau, tol)
 
 
 def _matrix_stack(rows) -> np.ndarray:
@@ -209,7 +209,7 @@ def evolved_state_closed_form(
     :class:`TauGrid` (an ``(N, 4, 4)`` stack); the thermal terms are evaluated once.
     """
     validate_mode(mode)
-    grid = as_grid(tau)
+    grid = as_grid(tau, tol)
     states = _evolved_states(p, thermal_terms(p, tol), grid, mode)
     return states[0] if grid.scalar else states
 

@@ -111,7 +111,7 @@ def ergotropy_closed_form(
     ``TauGrid`` (an array); the thermal terms are evaluated once.
     """
     validate_mode(mode)
-    g = as_grid(tau)
+    g = as_grid(tau, tol)
     values = _ergotropy_closed(p, thermal_terms(p, tol), g, mode)
     return float(values[0]) if g.scalar else values
 
@@ -140,7 +140,7 @@ def power_closed_form(
     array of them, like :func:`ergotropy_closed_form`.
     """
     validate_mode(mode)
-    g = as_grid(tau)
+    g = as_grid(tau, tol)
     values = _power_closed(p, thermal_terms(p, tol), g, mode)
     return float(values[0]) if g.scalar else values
 
@@ -206,15 +206,15 @@ def _evolved_chunks(grid: TauGrid, hs, levels, passive, rhos, tol: Tolerances, n
                 _ergotropies(states, hs[i], eigs[at:at + size], levels[i]) if spectral else None)
 
 
-def power_fd(p: BatteryParams, tau, step: float | None = None, tol: Tolerances | None = None):
+def power_fd(p: BatteryParams, tau, tol: Tolerances | None = None):
     """Central-difference dE/dtau through the fully numeric ergotropy route:
-    the ``power_fd`` column of :func:`compute_curve` on ``TauGrid(tau, step)``.
+    the ``power_fd`` column of :func:`compute_curve` on ``TauGrid(tau, tol)``,
+    whose step is the ``fd_step`` of ``tol``.
 
     ``tau`` is one charging time (gives a float) or an array of them (gives
     an array).
     """
-    tol = resolve(tol)
-    grid = TauGrid(tau, tol.fd_step if step is None else step)  # checks the step
+    grid = TauGrid(tau, tol)
     fd = compute_curve(p, grid, "corrected", ("power_fd",), tol).columns["power_fd"]
     return float(fd[0]) if grid.scalar else fd
 
@@ -355,7 +355,7 @@ def compute_curve(
     if mode == "oracle-only":
         counterparts = dict(zip(CLOSED_FIELDS.values(), NUMERIC_FIELDS.values()))
         metrics = tuple(counterparts.get(m, m) for m in metrics)
-    grid = as_grid(taus, tol.fd_step)
+    grid = as_grid(taus, tol)
     if "power_fd" in metrics:
         grid.require_resolved(tol)
     try:

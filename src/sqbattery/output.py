@@ -39,12 +39,7 @@ ORACLE_COLUMNS = ("ergotropy_numeric", "power_fd", "capacity_definitional")
 SAMPLE_KEYS = ("tau", "flag") + MAIN_COLUMNS + ORACLE_COLUMNS
 
 # panel letter -> (title metric column, oracle companion column)
-PANELS = (
-    ("a", "ergotropy", "ergotropy_numeric"),
-    ("b", "power", "power_fd"),
-    ("c", "capacity", "capacity_definitional"),
-    ("d", "coherence_l1", None),
-)
+PANELS = tuple(zip("abcd", MAIN_COLUMNS, ORACLE_COLUMNS + (None,)))
 
 
 def format_float(x: float | None) -> str:

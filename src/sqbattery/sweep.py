@@ -76,6 +76,8 @@ class SweepConfig:
             # a curve takes one value per name: only a repeat's last would count
             if names.count(name) > 1:
                 raise ValueError(f"parameter {name!r} is varied more than once")
+            for value in values:  # else a bad value fails after earlier curves are written
+                dataclasses.replace(self.base, **{name: value})
 
     def tau_grid(self) -> np.ndarray:
         if self.tau_count == 1:
@@ -161,7 +163,7 @@ def stream_sweep(cfg: SweepConfig, tol: Tolerances | None = None) -> SweepResult
     :func:`compute_curve` rejects, fails before anything is drawn.
     """
     tol = resolve(tol)
-    grid = TauGrid(cfg.tau_grid(), tol.fd_step)
+    grid = TauGrid(cfg.tau_grid(), tol)
     curves = (_curve(label, params, grid, cfg, tol) for label, params in _curve_cases(cfg))
     first = next(curves)
     provenance = {
@@ -189,16 +191,15 @@ def run_sweep(cfg: SweepConfig, tol: Tolerances | None = None) -> SweepResult:
 
 
 # Figure presets: parameter grids of the reproduced figure panels. Each
-# varies one knob over {0.1, 0.5, 1, 2} with the others fixed. Presets
-# default to verbatim mode because their purpose is reproducing the original
-# figure data, which follows the published (verbatim) closed forms; pass
-# mode="corrected" for the oracle-consistent counterpart.
+# varies one knob over {0.1, 0.5, 1, 2} with the others fixed, on the default
+# tau grid; its base, BatteryParams(xi1, xi2, xic, temperature), holds the
+# knob's first value.
 _GRID = (0.1, 0.5, 1.0, 2.0)
 _PRESETS = {
-    "fig1": dict(fixed=dict(xi1=1.5, xic=0.05, temperature=0.5), vary="xi2"),
-    "fig2": dict(fixed=dict(xi2=1.5, xic=0.5, temperature=0.1), vary="xi1"),
-    "fig3": dict(fixed=dict(xi1=1.5, xi2=1.5, temperature=0.1), vary="xic"),
-    "fig4": dict(fixed=dict(xi1=1.5, xi2=0.5, temperature=0.1), vary="xic"),
+    "fig1": SweepConfig(BatteryParams(1.5, 0.1, 0.05, 0.5), (("xi2", _GRID),)),
+    "fig2": SweepConfig(BatteryParams(0.1, 1.5, 0.5, 0.1), (("xi1", _GRID),)),
+    "fig3": SweepConfig(BatteryParams(1.5, 1.5, 0.1, 0.1), (("xic", _GRID),)),
+    "fig4": SweepConfig(BatteryParams(1.5, 0.5, 0.1, 0.1), (("xic", _GRID),)),
 }
 PRESET_NAMES = tuple(sorted(_PRESETS))
 
@@ -208,22 +209,17 @@ def figure_preset(
     mode: str = "verbatim",
     metrics: tuple[str, ...] = DEFAULT_METRICS,
 ) -> SweepConfig:
-    """Sweep configuration reproducing one figure's data panels."""
+    """Sweep configuration reproducing one figure's data panels, in ``mode``
+    with ``metrics``.
+
+    Presets default to verbatim mode because their purpose is reproducing
+    the original figure data, which follows the published (verbatim) closed
+    forms; pass ``mode="corrected"`` for the oracle-consistent counterpart.
+    """
     try:
         preset = _PRESETS[name]
     except KeyError:
         raise UnknownPresetError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
         ) from None
-    fields = dict(preset["fixed"])
-    fields[preset["vary"]] = _GRID[0]
-    base = BatteryParams(**fields)
-    return SweepConfig(
-        base=base,
-        varied=((preset["vary"], _GRID),),
-        tau_start=0.0,
-        tau_stop=2.0 * np.pi,
-        tau_count=401,
-        metrics=metrics,
-        mode=mode,
-    )
+    return dataclasses.replace(preset, mode=mode, metrics=metrics)

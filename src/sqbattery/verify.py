@@ -114,7 +114,7 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     presets = preset_param_sets()
     param_sets = presets + random_cloud(1000 if level == "full" else 100)
     taus = np.linspace(0.0, 2.0 * np.pi, 401 if level == "full" else 81)
-    grid, n, step = dynamics.TauGrid(taus, tol.fd_step), len(taus), tol.fd_step
+    grid, n = dynamics.TauGrid(taus, tol), len(taus)
 
     hs, rhos, chunks = metrics._numeric_pass(param_sets, grid, tol, evolved=len(presets))
     closed_rhos = np.array([model.gibbs_state_closed_form(p, tol) for p in param_sets])
@@ -161,7 +161,7 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
                f"{len(presets)} parameter sets x {n} tau points; the spectral leg checks "
                "the Gibbs-weight spectrum the oracle reads"),
         _suite("power closed form vs finite-difference derivative", powers,
-               tol.power_equivalence, f"central difference h={step:g}, global scale 1.0"),
+               tol.power_equivalence, f"central difference h={grid.step:g}, global scale 1.0"),
         _suite("capacity reconciliation and limits", capacities, tol.capacity_equivalence,
                "closed vs xic - tr(H R_th); gap definition = 0; tanh limit"),
     )

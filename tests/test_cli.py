@@ -201,7 +201,7 @@ def test_config_file_precedence(tmp_path):
     assert float(parse_csv(proc.stdout)[0]["xi1"]) == 1.5
 
 
-def test_bad_config_file_exits_2(tmp_path):
+def test_bad_config_file_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
     proc = run_cli("point", "--config", str(cfg))
@@ -209,6 +209,22 @@ def test_bad_config_file_exits_2(tmp_path):
     cfg.write_text(json.dumps({"unknown_key": 1}))
     proc = run_cli("point", "--config", str(cfg))
     assert proc.returncode == 2
+    # a config file holds the keys of its own command's flags, no others
+    out = tmp_path / "sub" / "out.csv"
+    for command, text, message in [
+        ("point", None, "cannot read config file"),
+        ("point", "[1]", "must hold a flat JSON object"),
+        ("point", '{"xi1": 1.5, "tau_count": 7, "tau_stop": 3}',
+         "has unknown keys: ['tau_count', 'tau_stop']"),
+        ("sweep", '{"tau": 0.7}', "has unknown keys: ['tau']"),
+    ]:
+        cfg.unlink(missing_ok=True)
+        if text is not None:
+            cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("entry", [
@@ -327,10 +343,14 @@ def test_tolerance_env_parsing():
         from_env({"SQBATTERY_TOLERANCES": "{bad"})
     with pytest.raises(ValueError):
         from_env({"SQBATTERY_TOLERANCES": '{"nope": 1}'})
+    with pytest.raises(ValueError, match="must hold a JSON object"):
+        from_env({"SQBATTERY_TOLERANCES": "[1]"})
 
 
 def test_tolerances_reject_values_that_are_not_positive_numbers():
-    for field, value in [("fd_step", 0), ("fd_step", "x"), ("hermitian", None),
+    # Tolerances alone sets the finite-difference step of every tau grid
+    for field, value in [("fd_step", 0), ("fd_step", "x"), ("fd_step", 0.0), ("fd_step", -1e-4),
+                         ("fd_step", float("nan")), ("fd_step", float("inf")), ("hermitian", None),
                          ("hermitian", True), ("unitary", float("nan")),
                          ("jacobi_offdiag", -1e-13), ("jacobi_max_sweeps", 2.5),
                          ("jacobi_max_sweeps", -1)]:
@@ -417,18 +437,29 @@ def test_point_oracle_rejects_unresolved_finite_difference_nodes():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("args, code", [
+@pytest.mark.parametrize("args, code, message", [
     (("sweep", "--oracle", "--xi1", "1.5", "--xic", "0.5", "--temp", "0.1",
-      "--tau-start", "0", "--tau-stop", "1e8", "--tau-count", "3"), 2),
-    (("point", "--xi1", "1e200"), 3),
-    (("sweep", "--xi1", "1", "--xic", "0.5", "--vary", "xi2=1,2", "--vary", "xi2=3"), 2),
-], ids=["unresolved-tau", "overflow", "vary-twice"])
-def test_rejected_request_writes_nothing(tmp_path, args, code):
+      "--tau-start", "0", "--tau-stop", "1e8", "--tau-count", "3"), 2, "finite-difference nodes"),
+    (("point", "--xi1", "1e200"), 3, "overflows or underflows"),
+    (("sweep", "--xi1", "1", "--xic", "0.5", "--vary", "xi2=1,2", "--vary", "xi2=3"), 2,
+     "varied more than once"),
+    (("sweep", "--xi1", "1.5", "--tau-count", "2", "--vary", "temperature=1,0"), 2,
+     "temperature must be positive"),
+    (("sweep", "--vary", "xi2"), 2, "--vary expects NAME=V1,V2,..."),
+    (("sweep", "--vary", "xi2=a,b"), 2, "--vary xi2: bad value list"),
+    (("sweep", "--vary", "xi2=,"), 2, "--vary xi2: empty value list"),
+], ids=["unresolved-tau", "overflow", "vary-twice", "vary-invalid-value", "vary-no-values",
+        "vary-bad-value", "vary-empty"])
+def test_rejected_request_writes_nothing(tmp_path, capsys, args, code, message):
     # the whole request is evaluated before its output is opened
     out = tmp_path / "sub" / "out.csv"
     proc = run_cli(*args, "--out", str(out))
     assert proc.returncode == code
     assert not out.parent.exists()
+    # nor is a row printed to stdout before the request fails
+    assert main(list(args)) == code
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
 
 
 SWEEP_ARGS = ("sweep", "--xi1", "1.5", "--xic", "0.5", "--temp", "0.1", "--vary", "xi2=0.5,1.0")

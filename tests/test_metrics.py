@@ -11,6 +11,7 @@ from sqbattery import (
     DEFAULT_TOLERANCES,
     BatteryParams,
     NotHermitianError,
+    Tolerances,
     build_full_hamiltonian,
     capacity_closed_form,
     capacity_definitional,
@@ -215,7 +216,7 @@ def test_power_matches_finite_difference(preset_params):
     taus = np.linspace(0.0, 2 * np.pi, 41)
     for p in preset_params:
         for tau in taus:
-            fd = power_fd(p, float(tau), step=1e-4)
+            fd = power_fd(p, float(tau), Tolerances(fd_step=1e-4))
             assert abs(power_closed_form(p, float(tau)) - fd) <= 1e-5
 
 
@@ -223,16 +224,16 @@ def test_power_fd_second_order_convergence():
     p = BatteryParams(xi1=1.5, xi2=1.5, xic=1.0, temperature=0.1)
     tau = 0.3
     exact = power_closed_form(p, tau)
-    e1 = abs(power_fd(p, tau, step=1e-3) - exact)
-    e2 = abs(power_fd(p, tau, step=5e-4) - exact)
+    e1 = abs(power_fd(p, tau, Tolerances(fd_step=1e-3)) - exact)
+    e2 = abs(power_fd(p, tau, Tolerances(fd_step=5e-4)) - exact)
     assert e1 > 1e-9  # above the rounding floor, so the ratio is meaningful
     assert 2.5 <= e1 / e2 <= 6.0
 
 
 def test_power_fd_rejects_bad_step():
     p = BatteryParams(xi1=1.0, xi2=1.0, xic=0.1, temperature=0.5)
-    with pytest.raises(ValueError):
-        power_fd(p, 0.1, step=0.0)
+    with pytest.raises(ValueError, match="tolerance fd_step must be"):
+        power_fd(p, 0.1, Tolerances(fd_step=0.0))
 
 
 # -------------------------------------------------------------------- capacity

@@ -137,6 +137,8 @@ def test_thermal_terms_overflow_error():
         thermal_terms(BatteryParams(xi1=1e200, xi2=0, xic=0, temperature=1.0))
     with pytest.raises(ParameterOverflowError):
         thermal_terms(BatteryParams(xi1=1.0, xi2=0, xic=0, temperature=5e-324))
+    with pytest.raises(ParameterOverflowError, match="thermal terms are not finite"):
+        thermal_terms(BatteryParams(xi1=0, xi2=0, xic=0, temperature=5e-324))
 
 
 def test_closed_forms_refuse_off_degeneracy():
@@ -162,6 +164,8 @@ def test_gibbs_numeric_at_subnormal_temperature_is_the_ground_state():
     rho = gibbs_state_numeric(h, 4e-324)
     ground = np.linalg.eigh(h)[1][:, 0]
     assert np.max(np.abs(rho - np.outer(ground, ground.conj()))) <= 1e-14
+    with pytest.raises(ValueError, match="temperature must be positive"):
+        gibbs_state_numeric(h, 0.0)
 
 
 def test_gibbs_numeric_diagonal_example():

@@ -79,4 +79,11 @@ def test_each_request_is_stated_once():
                  if path.name != "metrics.py" for name in sorted(names_in(path) & owned)]
     offenders += [path.name for path in SRC.glob("*.py")
                   if "include_oracle" in path.read_text(encoding="utf-8")]
+    # Tolerances.fd_step alone sets the finite-difference step: no function
+    # takes a step of its own
+    offenders += [f"{path.name}: {node.name}" for path in sorted(SRC.glob("*.py"))
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for arg in ast.walk(node.args)
+                  if isinstance(arg, ast.arg) and arg.arg == "step"]
     assert offenders == []

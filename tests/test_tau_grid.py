@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 from sqbattery import (
     BatteryParams,
     SweepConfig,
+    Tolerances,
     compute_curve,
     dynamics,
     figure_preset,
     linalg,
-    power_fd,
     run_sweep,
     run_verification,
 )
@@ -81,7 +81,7 @@ def test_verify_builds_and_checks_one_unitary_stack_for_all_presets(monkeypatch)
 
 def test_grid_factors_are_the_scalar_expressions_and_read_only():
     taus = [0.0, 0.3, 2.5, 1e17, -4.0]
-    grid = dynamics.TauGrid(taus, 1e-3)
+    grid = dynamics.TauGrid(taus, Tolerances(fd_step=1e-3))
     assert grid.nodes.tolist() == taus + [t + 1e-3 for t in taus] + [t - 1e-3 for t in taus]
     for name, fn in dynamics.FACTORS.items():
         factor = getattr(grid, name)
@@ -114,16 +114,18 @@ def test_grids_without_finite_taus_are_rejected(taus, message):
 
 @pytest.mark.parametrize("step", [0.0, -1e-4, math.nan, math.inf])
 def test_finite_difference_steps_must_be_finite_and_positive(step):
-    with pytest.raises(ValueError, match="step must be finite and positive"):
-        dynamics.TauGrid([0.3], step)
-    # a NaN step warned of invalid values before naming the nodes
-    with pytest.raises(ValueError, match="step must be finite and positive"):
-        power_fd(BASE, 0.3, step=step)
+    # the step of every tau grid, and so of power_fd, is the fd_step of a
+    # Tolerances, which rejects a bad one where it is set
+    message = "tolerance fd_step must be a finite number > 0"
+    with pytest.raises(ValueError, match=message):
+        Tolerances(fd_step=step)
+    with pytest.raises(ValueError, match=message):
+        Tolerances().replace(fd_step=step)
 
 
 def test_grids_whose_nodes_overflow_are_rejected():
     with pytest.raises(ValueError, match="nodes tau \\+/- 1e\\+308 are not finite"):
-        dynamics.TauGrid([1e308], 1e308)
+        dynamics.TauGrid([1e308], Tolerances(fd_step=1e308))
 
 
 def test_round_robin_schedule_is_built_once_and_read_only():

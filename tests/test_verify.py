@@ -88,6 +88,11 @@ def test_random_cloud_draws_the_documented_stream(args):
         assert dataclasses.astuple(cloud[0])[:4] == FIRST_POINT
 
 
+def test_unknown_level_is_refused():
+    with pytest.raises(ValueError, match="level must be 'quick' or 'full', got 'bogus'"):
+        verify_mod.run_verification("bogus")
+
+
 def test_random_cloud_takes_int_seeds_only():
     with pytest.raises(TypeError):
         verify_mod.random_cloud(1, np.random.default_rng(5))
