@@ -16,6 +16,7 @@ import gc
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -42,6 +43,14 @@ EPILOG = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-5e-1`` as a negative number, as ``-0.5``; subparsers are made of it too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _add_param_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--xi1", type=float, default=None, help="Josephson energy of qubit 1")
     sp.add_argument("--xi2", type=float, default=None, help="Josephson energy of qubit 2")
@@ -58,12 +67,13 @@ def _add_param_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sqbattery", epilog=EPILOG)
+    parser = _Parser(prog="sqbattery", epilog=EPILOG)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_point = sub.add_parser("point", help="metrics at a single charging time", epilog=EPILOG)
     _add_param_flags(p_point)
     p_point.add_argument("--tau", type=float, default=None, help="charging time (default 0)")
+    p_point.set_defaults(run=_cmd_point)
 
     p_sweep = sub.add_parser("sweep", help="grid over tau and varied parameters", epilog=EPILOG)
     _add_param_flags(p_sweep)
@@ -73,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--vary", action="append", default=[],
                          metavar="NAME=V1,V2,...",
                          help="vary one of xi1,xi2,xic,temperature (repeatable)")
+    p_sweep.set_defaults(run=_cmd_sweep)
 
     p_fig = sub.add_parser("figure", help="reproduce one figure preset", epilog=EPILOG)
     p_fig.add_argument("name", choices=PRESET_NAMES)
@@ -81,9 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--oracle", action="store_true")
     p_fig.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     p_fig.add_argument("--out", type=str, default=".")
+    p_fig.set_defaults(run=_cmd_figure)
 
     p_ver = sub.add_parser("verify", help="run the cross-check suites", epilog=EPILOG)
     p_ver.add_argument("level", nargs="?", choices=("quick", "full"), default="quick")
+    p_ver.set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -230,21 +243,9 @@ def _cmd_verify(args, tol) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        tol = from_env()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.command == "point":
-            return _cmd_point(args, tol)
-        if args.command == "sweep":
-            return _cmd_sweep(args, tol)
-        if args.command == "figure":
-            return _cmd_figure(args, tol)
-        return _cmd_verify(args, tol)
+        return args.run(args, from_env())
     except OverflowError as exc:
         print(f"error: overflow: {exc}", file=sys.stderr)
         return 3

@@ -69,7 +69,8 @@ class TauGrid:
     """A tau grid and the work that depends on it alone, done at most once.
 
     ``nodes`` are the taus, then every tau + step, then every tau - step,
-    where ``step`` is ``tol.fd_step``, which :class:`Tolerances` has checked.
+    where ``step`` is ``tol.fd_step``, which :class:`Tolerances` has checked:
+    at most ``MAX_FD_STEP``, so every node of a finite tau is finite.
     Each :data:`FACTORS` name is that factor at every tau (via
     :func:`per_tau`), and ``unitaries`` the charging unitaries at every node
     with their deviations from unitarity; both are built on first access.
@@ -83,10 +84,7 @@ class TauGrid:
             raise ValueError("tau grid is empty")
         if not np.isfinite(self.taus).all():
             raise ValueError("taus must be finite")
-        with np.errstate(over="ignore"):
-            self.nodes = np.concatenate([self.taus, self.taus + self.step, self.taus - self.step])
-        if not np.isfinite(self.nodes).all():
-            raise ValueError(f"finite-difference nodes tau +/- {self.step!r} are not finite")
+        self.nodes = np.concatenate([self.taus, self.taus + self.step, self.taus - self.step])
         self.taus.flags.writeable = self.nodes.flags.writeable = False
 
     def __getattr__(self, name: str):

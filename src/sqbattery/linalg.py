@@ -9,6 +9,7 @@ eigensolver is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -20,10 +21,6 @@ __all__ = ["SpectralDecomposition", "hermitian_eigendecomposition"]
 # matrices decomposed together; larger stacks are split into chunks of this
 # size, which bounds the kernel's temporaries
 MAX_STACK = 512
-# _round_robin(n) and _triangles(n) by n: built once per process and shared,
-# so read-only
-_ROUNDS: dict[int, tuple] = {}
-_TRIANGLES: dict[int, tuple] = {}
 
 
 @dataclass(frozen=True)
@@ -39,6 +36,7 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray | None
 
 
+@cache
 def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """Rounds of disjoint (p, q) pairs, p < q, covering every pair once.
 
@@ -46,7 +44,7 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     a dummy index n, and pairs with it are dropped. Each round is
     ``(p, q, pq, qp)`` with ``pq`` = p then q and ``qp`` = q then p, so
     ``a[pq, qp]`` are its pivot entries and ``a[pq, pq]`` their
-    diagonals. The index arrays are read-only.
+    diagonals. Built once per n and shared, so the index arrays are read-only.
     """
     m = n + n % 2
     ring = list(range(1, m))
@@ -67,15 +65,14 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     return tuple(rounds)
 
 
+@cache
 def _triangles(n: int) -> tuple[np.ndarray, ...]:
     """Rows and columns of the upper triangle of an n x n matrix, with the
-    diagonal, then without it."""
-    if n not in _TRIANGLES:
-        indices = np.triu_indices(n) + np.triu_indices(n, 1)
-        for a in indices:
-            a.flags.writeable = False
-        _TRIANGLES[n] = indices
-    return _TRIANGLES[n]
+    diagonal, then without it; built once per n and shared, so read-only."""
+    indices = np.triu_indices(n) + np.triu_indices(n, 1)
+    for a in indices:
+        a.flags.writeable = False
+    return indices
 
 
 def _offdiag_norm(a: np.ndarray) -> np.ndarray:
@@ -251,7 +248,7 @@ def _decompose(m: np.ndarray, offset: int, tol: Tolerances,
     target = tol.jacobi_offdiag * np.maximum(1.0, norm)
     # entries this small cannot push the off-diagonal norm above target
     skip = target / (2.0 * n)
-    rounds = _ROUNDS[n] if n in _ROUNDS else _ROUNDS.setdefault(n, _round_robin(n))
+    rounds = _round_robin(n)
 
     # the stack axis last, so every elementwise op runs over the whole stack
     av = np.empty((2 * n if vectors else n, n, count), dtype=complex)

@@ -295,8 +295,10 @@ class CurveColumns:
 
     ``flag`` is empty for a clean curve, "overflow" when the parameter regime
     defeated the hyperbolic terms (``columns`` is then empty), and
-    "ill_conditioned" for a numeric-route curve whose max |H_ij| * eps exceeds
-    the ergotropy tolerance, where cancellation can swamp the kept values.
+    "ill_conditioned" for a numeric-route curve whose error bound
+    eps * max|H_ij| * max(1, max|H_ij| / T) exceeds the ergotropy tolerance:
+    its eigenvalues, off by about eps * max|H_ij|, move the Gibbs weights by
+    that over T, and the kept values by up to that bound.
     """
 
     taus: np.ndarray
@@ -429,5 +431,6 @@ def _numeric_columns(
         columns["power_fd"] = grid.central_difference(energies[count:])
     if "capacity_reconciled" in metrics:
         columns["capacity_reconciled"] = capacity_reconciled(p, hs[0], rhos[0])
-    ill = np.abs(hs[0]).max() * np.finfo(float).eps > tol.ergotropy_equivalence
+    scale = float(np.abs(hs[0]).max())  # Python floats, eps last: a huge bound is inf, no warning
+    ill = scale * max(1.0, scale / p.temperature) * np.finfo(float).eps > tol.ergotropy_equivalence
     return CurveColumns(grid.taus, columns, "ill_conditioned" if ill else "")

@@ -168,8 +168,7 @@ def write_json(result: SweepResult, stream, sample_keys=SAMPLE_KEYS,
 
 
 def figure_file_names(name: str, fmt: str) -> list[str]:
-    ext = "csv" if fmt == "csv" else "json"
-    files = [f"{name}_{letter}_{metric}.{ext}" for letter, metric, _ in PANELS]
+    files = [f"{name}_{letter}_{metric}.{fmt}" for letter, metric, _ in PANELS]
     files.append(f"{name}_manifest.json")
     return files
 

@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass
+
+# the largest fd_step: a central difference reads sin(4h)/(4h) of the derivative of
+# sin 4 tau, the fastest harmonic, 2.7e-4 short at h = 1e-2; tau +/- h stays finite
+MAX_FD_STEP = 1e-2
 
 
 @dataclass(frozen=True)
@@ -28,7 +32,7 @@ class Tolerances:
     ergotropy_equivalence: float = 1e-9
     power_equivalence: float = 1e-5
     capacity_equivalence: float = 1e-10
-    fd_step: float = 1e-4           # central-difference step for the power oracle
+    fd_step: float = 1e-4           # central-difference step for the power oracle, <= MAX_FD_STEP
     # hyperbolic terms switch to exponent-shifted evaluation past this bound
     exponent_bound: float = 700.0
 
@@ -39,9 +43,10 @@ class Tolerances:
             value = getattr(self, field.name)
             if field.type == "int":
                 kind, ok = "an integer >= 0", isinstance(value, int) and value >= 0
-            else:
-                kind = "a finite number > 0"
-                ok = isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+            else:  # an int too large for a float is refused too
+                top = MAX_FD_STEP if field.name == "fd_step" else sys.float_info.max
+                kind = "a finite number > 0" + (f" and <= {top:g}" if top == MAX_FD_STEP else "")
+                ok = isinstance(value, (int, float)) and 0 < value <= top
             if isinstance(value, bool) or not ok:
                 raise ValueError(f"tolerance {field.name} must be {kind}, got {value!r}")
 

@@ -105,8 +105,9 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     state's spectrum off its Gibbs weights; the ergotropy suite's spectral
     leg, which checks that identity, decomposes the states at the taus
     (eigenvalues only, one call per chunk), while those at tau +/- fd_step
-    only feed the power suite. Each chunk is reduced to its residuals
-    before the next is evolved.
+    only feed the power suite. The closed columns are each preset's
+    :func:`metrics.compute_curve` columns, the ones that sweeps and figures
+    write. Each chunk is reduced to its residuals before the next is evolved.
     """
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
@@ -119,37 +120,32 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     hs, rhos, chunks = metrics._numeric_pass(param_sets, grid, tol, evolved=len(presets))
     closed_rhos = np.array([model.gibbs_state_closed_form(p, tol) for p in param_sets])
     gibbs = [np.abs(closed_rhos - rhos)]
+    columns = [metrics.compute_curve(p, grid, "corrected", ("ergotropy_closed", "power_closed",
+               "capacity_closed", "capacity_definitional"), tol).columns for p in presets]
 
-    oracle, spectral, e_reference = (np.empty((len(presets), n)) for _ in range(3))
-    evolved, closed = [], {}
-    for i, lo, states, values, by_spectrum in chunks(slice(0, n), spectral=True):
-        hi = lo + len(states)
-        oracle[i, lo:hi], spectral[i, lo:hi] = values, by_spectrum
+    evolved, ergotropies, closed = [], [], {}
+    for i, lo, states, oracle, spectral in chunks(slice(0, n), spectral=True):
         if i not in closed:  # runs come preset by preset: keep one preset's states
             closed = {i: dynamics.evolved_state_closed_form(presets[i], grid, "corrected", tol)}
+        hi = lo + len(states)
         evolved.append(np.abs(closed[i][lo:hi] - states).max())
-        e_reference[i, lo:hi] = metrics.ergotropy_vs_reference(states, rhos[i], hs[i])
-    shifted = np.empty((len(presets), 2 * n))  # at every tau + step, then every tau - step
+        reference = metrics.ergotropy_vs_reference(states, rhos[i], hs[i])
+        e_closed = columns[i]["ergotropy_closed"][lo:hi]
+        ergotropies.append(np.abs([spectral - oracle, spectral - reference,
+                                   spectral - e_closed, reference - e_closed]).max())
+    powers, shifted = [], np.empty(2 * n)  # one preset's energies at tau + step, then tau - step
     for i, lo, _, values, _ in chunks(slice(n, 3 * n)):
-        shifted[i, lo - n:lo - n + len(values)] = values
-
-    ergotropies, powers, capacities = [], [], []
-    for p, h, rho, e_oracle, e_spectral, e_ref, e_shifted in zip(
-            presets, hs, rhos, oracle, spectral, e_reference, shifted):
-        e_closed = metrics.ergotropy_closed_form(p, grid, "corrected", tol)
-        ergotropies += [np.abs(e_spectral - e_oracle), np.abs(e_spectral - e_ref),
-                        np.abs(e_spectral - e_closed), np.abs(e_ref - e_closed)]
-        fd = grid.central_difference(e_shifted)
-        powers.append(np.abs(metrics.power_closed_form(p, grid, "corrected", tol) - fd))
-        closed_capacity = metrics.capacity_closed_form(p, tol)
-        capacities += [abs(closed_capacity - metrics.capacity_reconciled(p, h, rho)),
-                       abs(metrics.capacity_definitional(h) - 0.0)]
+        shifted[lo - n:lo - n + len(values)] = values
+        if lo + len(values) == 3 * n:  # the preset's last run
+            fd = grid.central_difference(shifted)
+            powers.append(np.abs(columns[i]["power_closed"] - fd).max())
+    capacities = [residual for p, h, rho, c in zip(presets, hs, rhos, columns) for residual in (
+        abs(c["capacity_closed"] - metrics.capacity_reconciled(p, h, rho)),
+        abs(c["capacity_definitional"] - 0.0))]
     # xic = 0 and equal Josephson energies: capacity collapses to xi tanh(xi/2T)
-    for xi in (0.5, 1.5, 2.5):
-        for temp in (0.1, 0.5, 2.0):
-            p = BatteryParams(xi1=xi, xi2=xi, xic=0.0, temperature=temp)
-            closed = metrics.capacity_closed_form(p, tol)
-            capacities.append(abs(closed - xi * math.tanh(xi / (2 * temp))))
+    capacities += [abs(metrics.capacity_closed_form(BatteryParams(xi, xi, 0.0, temp), tol)
+                       - xi * math.tanh(xi / (2 * temp)))
+                   for xi in (0.5, 1.5, 2.5) for temp in (0.1, 0.5, 2.0)]
 
     suites = (
         _suite("thermal state closed form vs numeric", gibbs, tol.gibbs_equivalence,

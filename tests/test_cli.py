@@ -349,14 +349,17 @@ def test_tolerance_env_parsing():
 
 def test_tolerances_reject_values_that_are_not_positive_numbers():
     # Tolerances alone sets the finite-difference step of every tau grid
+    # and refuses a step too large to read a derivative (see MAX_FD_STEP)
     for field, value in [("fd_step", 0), ("fd_step", "x"), ("fd_step", 0.0), ("fd_step", -1e-4),
-                         ("fd_step", float("nan")), ("fd_step", float("inf")), ("hermitian", None),
-                         ("hermitian", True), ("unitary", float("nan")),
+                         ("fd_step", float("nan")), ("fd_step", float("inf")), ("fd_step", 0.5),
+                         ("fd_step", 1e300), ("hermitian", None),
+                         ("hermitian", True), ("unitary", float("nan")), ("unitary", 10**400),
                          ("jacobi_offdiag", -1e-13), ("jacobi_max_sweeps", 2.5),
                          ("jacobi_max_sweeps", -1)]:
         with pytest.raises(ValueError, match=f"tolerance {field} must be"):
             Tolerances(**{field: value})
-    assert Tolerances(jacobi_max_sweeps=0, fd_step=1).fd_step == 1
+    assert Tolerances(jacobi_max_sweeps=0, exponent_bound=700).exponent_bound == 700
+    assert Tolerances(fd_step=1e-2).fd_step == 1e-2
 
 
 TOL_POINT_ARGS = ["point", "--xi1", "1", "--xi2", "1", "--xic", "0.5", "--temp", "0.1",
@@ -401,13 +404,14 @@ def test_verify_detects_corrupted_closed_form(monkeypatch):
     import sqbattery.metrics as metrics_mod
     import sqbattery.verify as verify_mod
 
-    original = metrics_mod.ergotropy_closed_form
+    # verify reads the closed columns that compute_curve writes
+    original = metrics_mod._THERMAL_BODIES["ergotropy_closed"]
 
-    def corrupted(p, tau, mode="corrected", tol=None):
-        value = original(p, tau, mode, tol)
+    def corrupted(p, t, grid, mode):
+        value = original(p, t, grid, mode)
         return -value if mode == "corrected" else value
 
-    monkeypatch.setattr(metrics_mod, "ergotropy_closed_form", corrupted)
+    monkeypatch.setitem(metrics_mod._THERMAL_BODIES, "ergotropy_closed", corrupted)
     report = verify_mod.run_verification("quick")
     failed = {s.name: s for s in report.suites if not s.passed}
     assert any("ergotropy" in name for name in failed)
@@ -425,6 +429,27 @@ def test_point_flags_cancellation_at_huge_energies():
     row = parse_csv(proc.stdout)[0]
     assert row["flag"] == "ill_conditioned"
     assert row["ergotropy"] == "-8.4982078850682736e+183"
+
+
+def test_point_flags_the_eigenvalue_error_over_a_low_temperature():
+    # max|H| eps is 1.2e-10, under the ergotropy tolerance, but over T = 0.056
+    # it moves the Gibbs weights: the numeric ergotropy is off by 2.7e-4
+    proc = run_cli("point", "--mode", "oracle-only", "--xi1", "994.6", "--xi2", "0.0021",
+                   "--xic=-5.18e5", "--temp", "0.056", "--tau", "0.7")
+    assert proc.returncode == 0, proc.stderr
+    assert parse_csv(proc.stdout)[0]["flag"] == "ill_conditioned"
+
+
+@pytest.mark.parametrize("args, column, value", [
+    (("point", "--xi1", "1.5", "--xic", "-5e-1", "--temp", "0.1"), "xic", "-0.5"),
+    (("point", "--tau", "-1e-3"), "tau", "-0.001"),
+    (("sweep", "--tau-start", "-1e-3", "--tau-count", "2"), "tau", "-0.001"),
+])
+def test_negative_values_in_scientific_notation_are_values(args, column, value):
+    # argparse alone takes "-1e-3" for an option string, though "-0.001" for a value
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    assert parse_csv(proc.stdout)[0][column] == value
 
 
 def test_point_oracle_rejects_unresolved_finite_difference_nodes():

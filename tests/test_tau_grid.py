@@ -26,6 +26,7 @@ from sqbattery import (
     run_verification,
 )
 from sqbattery.metrics import DEFAULT_METRICS, ORACLE_METRICS, CurveColumns
+from sqbattery.tolerances import MAX_FD_STEP
 from sqbattery import output
 from sqbattery.output import (MAIN_COLUMNS, ORACLE_COLUMNS, _column, format_float, write_csv,
                               write_figure_files)
@@ -123,16 +124,22 @@ def test_finite_difference_steps_must_be_finite_and_positive(step):
         Tolerances().replace(fd_step=step)
 
 
-def test_grids_whose_nodes_overflow_are_rejected():
-    with pytest.raises(ValueError, match="nodes tau \\+/- 1e\\+308 are not finite"):
-        dynamics.TauGrid([1e308], Tolerances(fd_step=1e308))
+def test_steps_too_large_to_be_derivative_steps_are_rejected_so_nodes_stay_finite():
+    # a step that once overflowed the nodes is refused where it is set; at the
+    # largest step allowed, every node of the largest finite taus is finite
+    message = "tolerance fd_step must be a finite number > 0 and <= 0.01, got 1e"
+    with pytest.raises(ValueError, match=message):
+        Tolerances(fd_step=1e308)
+    top = np.finfo(float).max
+    grid = dynamics.TauGrid([top, -top], Tolerances(fd_step=MAX_FD_STEP))
+    assert np.isfinite(grid.nodes).all()
 
 
 def test_round_robin_schedule_is_built_once_and_read_only():
     linalg.hermitian_eigendecomposition(np.eye(4))
-    rounds = linalg._ROUNDS[4]
+    rounds = linalg._round_robin(4)
     linalg.hermitian_eigendecomposition(np.eye(4))
-    assert linalg._ROUNDS[4] is rounds
+    assert linalg._round_robin(4) is rounds
     assert rounds and not any(a.flags.writeable for r in rounds for a in r)
     assert all(not a.flags.writeable for r in linalg._round_robin(5) for a in r)
 
