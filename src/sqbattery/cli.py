@@ -62,7 +62,7 @@ def _add_param_flags(sp: argparse.ArgumentParser) -> None:
                     help="closed-form variant (default: corrected; figure presets default to verbatim)")
     sp.add_argument("--oracle", action="store_true",
                     help="add numeric-oracle columns to the output")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+    sp.add_argument("--format", choices=output.FORMATS, default="csv", dest="fmt")
     sp.add_argument("--out", type=str, default=None, help="output file or directory")
 
 
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--mode", choices=MODES, default=None,
                        help="closed-form variant (presets default to verbatim)")
     p_fig.add_argument("--oracle", action="store_true")
-    p_fig.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+    p_fig.add_argument("--format", choices=output.FORMATS, default="csv", dest="fmt")
     p_fig.add_argument("--out", type=str, default=".")
     p_fig.set_defaults(run=_cmd_figure)
 

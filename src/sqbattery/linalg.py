@@ -66,10 +66,10 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
 
 
 @cache
-def _triangles(n: int) -> tuple[np.ndarray, ...]:
-    """Rows and columns of the upper triangle of an n x n matrix, with the
-    diagonal, then without it; built once per n and shared, so read-only."""
-    indices = np.triu_indices(n) + np.triu_indices(n, 1)
+def _triangles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the upper triangle of an n x n matrix, diagonal
+    included; built once per n and shared, so read-only."""
+    indices = np.triu_indices(n)
     for a in indices:
         a.flags.writeable = False
     return indices
@@ -205,7 +205,7 @@ def _check_input(m: np.ndarray, offset: int, tol: Tolerances) -> None:
             f"matrix {offset + int(np.argmin(finite))} of the stack has non-finite entries"
         )
     # |m - m^dagger| is symmetric: its upper triangle holds its max
-    rows, cols = _triangles(m.shape[-1])[:2]
+    rows, cols = _triangles(m.shape[-1])
     dev = m[:, cols, rows]
     np.conjugate(dev, out=dev)
     with np.errstate(over="ignore"):
@@ -224,7 +224,6 @@ def _decompose(m: np.ndarray, offset: int, tol: Tolerances,
     """Eigenvalues and eigenvectors (or None) of one chunk; ``offset`` numbers its matrices."""
     _check_input(m, offset, tol)
     count, n = m.shape[0], m.shape[-1]
-    upper, lower = _triangles(n)[2:]
 
     # scale by 2**-e, with 2**e just above the largest real or imaginary part
     top = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1))
@@ -232,13 +231,8 @@ def _decompose(m: np.ndarray, offset: int, tol: Tolerances,
     a = np.empty_like(m)
     a.real = np.ldexp(m.real, -e)
     a.imag = np.ldexp(m.imag, -e)
-    # the Hermitian part, (a + a^dagger) / 2, a triangle at a time
-    above, below = a[:, upper, lower], a[:, lower, upper]
-    a[:, upper, lower] = above + below.conj()
-    a[:, lower, upper] = below + above.conj()
-    del above, below
-    diagonal = np.arange(n)
-    a[:, diagonal, diagonal] += a[:, diagonal, diagonal].conj()
+    # the Hermitian part, (a + a^dagger) / 2, in place
+    a += a.conj().swapaxes(-1, -2)
     a /= 2.0
 
     # target relative to the (scaled) matrix norm

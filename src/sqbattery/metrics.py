@@ -12,14 +12,18 @@ Closed forms accept a mode: ``corrected`` (matches the numeric oracle; the
 default) or ``verbatim`` (the originally published expressions; see README).
 
 The closed forms take tau arrays or grids and the numeric routes take stacks:
-:func:`compute_curve` evaluates one parameter set over a whole tau grid,
-every column once per curve, and :func:`compute_sample` is its one-tau case.
-Its oracle reads each evolved state's spectrum off its Gibbs weights, so a
-curve decomposes only H; ``verify``'s spectral leg checks that identity.
+:func:`compute_curves`, the curve engine, evaluates parameter sets over a
+whole tau grid, every column once per curve; :func:`compute_curve` is its
+one-set case and :func:`compute_sample` that one's one-tau case. Its oracle
+reads each evolved state's spectrum off its Gibbs weights, so a block of
+curves decomposes only their Hamiltonians, in one call; ``verify``'s
+spectral leg checks that identity.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
 
@@ -45,6 +49,7 @@ __all__ = [
     "capacity_definitional",
     "capacity_reconciled",
     "compute_curve",
+    "compute_curves",
     "compute_sample",
     "ergotropy",
     "ergotropy_closed_form",
@@ -274,6 +279,9 @@ DEFAULT_METRICS = (
     "coherence_l1",
 )
 ORACLE_METRICS = ("ergotropy_numeric", "power_fd")
+# parameter sets evaluated together by a request with numeric columns: their
+# Hamiltonians share one eigensolver call, and their columns are alive at once
+CURVE_BLOCK = 16
 # the curve column behind each main output column: the closed forms, or in
 # oracle-only mode their numeric counterparts
 CLOSED_FIELDS = {"ergotropy": "ergotropy_closed", "power": "power_closed",
@@ -328,26 +336,43 @@ def compute_curve(
     metrics: tuple[str, ...] = DEFAULT_METRICS,
     tol: Tolerances | None = None,
 ) -> CurveColumns:
-    """Evaluate the selected metrics at every tau of one parameter set.
+    """Evaluate the selected metrics at every tau of one parameter set: the
+    one-set case of :func:`compute_curves`, with the same bits."""
+    return next(compute_curves((p,), taus, mode, metrics, tol))
+
+
+def compute_curves(
+    params: Iterable[BatteryParams],
+    taus,
+    mode: str = "corrected",
+    metrics: tuple[str, ...] = DEFAULT_METRICS,
+    tol: Tolerances | None = None,
+) -> Iterator[CurveColumns]:
+    """The curve engine: evaluate the selected metrics at every tau of each
+    parameter set of ``params``, yielding one :class:`CurveColumns` per set,
+    in order, each with its own flag.
 
     ``taus`` is an array or a ``TauGrid``, which a sweep shares between its
-    curves. Every column is evaluated once per curve. The Hamiltonian is
-    built and decomposed once (the curve's one eigensolver call), for its
-    Gibbs state and the passive energy every evolved state shares; the
+    curves. The request is checked once, on call: a ``power_fd`` column, or
+    in oracle-only mode the power column it stands in for, raises
+    ``ValueError`` at a tau too large for the grid's step (see
+    :meth:`TauGrid.require_resolved`), before any overflow is flagged.
+    Every column is evaluated once per curve: each closed form is one call
+    over the whole tau array, and the tau-independent capacities are
+    computed once. A request with numeric columns takes the sets in blocks
+    of :data:`CURVE_BLOCK`, each one :func:`_numeric_pass`: the block's
+    Hamiltonians are decomposed in one eigensolver call, for their Gibbs
+    states and the passive energy each set's evolved states share, and the
     numeric columns (``ergotropy_numeric``, ``power_fd`` at tau +/- the
-    grid's step, and coherence in oracle-only mode) come from one
-    :func:`_numeric_pass`, which evolves at most ``MAX_STACK`` states at a
-    time and reads their spectrum off the Gibbs weights; each
-    closed form is one call over the whole tau array, and the
-    tau-independent capacities are computed once. In
-    oracle-only mode each closed-form metric gives way to its numeric
-    counterpart in :data:`NUMERIC_FIELDS`; otherwise coherence is read off
-    the mode's closed-form states. Overflow comes from the tau-independent
-    thermal terms, so it flags the whole curve in-band rather than raising;
-    the closed forms go first, so such a curve makes no eigensolver call.
-    A ``power_fd`` column, or in oracle-only mode the power column it stands
-    in for, raises ``ValueError`` at a tau too large for the grid's step
-    (see :meth:`TauGrid.require_resolved`), before any overflow is flagged.
+    grid's step, and coherence in oracle-only mode) come from evolving at
+    most ``MAX_STACK`` states at a time. Any other request has no pass to
+    share and takes one set at a time; so only one block's columns need be
+    alive. In oracle-only mode each closed-form metric gives way to its
+    numeric counterpart in :data:`NUMERIC_FIELDS`; otherwise coherence is
+    read off the mode's closed-form states. Overflow comes from the
+    tau-independent thermal terms, so it flags its curve in-band rather
+    than raising; the closed forms go first, so such a set is left out of
+    its block's eigensolver call.
     """
     validate_mode(mode, allow_oracle_only=True)
     unknown = set(metrics) - set(ALL_METRICS)
@@ -360,14 +385,41 @@ def compute_curve(
     grid = as_grid(taus, tol)
     if "power_fd" in metrics:
         grid.require_resolved(tol)
-    try:
-        closed = _closed_columns(p, grid, mode, metrics, tol)
-        numeric = _numeric_columns(p, grid, mode, metrics, tol)
-    except OverflowError:
-        # covers ParameterOverflowError and raw float overflow alike
-        return CurveColumns(grid.taus, {}, "overflow")
-    numeric.columns.update(closed)
-    return numeric
+    evolves = mode == "oracle-only" or not set(metrics).isdisjoint(ORACLE_METRICS)
+    return _curve_blocks(iter(params), grid, mode, metrics, tol, evolves)
+
+
+def _curve_blocks(params: Iterator[BatteryParams], grid: TauGrid, mode: str,
+                  metrics: tuple[str, ...], tol: Tolerances,
+                  evolves: bool) -> Iterator[CurveColumns]:
+    """The curves of :func:`compute_curves`, a block of sets at a time:
+    :data:`CURVE_BLOCK` sets if the request ``evolves`` states, else one.
+    A block's columns are let go before the next block is evaluated."""
+    while block := tuple(itertools.islice(params, CURVE_BLOCK if evolves else 1)):
+        yield from _curve_block(block, grid, mode, metrics, tol, evolves)
+
+
+def _curve_block(block: tuple[BatteryParams, ...], grid: TauGrid, mode: str,
+                 metrics: tuple[str, ...], tol: Tolerances,
+                 evolves: bool) -> Iterator[CurveColumns]:
+    """One block's curves: every set's closed columns, then one numeric
+    pass over the sets that did not overflow, if the request ``evolves``."""
+    closed = []
+    for p in block:
+        try:
+            closed.append(_closed_columns(p, grid, mode, metrics, tol))
+        except OverflowError:  # covers ParameterOverflowError and raw float overflow alike
+            closed.append(None)
+    live = [p for p, columns in zip(block, closed) if columns is not None]
+    numeric = iter(_numeric_columns(live, grid, mode, metrics, tol) if evolves and live
+                   else [CurveColumns(grid.taus, {}) for _ in live])
+    for columns in closed:
+        if columns is None:
+            yield CurveColumns(grid.taus, {}, "overflow")
+        else:
+            curve = next(numeric)
+            curve.columns.update(columns)
+            yield curve
 
 
 def _closed_columns(
@@ -401,36 +453,37 @@ _THERMAL_BODIES = {
 
 
 def _numeric_columns(
-    p: BatteryParams,
+    params: list[BatteryParams],
     grid: TauGrid,
     mode: str,
     metrics: tuple[str, ...],
     tol: Tolerances,
-) -> CurveColumns:
-    """The oracle columns of one curve, each an array over the taus, flagged
-    if ill-conditioned; in oracle-only mode also the coherence and the
-    reconciled capacity of the numeric route. Only the nodes whose columns
-    are selected are evolved."""
-    count, columns = len(grid.taus), {}
+) -> list[CurveColumns]:
+    """The oracle columns of each set of ``params``, each an array over the
+    taus, flagged if ill-conditioned; in oracle-only mode also the coherence
+    and the reconciled capacity of the numeric route. All sets share one
+    :func:`_numeric_pass`, and only the nodes whose columns are selected are
+    evolved."""
+    count = len(grid.taus)
     coherence = "coherence_l1" in metrics and mode == "oracle-only"
     numeric, power = "ergotropy_numeric" in metrics, "power_fd" in metrics
-    if not (numeric or power or mode == "oracle-only"):
-        return CurveColumns(grid.taus, columns)
     nodes = slice(0 if numeric or coherence else count, 3 * count if power else count)
-    hs, rhos, chunks = _numeric_pass((p,), grid, tol)
-    energies = np.empty(3 * count)
-    if coherence:
-        columns["coherence_l1"] = np.empty(count)
-    for _, lo, states, values, _ in chunks(nodes):
-        energies[lo:lo + len(values)] = values
+    hs, rhos, chunks = _numeric_pass(params, grid, tol)
+    energies = [np.empty(3 * count) for _ in params]
+    columns = [{"coherence_l1": np.empty(count)} if coherence else {} for _ in params]
+    for i, lo, states, values, _ in chunks(nodes):
+        energies[i][lo:lo + len(values)] = values
         if coherence and lo < count:  # the states at the taus themselves
-            columns["coherence_l1"][lo:lo + len(states)] = l1_coherence(states[:count - lo])
-    if numeric:
-        columns["ergotropy_numeric"] = energies[:count]
-    if power:
-        columns["power_fd"] = grid.central_difference(energies[count:])
-    if "capacity_reconciled" in metrics:
-        columns["capacity_reconciled"] = capacity_reconciled(p, hs[0], rhos[0])
-    scale = float(np.abs(hs[0]).max())  # Python floats, eps last: a huge bound is inf, no warning
-    ill = scale * max(1.0, scale / p.temperature) * np.finfo(float).eps > tol.ergotropy_equivalence
-    return CurveColumns(grid.taus, columns, "ill_conditioned" if ill else "")
+            columns[i]["coherence_l1"][lo:lo + len(states)] = l1_coherence(states[:count - lo])
+    curves = []
+    for p, h, rho, e, c in zip(params, hs, rhos, energies, columns):
+        if numeric:
+            c["ergotropy_numeric"] = e[:count]
+        if power:
+            c["power_fd"] = grid.central_difference(e[count:])
+        if "capacity_reconciled" in metrics:
+            c["capacity_reconciled"] = capacity_reconciled(p, h, rho)
+        scale = float(np.abs(h).max())  # Python floats, eps last: a huge bound is inf, no warning
+        ill = scale * max(1.0, scale / p.temperature) * np.finfo(float).eps > tol.ergotropy_equivalence
+        curves.append(CurveColumns(grid.taus, c, "ill_conditioned" if ill else ""))
+    return curves

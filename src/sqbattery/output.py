@@ -22,6 +22,7 @@ from .metrics import ORACLE_METRICS, main_fields
 from .sweep import Curve, SweepConfig, SweepResult
 
 __all__ = [
+    "FORMATS",
     "PANELS",
     "figure_file_names",
     "format_float",
@@ -33,6 +34,7 @@ __all__ = [
     "write_json",
 ]
 
+FORMATS = ("csv", "json")
 CURVE_COLUMNS = ("label", "xi1", "xi2", "xic", "temperature")
 MAIN_COLUMNS = ("ergotropy", "power", "capacity", "coherence_l1")
 ORACLE_COLUMNS = ("ergotropy_numeric", "power_fd", "capacity_definitional")
@@ -168,6 +170,10 @@ def write_json(result: SweepResult, stream, sample_keys=SAMPLE_KEYS,
 
 
 def figure_file_names(name: str, fmt: str) -> list[str]:
+    """The panel files of figure ``name`` in ``fmt``, one of :data:`FORMATS`,
+    then its manifest; ``ValueError`` for any other format."""
+    if fmt not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
     files = [f"{name}_{letter}_{metric}.{fmt}" for letter, metric, _ in PANELS]
     files.append(f"{name}_manifest.json")
     return files
@@ -209,10 +215,11 @@ def write_figure_files(
 ) -> list[Path]:
     """Write one data file per panel plus a manifest, each by
     :func:`write_file`; returns the paths. A panel carries its oracle
-    companion column when :func:`sweep_columns` has it. The curves (a
-    figure has four) are collected before ``out_dir`` is made."""
-    result = dataclasses.replace(result, curves=tuple(result.curves))
+    companion column when :func:`sweep_columns` has it. The format is
+    checked (see :func:`figure_file_names`) and the curves (a figure has
+    four) are collected before ``out_dir`` is made."""
     file_names = figure_file_names(name, fmt)
+    result = dataclasses.replace(result, curves=tuple(result.curves))
     paths = [Path(out_dir) / fname for fname in file_names]
     wanted, tau_cells = sweep_columns(result.config), {}
     for path, (_, metric, oracle) in zip(paths, PANELS):

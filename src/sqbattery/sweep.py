@@ -1,10 +1,10 @@
 """Grid evaluation over tau and physical parameters, plus figure presets.
 
-Cells are pure functions of (params, tau, mode, metrics). Each curve is
-evaluated by one ``compute_curve`` call over the sweep's one ``TauGrid``; the numeric
-columns are computed on stacks whose every matrix is handled independently,
-so results are deterministic and any single cell can be recomputed in
-isolation bit-for-bit.
+Cells are pure functions of (params, tau, mode, metrics). A sweep's curves
+are drawn from one ``compute_curves`` call over the sweep's one ``TauGrid``;
+the numeric columns are computed on stacks whose every matrix is handled
+independently, so results are deterministic and any single cell can be
+recomputed in isolation bit-for-bit.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from . import __about__
 from .dynamics import TauGrid, validate_mode
 from .exceptions import UnknownPresetError
-from .metrics import DEFAULT_METRICS, CurveColumns, compute_curve, main_fields
+from .metrics import DEFAULT_METRICS, CurveColumns, compute_curves, main_fields
 from .model import BatteryParams
 from .tolerances import Tolerances, resolve
 
@@ -107,7 +107,7 @@ class SweepResult:
 
     :func:`run_sweep` gives a tuple of curves. The writers of
     :mod:`sqbattery.output` read ``curves`` once, in order, so the iterator
-    of :func:`stream_sweep` is written curve by curve.
+    of :func:`stream_sweep` is written block by block, as it is evaluated.
     """
 
     config: SweepConfig
@@ -131,7 +131,8 @@ def _argmax_first(values: np.ndarray | None) -> int | None:
     ties; a leading NaN wins, later NaNs are passed over); None for none."""
     if values is None or not len(values):
         return None
-    return 0 if math.isnan(values[0]) else int(np.nanargmax(values))
+    i = int(np.argmax(values))  # the first NaN, if any: a leading one wins
+    return int(np.nanargmax(values)) if i and math.isnan(values[i]) else i
 
 
 def summarize_curve(curve: CurveColumns, mode: str) -> CurveSummary:
@@ -154,17 +155,21 @@ def summarize_curve(curve: CurveColumns, mode: str) -> CurveSummary:
 
 
 def stream_sweep(cfg: SweepConfig, tol: Tolerances | None = None) -> SweepResult:
-    """The result of :func:`run_sweep` with ``curves`` an iterator that
-    evaluates each curve over the sweep's one tau grid when it is drawn, so
-    only one curve's columns need be alive at a time.
+    """The result of :func:`run_sweep` with ``curves`` an iterator that draws
+    the curves from one :func:`compute_curves` call over the sweep's one tau
+    grid, which evaluates them a block at a time as they are drawn, so only
+    one block's columns need be alive at a time.
 
-    The grid and the first curve are built and evaluated on call, so a
+    The grid and the first block are built and evaluated on call, so a
     request that fails at once, such as one whose finite-difference nodes
-    :func:`compute_curve` rejects, fails before anything is drawn.
+    :func:`compute_curves` rejects, fails before anything is drawn.
     """
     tol = resolve(tol)
     grid = TauGrid(cfg.tau_grid(), tol)
-    curves = (_curve(label, params, grid, cfg, tol) for label, params in _curve_cases(cfg))
+    columns = compute_curves((p for _, p in _curve_cases(cfg)), grid, cfg.mode, cfg.metrics, tol)
+    curves = (Curve(label=label, params=params, samples=samples,
+                    summary=summarize_curve(samples, cfg.mode))
+              for (label, params), samples in zip(_curve_cases(cfg), columns))
     first = next(curves)
     provenance = {
         "package": __about__.NAME,
@@ -175,13 +180,6 @@ def stream_sweep(cfg: SweepConfig, tol: Tolerances | None = None) -> SweepResult
     }
     return SweepResult(config=cfg, curves=itertools.chain((first,), curves),
                        provenance=provenance)
-
-
-def _curve(label: str, params: BatteryParams, grid: TauGrid, cfg: SweepConfig,
-           tol: Tolerances) -> Curve:
-    samples = compute_curve(params, grid, cfg.mode, cfg.metrics, tol)
-    return Curve(label=label, params=params, samples=samples,
-                 summary=summarize_curve(samples, cfg.mode))
 
 
 def run_sweep(cfg: SweepConfig, tol: Tolerances | None = None) -> SweepResult:

@@ -105,8 +105,8 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     state's spectrum off its Gibbs weights; the ergotropy suite's spectral
     leg, which checks that identity, decomposes the states at the taus
     (eigenvalues only, one call per chunk), while those at tau +/- fd_step
-    only feed the power suite. The closed columns are each preset's
-    :func:`metrics.compute_curve` columns, the ones that sweeps and figures
+    only feed the power suite. The closed columns are the presets'
+    :func:`metrics.compute_curves` columns, the ones that sweeps and figures
     write. Each chunk is reduced to its residuals before the next is evolved.
     """
     if level not in ("quick", "full"):
@@ -120,8 +120,8 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     hs, rhos, chunks = metrics._numeric_pass(param_sets, grid, tol, evolved=len(presets))
     closed_rhos = np.array([model.gibbs_state_closed_form(p, tol) for p in param_sets])
     gibbs = [np.abs(closed_rhos - rhos)]
-    columns = [metrics.compute_curve(p, grid, "corrected", ("ergotropy_closed", "power_closed",
-               "capacity_closed", "capacity_definitional"), tol).columns for p in presets]
+    columns = [curve.columns for curve in metrics.compute_curves(presets, grid, "corrected", (
+        "ergotropy_closed", "power_closed", "capacity_closed", "capacity_definitional"), tol)]
 
     evolved, ergotropies, closed = [], [], {}
     for i, lo, states, oracle, spectral in chunks(slice(0, n), spectral=True):

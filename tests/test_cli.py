@@ -562,6 +562,23 @@ def test_sweep_memory_is_one_curve_however_many_curves():
     assert Path(os.devnull).is_char_device()  # written in place, never renamed onto
 
 
+def test_oracle_sweep_memory_is_one_block_however_many_curves():
+    # the curve engine evaluates an oracle sweep CURVE_BLOCK (16) curves at
+    # a time: 16 curves are one block, 256 are sixteen blocks
+    peaks = {}
+    for n in (4, 16):
+        args = [*square_sweep(n), "--mode", "oracle-only"]
+        assert main(args) == 0  # imports and first-use caches settle
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] <= 1.1 * peaks[4], peaks
+    assert peaks[4] <= 1.1 * peaks[16], peaks
+
+
 def test_out_file_is_replaced_whole_and_keeps_its_mode(tmp_path):
     out = tmp_path / "out.csv"
     out.write_text("old\n")
@@ -573,15 +590,14 @@ def test_out_file_is_replaced_whole_and_keeps_its_mode(tmp_path):
 
 
 def fail_on_second_curve(monkeypatch):
-    compute_curve, calls = sweep.compute_curve, []
+    # the curve engine yields the first curve, then fails to draw the second
+    compute_curves = sweep.compute_curves
 
     def failing(*args):
-        calls.append(args)
-        if len(calls) == 2:
-            raise EigenConvergenceError("no convergence on the second curve")
-        return compute_curve(*args)
+        yield next(compute_curves(*args))
+        raise EigenConvergenceError("no convergence on the second curve")
 
-    monkeypatch.setattr(sweep, "compute_curve", failing)
+    monkeypatch.setattr(sweep, "compute_curves", failing)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

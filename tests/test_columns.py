@@ -75,8 +75,8 @@ def test_shared_formatter_is_17_significant_digits(x):
 
 
 def test_oracle_only_sweep_decomposes_every_input_once(monkeypatch):
-    # per curve: H with eigenvectors, once; the evolved states' spectra are
-    # its Gibbs weights, so none of them is decomposed
+    # per block of curves: their Hs with eigenvectors, in one call; the
+    # evolved states' spectra are the Gibbs weights, so none is decomposed
     inputs = []
 
     def counting(m, tol=None, **kwargs):
@@ -90,13 +90,27 @@ def test_oracle_only_sweep_decomposes_every_input_once(monkeypatch):
                       varied=(("xic", (0.5, 1.0)),), tau_count=5, mode="oracle-only")
     result = run_sweep(cfg)
     calls = [(shape[0] if len(shape) == 3 else 1, vectors) for shape, vectors, _ in inputs]
-    assert calls == [(1, True)] * 2
+    assert calls == [(2, True)]
     assert len({(shape, data) for shape, _, data in inputs}) == len(inputs)
     for curve in result.curves:
         p = curve.params
         h = model_mod.build_full_hamiltonian(p)
         rho = model_mod.gibbs_state_numeric(h, p.temperature)
         assert curve.summary.capacity == metrics_mod.capacity_reconciled(p, h, rho)
+
+
+@pytest.mark.parametrize("mode", ["corrected", "verbatim", "oracle-only"])
+def test_oracle_figure_decomposes_its_four_hamiltonians_in_one_call(monkeypatch, mode):
+    shapes = []
+
+    def counting(m, tol=None, **kwargs):
+        shapes.append(np.shape(m))
+        return hermitian_eigendecomposition(m, tol, **kwargs)
+
+    monkeypatch.setattr(metrics_mod, "hermitian_eigendecomposition", counting)
+    result = run_sweep(figure_preset("fig3", mode, DEFAULT_METRICS + ORACLE_METRICS))
+    assert len(result.curves) == 4
+    assert shapes == [(4, 4, 4)]
 
 
 @pytest.mark.parametrize("mode", ["corrected", "verbatim", "oracle-only"])

@@ -30,7 +30,7 @@ from sqbattery import (
     power_fd,
 )
 from sqbattery.linalg import MAX_STACK
-from sqbattery.metrics import ALL_METRICS
+from sqbattery.metrics import ALL_METRICS, CURVE_BLOCK, compute_curves
 from conftest import random_hermitian
 from reference import cell_bits, reconstruct
 
@@ -202,6 +202,16 @@ def test_stacked_callers_match_single_calls():
         assert fd[i] == power_fd(BASE, float(tau))
 
 
+def test_evolve_beyond_one_chunk_matches_single_calls():
+    # one state is evolved by one product over the unitaries' stacked rows,
+    # MAX_STACK unitaries at a time
+    us = charging_unitaries(np.linspace(0.0, 7.0, 2 * MAX_STACK + 3))
+    rho = gibbs_state_numeric(build_full_hamiltonian(BASE), BASE.temperature)
+    states = evolve(rho, us)
+    for i in (0, MAX_STACK - 1, MAX_STACK, 2 * MAX_STACK, len(us) - 1):
+        assert states[i].tobytes() == evolve(rho, us[i]).tobytes()
+
+
 def test_gibbs_state_stack_matches_single_calls():
     params = [BASE, BatteryParams(xi1=0.2, xi2=2.0, xic=0.1, temperature=3.0)]
     hs = np.array([build_full_hamiltonian(p) for p in params])
@@ -217,6 +227,24 @@ def test_curve_cells_equal_single_cells(mode):
     assert len(curve) == len(taus)
     for i, tau in enumerate(taus.tolist()):
         assert cell_bits(curve, i) == cell_bits(compute_sample(BASE, tau, mode, ALL_METRICS), 0)
+
+
+@pytest.mark.parametrize("mode", ["corrected", "verbatim", "oracle-only"])
+def test_curves_of_a_block_equal_curves_alone(mode):
+    # a block's Hamiltonians are decomposed in one call and its sets' nodes
+    # evolved in shared chunks; an overflowing set among them is flagged
+    # alone, and the next block starts fresh
+    params = [BatteryParams(xi1=0.2 * k, xi2=1.5, xic=0.3, temperature=0.05 + 0.3 * k)
+              for k in range(CURVE_BLOCK + 3)]
+    params[2] = BatteryParams(xi1=1e200, xi2=0.0, xic=0.0, temperature=1.0)
+    taus = np.linspace(0.0, 2 * np.pi, 41)
+    curves = list(compute_curves(params, taus, mode, ALL_METRICS))
+    assert len(curves) == len(params)
+    for p, curve in zip(params, curves):
+        alone = compute_curve(p, taus, mode, ALL_METRICS)
+        assert [cell_bits(curve, i) for i in range(len(taus))] == \
+            [cell_bits(alone, i) for i in range(len(taus))]
+    assert [c.flag for c in curves].count("overflow") == (mode != "oracle-only")
 
 
 def test_overflow_curve_flags_every_cell():

@@ -72,6 +72,16 @@ def test_manifest_object_is_the_written_manifest(tmp_path, fmt):
     assert json.loads(manifest) == json.loads(paths[-1].read_text("utf-8"))
 
 
+def test_figure_files_take_only_csv_or_json(tmp_path):
+    result = run_sweep(SweepConfig(base=BatteryParams(1.5, 0.5, 0.3, 0.1), tau_count=3))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="format must be one of"):
+        figure_file_names("fig", "xml")
+    with pytest.raises(ValueError, match="format must be one of"):
+        write_figure_files(result, "fig", out, "xml")
+    assert not out.exists()
+
+
 def benchmark_shaped_sweep(n: int):
     """An n x n xi2-by-temperature sweep over 401 taus, as the benchmark runs."""
     rng = np.random.default_rng(7)

@@ -72,7 +72,7 @@ def test_the_cli_never_holds_a_whole_sweep():
 
 def test_each_request_is_stated_once():
     # SweepConfig.metrics alone says which columns are written, and
-    # metrics.compute_curve alone applies the finite-difference rule and
+    # metrics.compute_curves alone applies the finite-difference rule and
     # maps each main column to its closed-form or numeric column
     owned = {"require_resolved", "CLOSED_FIELDS", "NUMERIC_FIELDS"}
     offenders = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
@@ -87,3 +87,28 @@ def test_each_request_is_stated_once():
                   for arg in ast.walk(node.args)
                   if isinstance(arg, ast.arg) and arg.arg == "step"]
     assert offenders == []
+
+
+def test_no_lapack_eigensolver_in_src():
+    # the numeric route is self-contained: numpy's and scipy's eigensolvers
+    # may serve the tests and the bench as references, never the program
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                modules = []
+            offenders += [f"{path.name}: import {m}" for m in modules
+                          if m.split(".")[0] == "scipy" or m.startswith("numpy.linalg")]
+            if isinstance(node, ast.Attribute) and re.fullmatch(r"linalg|eig(vals)?h?", node.attr):
+                offenders.append(f"{path.name}: .{node.attr}")
+    assert offenders == []
+
+
+def test_src_parses_as_the_oldest_supported_python():
+    # pyproject.toml declares requires-python >= 3.10
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
