@@ -140,6 +140,12 @@ def _setting(args, config: dict, key: str, default):
     return config.get(key, default) if value is None else value
 
 
+def _given(args, config: dict, **kinds) -> dict:
+    """The settings of ``kinds`` a flag or ``config`` gives; the callee holds the defaults."""
+    return {key: kind(value) for key, kind in kinds.items()
+            if (value := _setting(args, config, key, None)) is not None}
+
+
 def _sweep_config(args, config: dict, **grid) -> SweepConfig:
     """A point's or sweep's parameters, mode and metrics, over the tau ``grid``."""
     base = BatteryParams(
@@ -149,7 +155,7 @@ def _sweep_config(args, config: dict, **grid) -> SweepConfig:
         temperature=float(_setting(args, config, "temp", 1.0)),
     )
     return SweepConfig(base=base, metrics=_metric_selection(args.oracle),
-                       mode=_setting(args, config, "mode", "corrected"), **grid)
+                       **_given(args, config, mode=str), **grid)
 
 
 def _parse_vary(vary_args: list[str]) -> tuple:
@@ -215,17 +221,14 @@ def _cmd_point(args, tol) -> int:
 
 def _cmd_sweep(args, tol) -> int:
     config = _load_config(args)
-    # only the tau settings given; SweepConfig holds the defaults
-    grid = {key: kind(value) for key, kind in
-            (("tau_start", float), ("tau_stop", float), ("tau_count", int))
-            if (value := _setting(args, config, key, None)) is not None}
+    grid = _given(args, config, tau_start=float, tau_stop=float, tau_count=int)
     cfg = _sweep_config(args, config, varied=_parse_vary(args.vary), **grid)
     return _emit_result(stream_sweep(cfg, tol), args)
 
 
 def _cmd_figure(args, tol) -> int:
-    mode = args.mode if args.mode is not None else "verbatim"
-    cfg = figure_preset(args.name, mode=mode, metrics=_metric_selection(args.oracle))
+    mode = _given(args, {}, mode=str)  # only a --mode given; figure_preset holds the default
+    cfg = figure_preset(args.name, metrics=_metric_selection(args.oracle), **mode)
     result = stream_sweep(cfg, tol)
     try:
         paths = output.write_figure_files(result, args.name, args.out, args.fmt)

@@ -16,8 +16,9 @@ The closed forms take tau arrays or grids and the numeric routes take stacks:
 whole tau grid, every column once per curve; :func:`compute_curve` is its
 one-set case and :func:`compute_sample` that one's one-tau case. Its oracle
 reads each evolved state's spectrum off its Gibbs weights, so a block of
-curves decomposes only their Hamiltonians, in one call; ``verify``'s
-spectral leg checks that identity.
+curves decomposes only their Hamiltonians, in one call, then evolves each
+set's Gibbs state a chunk at a time. ``verify`` runs the same two steps,
+and its spectral leg checks that identity.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -161,54 +161,36 @@ def _power_closed(p: BatteryParams, t: ThermalTerms, g: TauGrid, mode: str):
     )
 
 
-def _numeric_pass(params, grid: TauGrid, tol: Tolerances, evolved: int | None = None):
-    """The numeric route of a stack of parameter sets over one tau grid.
+def _numeric_pass(params, tol: Tolerances):
+    """The shared start of the numeric route of a stack of parameter sets.
 
     Every full Hamiltonian H, gate charges included, is decomposed in one
     call, with eigenvectors, for its Gibbs state rho_th and passive energy.
-    Returns the H and rho_th stacks and ``chunks(nodes, spectral=False)``:
-    :func:`_evolved_chunks` of the first ``evolved`` sets (by default all).
+    Returns the stacks of H, rho_th, passive energies and H's ascending
+    eigenvalues.
     """
     hs = np.array([build_full_hamiltonian(p) for p in params])
     dec = hermitian_eigendecomposition(hs, tol)
     rhos, passive = _gibbs_state(dec, [p.temperature for p in params])
-    sets = len(hs) if evolved is None else evolved
-    return hs, rhos, partial(_evolved_chunks, grid, hs[:sets], dec.eigenvalues, passive, rhos, tol)
+    return hs, rhos, passive, dec.eigenvalues
 
 
-def _evolved_chunks(grid: TauGrid, hs, levels, passive, rhos, tol: Tolerances, nodes: slice,
-                    spectral: bool = False):
-    """Yield ``(i, lo, states, energies, spectral)``: the states U(tau) rho_i
-    U(tau)^dagger of set ``i`` at the grid nodes from ``lo`` on, within
-    ``nodes``, their ergotropies and, if ``spectral``, their sorted-spectrum
-    ergotropies against the ``levels`` of H_i (else None).
+def _evolved(grid: TauGrid, rho, h, passive: float, tol: Tolerances, nodes: slice):
+    """Yield ``(lo, states, ergotropies)``: the states U(tau) rho U(tau)^dagger
+    at the grid nodes from ``lo`` on, within ``nodes``, and their ergotropies.
 
-    A unitary keeps rho_i's spectrum, its Gibbs weights, so each ergotropy is
-    tr(state H_i) - ``passive[i]`` and no state is decomposed but for the
-    ``spectral`` leg, which checks that identity; each chunk still passes the
-    eigensolver's input check. The (set, node) pairs are evolved in chunks of
-    at most ``MAX_STACK`` that share one buffer: each yielded ``states`` is
+    A unitary keeps rho's spectrum, its Gibbs weights, so each ergotropy is
+    tr(state h) - ``passive`` and no state is decomposed; each chunk still
+    passes the eigensolver's input check. At most ``MAX_STACK`` states are
+    evolved at a time, into one buffer per call: each yielded ``states`` is
     overwritten by the next chunk. Every value is that of its matrix alone.
     """
-    start, width = nodes.start, nodes.stop - nodes.start
-    total = len(hs) * width
-    buffer = np.empty((min(total, MAX_STACK), *hs.shape[1:]), dtype=complex)
-    for first in range(0, total, MAX_STACK):
-        last, k, runs = min(first + MAX_STACK, total), first, []
-        while k < last:  # the chunk's runs of one set's nodes: (i, lo, size, offset)
-            i, j = divmod(k, width)
-            runs.append((i, start + j, min(width - j, last - k), k - first))
-            k += runs[-1][2]
-        for i, lo, size, at in runs:
-            grid.evolve(rhos[i], slice(lo, lo + size), tol, out=buffer[at:at + size])
-        stack = buffer[:last - first]
-        _check_input(stack, 0, tol)
-        if spectral:
-            eigs = hermitian_eigendecomposition(stack, tol, vectors=False).eigenvalues
-        for i, lo, size, at in runs:
-            states = stack[at:at + size]
-            yield i, lo, states, _energies(states, hs[i]) - passive[i], (
-                _ergotropies(states, hs[i], eigs[at:at + size], levels[i]) if spectral else None)
+    buffer = np.empty((min(nodes.stop - nodes.start, MAX_STACK), *h.shape), dtype=complex)
+    for lo in range(nodes.start, nodes.stop, MAX_STACK):
+        hi = min(lo + MAX_STACK, nodes.stop)
+        states = grid.evolve(rho, slice(lo, hi), tol, out=buffer[:hi - lo])
+        _check_input(states, 0, tol)
+        yield lo, states, _energies(states, h) - passive
 
 
 def power_fd(p: BatteryParams, tau, tol: Tolerances | None = None):
@@ -364,9 +346,10 @@ def compute_curves(
     Hamiltonians are decomposed in one eigensolver call, for their Gibbs
     states and the passive energy each set's evolved states share, and the
     numeric columns (``ergotropy_numeric``, ``power_fd`` at tau +/- the
-    grid's step, and coherence in oracle-only mode) come from evolving at
-    most ``MAX_STACK`` states at a time. Any other request has no pass to
-    share and takes one set at a time; so only one block's columns need be
+    grid's step, and coherence in oracle-only mode) come from evolving each
+    set's Gibbs state in turn, at most ``MAX_STACK`` states at a time
+    (:func:`_evolved`). Any other request has no pass to share and takes
+    one set at a time; so only one block's columns need be
     alive. In oracle-only mode each closed-form metric gives way to its
     numeric counterpart in :data:`NUMERIC_FIELDS`; otherwise coherence is
     read off the mode's closed-form states. Overflow comes from the
@@ -462,25 +445,24 @@ def _numeric_columns(
     """The oracle columns of each set of ``params``, each an array over the
     taus, flagged if ill-conditioned; in oracle-only mode also the coherence
     and the reconciled capacity of the numeric route. All sets share one
-    :func:`_numeric_pass`, and only the nodes whose columns are selected are
-    evolved."""
+    :func:`_numeric_pass`; then each set's nodes whose columns are selected
+    are evolved, a chunk at a time."""
     count = len(grid.taus)
     coherence = "coherence_l1" in metrics and mode == "oracle-only"
     numeric, power = "ergotropy_numeric" in metrics, "power_fd" in metrics
     nodes = slice(0 if numeric or coherence else count, 3 * count if power else count)
-    hs, rhos, chunks = _numeric_pass(params, grid, tol)
-    energies = [np.empty(3 * count) for _ in params]
-    columns = [{"coherence_l1": np.empty(count)} if coherence else {} for _ in params]
-    for i, lo, states, values, _ in chunks(nodes):
-        energies[i][lo:lo + len(values)] = values
-        if coherence and lo < count:  # the states at the taus themselves
-            columns[i]["coherence_l1"][lo:lo + len(states)] = l1_coherence(states[:count - lo])
+    hs, rhos, passives, _ = _numeric_pass(params, tol)
     curves = []
-    for p, h, rho, e, c in zip(params, hs, rhos, energies, columns):
+    for p, h, rho, passive in zip(params, hs, rhos, passives):
+        energies, c = np.empty(3 * count), {"coherence_l1": np.empty(count)} if coherence else {}
+        for lo, states, values in _evolved(grid, rho, h, passive, tol, nodes):
+            energies[lo:lo + len(values)] = values
+            if coherence and lo < count:  # the states at the taus themselves
+                c["coherence_l1"][lo:lo + len(states)] = l1_coherence(states[:count - lo])
         if numeric:
-            c["ergotropy_numeric"] = e[:count]
+            c["ergotropy_numeric"] = energies[:count]
         if power:
-            c["power_fd"] = grid.central_difference(e[count:])
+            c["power_fd"] = grid.central_difference(energies[count:])
         if "capacity_reconciled" in metrics:
             c["capacity_reconciled"] = capacity_reconciled(p, h, rho)
         scale = float(np.abs(h).max())  # Python floats, eps last: a huge bound is inf, no warning

@@ -99,11 +99,13 @@ def build_full_hamiltonian(p: BatteryParams) -> np.ndarray:
     couples states differing in the second qubit, -xi1/2 those differing in
     the first.
     """
-    # offset first: each term is exactly 0 at degeneracy, even where 4 xic1 overflows
-    z1 = 4.0 * (p.xic1 * (0.5 - p.ng1)) + 2.0 * (p.xic * (0.5 - p.ng2))
-    z2 = 4.0 * (p.xic2 * (0.5 - p.ng2)) + 2.0 * (p.xic * (0.5 - p.ng1))
-    return -0.5 * (
-        z1 * _SZ1 + z2 * _SZ2 + p.xi1 * _SX1 + p.xi2 * _SX2 - 2.0 * p.xic * _SZZ
+    # offset first: each term is exactly 0 at degeneracy, even where 2 xic1 overflows;
+    # the factor -1/2 folded in, as 2 xic can overflow where H is finite; times -1.0,
+    # a complex product: a negation would flip the signed zeros of the imaginary parts
+    z1 = 2.0 * (p.xic1 * (0.5 - p.ng1)) + p.xic * (0.5 - p.ng2)
+    z2 = 2.0 * (p.xic2 * (0.5 - p.ng2)) + p.xic * (0.5 - p.ng1)
+    return -1.0 * (
+        z1 * _SZ1 + z2 * _SZ2 + (0.5 * p.xi1) * _SX1 + (0.5 * p.xi2) * _SX2 - p.xic * _SZZ
     )
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, metrics, model
+from .linalg import MAX_STACK, hermitian_eigendecomposition
 from .model import BatteryParams
 from .sweep import PRESET_NAMES, _curve_cases, figure_preset
 from .tolerances import Tolerances, resolve
@@ -99,15 +100,17 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     """Run the five suites as reductions over one numeric pass.
 
     The pass decomposes every Hamiltonian (presets and cloud) in one stacked
-    call, for the thermal suite's Gibbs states; it then evolves each
-    preset's Gibbs state on one ``TauGrid``, in chunks of at most
-    ``MAX_STACK`` states across presets. The oracle reads each evolved
-    state's spectrum off its Gibbs weights; the ergotropy suite's spectral
-    leg, which checks that identity, decomposes the states at the taus
-    (eigenvalues only, one call per chunk), while those at tau +/- fd_step
-    only feed the power suite. The closed columns are the presets'
-    :func:`metrics.compute_curves` columns, the ones that sweeps and figures
-    write. Each chunk is reduced to its residuals before the next is evolved.
+    call, for the thermal suite's Gibbs states. Each preset's Gibbs state is
+    then evolved on one ``TauGrid`` by :func:`metrics._evolved`, the curve
+    engine's per-set loop. The oracle reads each evolved state's spectrum off
+    its Gibbs weights; the ergotropy suite's spectral leg, which checks that
+    identity, decomposes the states at the taus (eigenvalues only, in stacks
+    of as many whole presets as fit in ``MAX_STACK``), while those at
+    tau +/- fd_step only feed the power suite. The closed columns are the
+    presets' :func:`metrics.compute_curves` columns, the ones that sweeps and
+    figures write. Each stack is reduced to its residuals before the next is
+    evolved, so at most ``MAX_STACK`` states at the taus (or one preset's)
+    are held at once.
     """
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
@@ -117,27 +120,33 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     taus = np.linspace(0.0, 2.0 * np.pi, 401 if level == "full" else 81)
     grid, n = dynamics.TauGrid(taus, tol), len(taus)
 
-    hs, rhos, chunks = metrics._numeric_pass(param_sets, grid, tol, evolved=len(presets))
+    hs, rhos, passive, levels = metrics._numeric_pass(param_sets, tol)
     closed_rhos = np.array([model.gibbs_state_closed_form(p, tol) for p in param_sets])
     gibbs = [np.abs(closed_rhos - rhos)]
     columns = [curve.columns for curve in metrics.compute_curves(presets, grid, "corrected", (
         "ergotropy_closed", "power_closed", "capacity_closed", "capacity_definitional"), tol)]
 
-    evolved, ergotropies, closed = [], [], {}
-    for i, lo, states, oracle, spectral in chunks(slice(0, n), spectral=True):
-        if i not in closed:  # runs come preset by preset: keep one preset's states
-            closed = {i: dynamics.evolved_state_closed_form(presets[i], grid, "corrected", tol)}
-        hi = lo + len(states)
-        evolved.append(np.abs(closed[i][lo:hi] - states).max())
-        reference = metrics.ergotropy_vs_reference(states, rhos[i], hs[i])
-        e_closed = columns[i]["ergotropy_closed"][lo:hi]
-        ergotropies.append(np.abs([spectral - oracle, spectral - reference,
-                                   spectral - e_closed, reference - e_closed]).max())
-    powers, shifted = [], np.empty(2 * n)  # one preset's energies at tau + step, then tau - step
-    for i, lo, _, values, _ in chunks(slice(n, 3 * n)):
-        shifted[lo - n:lo - n + len(values)] = values
-        if lo + len(values) == 3 * n:  # the preset's last run
-            fd = grid.central_difference(shifted)
+    def evolve(i, nodes):  # preset i's (lo, states, ergotropies) at the nodes
+        return metrics._evolved(grid, rhos[i], hs[i], passive[i], tol, nodes)
+
+    evolved, ergotropies, powers = [], [], []
+    size = max(1, MAX_STACK // n)  # whole presets whose states at the taus decompose together
+    for first in range(0, len(presets), size):
+        stack = range(first, min(first + size, len(presets)))
+        runs = [(chunk.copy(), e) for i in stack for _, chunk, e in evolve(i, slice(0, n))]
+        states, oracle = (np.concatenate(part) for part in zip(*runs))
+        spectra = hermitian_eigendecomposition(states, tol, vectors=False).eigenvalues
+        for k, i in enumerate(stack):
+            at = slice(k * n, (k + 1) * n)  # preset i's states at the taus
+            closed = dynamics.evolved_state_closed_form(presets[i], grid, "corrected", tol)
+            evolved.append(np.abs(closed - states[at]).max())
+            spectral = metrics._ergotropies(states[at], hs[i], spectra[at], levels[i])
+            reference = metrics.ergotropy_vs_reference(states[at], rhos[i], hs[i])
+            e_closed = columns[i]["ergotropy_closed"]
+            ergotropies.append(np.abs([spectral - oracle[at], spectral - reference,
+                                       spectral - e_closed, reference - e_closed]).max())
+            shifted = [e for _, _, e in evolve(i, slice(n, 3 * n))]
+            fd = grid.central_difference(np.concatenate(shifted))
             powers.append(np.abs(columns[i]["power_closed"] - fd).max())
     capacities = [residual for p, h, rho, c in zip(presets, hs, rhos, columns) for residual in (
         abs(c["capacity_closed"] - metrics.capacity_reconciled(p, h, rho)),

@@ -82,6 +82,19 @@ def test_unknown_preset_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("mode, flag", [("oracle-only", "ill_conditioned"),
+                                        ("corrected", "overflow")])
+def test_huge_coupling_builds_its_hamiltonian_without_a_warning(mode, flag):
+    # H is finite at xic = 1e308, so the xic = 1 curve is written and the
+    # huge one flagged, with no numpy warning on the way
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "sqbattery", "sweep",
+         "--mode", mode, "--oracle", "--tau-count", "2", "--vary", "xic=1,1e308"],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert [row["flag"] for row in parse_csv(proc.stdout)] == ["", "", flag, flag]
+
+
 def test_overflow_exits_3():
     proc = run_cli("point", "--xi1", "1e200", "--tau", "0.5")
     assert proc.returncode == 3

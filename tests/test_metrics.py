@@ -475,6 +475,19 @@ def test_power_only_curve_decomposes_only_its_nodes(monkeypatch):
     assert checked == [MAX_STACK, 2 * len(taus) - MAX_STACK] * 2
 
 
+def test_each_set_evolves_its_nodes_in_chunks_of_its_own(monkeypatch):
+    # a set's 3 x 401 nodes are evolved and checked MAX_STACK at a time,
+    # and no chunk spans two sets of a block
+    taus = np.linspace(0.0, 2.0 * np.pi, 401)
+    checked = []
+    check = metrics_mod._check_input
+    monkeypatch.setattr(metrics_mod, "_check_input",
+                        lambda m, *args: checked.append(len(m)) or check(m, *args))
+    params = (BatteryParams(1.5, 0.5, 0.5, 0.1), BatteryParams(1.0, 0.5, 0.3, 0.5))
+    list(metrics_mod.compute_curves(params, taus, "corrected", ("ergotropy_numeric", "power_fd")))
+    assert checked == [MAX_STACK, MAX_STACK, 3 * len(taus) - 2 * MAX_STACK] * 2
+
+
 @pytest.mark.parametrize("mode", ["corrected", "verbatim", "oracle-only"])
 def test_curve_makes_one_eigensolver_call(monkeypatch, mode):
     # every evolved state's spectrum is the Gibbs weights of H's one call

@@ -71,6 +71,14 @@ def test_full_hamiltonian_gate_charge_term():
     assert np.allclose(build_full_hamiltonian(p), expected, atol=1e-15)
 
 
+def test_full_hamiltonian_is_finite_where_its_entries_are():
+    # 2 xic overflows at xic = 1e308, and inf times the zero entries of Z x Z
+    # is NaN; H itself has the finite diagonal (xic, -xic, -xic, xic)
+    h = build_full_hamiltonian(BatteryParams(1.0, 0.5, 1e308, 0.1))
+    assert np.isfinite(h).all()
+    assert np.array_equal(h.diagonal(), [1e308, -1e308, -1e308, 1e308])
+
+
 def test_degenerate_hamiltonian_entries_and_kron(rng):
     p = BatteryParams(xi1=0, xi2=0, xic=1.0, temperature=1.0)
     assert np.allclose(build_full_hamiltonian(p), np.diag([1, -1, -1, 1]), atol=0)

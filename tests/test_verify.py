@@ -6,10 +6,12 @@ import random
 import numpy as np
 import pytest
 
+import sqbattery.linalg as linalg_mod
 import sqbattery.metrics as metrics_mod
 import sqbattery.model as model_mod
 import sqbattery.verify as verify_mod
 from sqbattery.linalg import MAX_STACK, hermitian_eigendecomposition
+from sqbattery.dynamics import charging_unitaries, evolve
 from sqbattery.model import BatteryParams
 
 
@@ -39,37 +41,43 @@ def test_nan_residual_fails_its_suite(monkeypatch, name, suite):
 
 
 def test_quick_decomposes_every_input_once(monkeypatch):
-    # the thermal suite's Hamiltonians with eigenvectors, then, for the
-    # spectral leg, the 16 presets' 81 states at the taus eigenvalues-only, in
-    # chunks of at most MAX_STACK across presets; neither H's spectrum nor the
-    # states at tau +/- fd_step, which only feed the power suite, are decomposed
-    inputs = []
+    # the kernel's chunks: the thermal suite's Hamiltonians with eigenvectors,
+    # then, for the spectral leg, the 16 presets' 81 states at the taus
+    # eigenvalues-only, in stacks of as many whole presets as fit in
+    # MAX_STACK; neither H's spectrum nor the states at tau +/- fd_step, which
+    # only feed the power suite, are decomposed
+    presets, per_stack = verify_mod.preset_param_sets(), MAX_STACK // 81
+    u = charging_unitaries(np.linspace(0.0, 2.0 * np.pi, 81))
+    states = [evolve(model_mod.gibbs_state_numeric(model_mod.build_full_hamiltonian(p),
+                                                   p.temperature), u) for p in presets]
+    chunks = []
+    decompose = linalg_mod._decompose
 
-    def counting(m, tol=None, **kwargs):
-        m = np.asarray(m)
-        inputs.append((m.shape, kwargs.get("vectors", True), m.tobytes()))
-        return hermitian_eigendecomposition(m, tol, **kwargs)
+    def counting(m, offset, tol, vectors):
+        chunks.append((m.shape, vectors, m.copy()))
+        return decompose(m, offset, tol, vectors)
 
-    for module in (model_mod, metrics_mod):
-        monkeypatch.setattr(module, "hermitian_eigendecomposition", counting)
+    monkeypatch.setattr(linalg_mod, "_decompose", counting)
     assert verify_mod.run_verification("quick").passed
-    calls = [(shape, vectors) for shape, vectors, _ in inputs]
-    full, rest = divmod(16 * 81, MAX_STACK)
-    assert calls == ([((116, 4, 4), True)] + [((MAX_STACK, 4, 4), False)] * full
-                     + [((rest, 4, 4), False)])
-    assert len({(shape, data) for shape, _, data in inputs}) == len(inputs)
+    assert [(shape, vectors) for shape, vectors, _ in chunks] == (
+        [((116, 4, 4), True)] + [((per_stack * 81, 4, 4), False)] * 2
+        + [(((16 - 2 * per_stack) * 81, 4, 4), False)])
+    assert np.array_equal(chunks[0][2], [model_mod.build_full_hamiltonian(p) for p in
+                                         presets + verify_mod.random_cloud(100)])
+    assert np.array_equal(np.concatenate([m for _, _, m in chunks[1:]]), np.concatenate(states))
 
 
 def test_verify_reaches_no_private_name_but_the_numeric_pass():
-    # verify reduces the one shared pass; every other name it takes from
-    # metrics or model is public
+    # verify reduces the curve engine's numeric pass and evolved states, and
+    # reads the spectral leg's ergotropies off their spectra; every other name
+    # it takes from metrics or model is public
     tree = ast.parse(inspect.getsource(verify_mod))
     private = {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                and node.value.id in ("metrics", "model") and node.attr.startswith("_")}
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 and node.module in ("metrics", "model") for alias in node.names}
-    assert private == {"metrics._numeric_pass"}
+    assert private == {"metrics._numeric_pass", "metrics._evolved", "metrics._ergotropies"}
     assert not any(name.startswith("_") for name in imported)
 
 
