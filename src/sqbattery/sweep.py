@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import math
 import operator
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -135,20 +136,47 @@ def _argmax_first(values: np.ndarray | None) -> int | None:
     return int(np.nanargmax(values)) if i and math.isnan(values[i]) else i
 
 
-def summarize_curve(curve: CurveColumns, mode: str) -> CurveSummary:
+# cells within TIE_EPS * max(|m|, S) of the maximum m tie with it, S the energy
+# scale of H: rounding spreads equal peaks by a few ulps of m in the closed forms
+# and by a few eps * S in the oracle, whose energies are O(S) before the passive
+# energy is taken off
+TIE_EPS = 64 * sys.float_info.epsilon
+
+
+def _energy_scale(p: BatteryParams) -> float:
+    """The scale of the entries of H: the largest of xi1, xi2, |xic|, |xic1| and |xic2|."""
+    return max(p.xi1, p.xi2, abs(p.xic), abs(p.xic1), abs(p.xic2))
+
+
+def _first_peak(values: np.ndarray, i: int, scale: float) -> int:
+    """The first index whose value ties with the maximum ``values[i]`` (see
+    :data:`TIE_EPS`); ``i`` itself if the maximum is not finite."""
+    m = float(values[i])
+    if not math.isfinite(m):
+        return i
+    return int(np.argmax(values >= m - TIE_EPS * max(abs(m), scale)))
+
+
+def summarize_curve(curve: CurveColumns, mode: str,
+                    params: BatteryParams | None = None) -> CurveSummary:
     """Per-curve summary recomputable from the stored columns.
 
     The ergotropy/power columns used are the closed-form ones except in
     oracle-only mode, where the numeric columns and the reconciled capacity
-    take over; ties in the argmax go to the earliest tau.
+    take over. ``max_ergotropy`` and ``max_power`` are the largest values as
+    :func:`_argmax_first` finds them; ``tau_at_max`` is the first tau whose
+    ergotropy ties with that maximum, to within :data:`TIE_EPS` of the larger
+    of it and the :func:`_energy_scale` of ``params`` (of the maximum alone
+    without them), so equal peaks a period apart give the first one.
     """
     fields = main_fields(mode)
     energies = curve.columns.get(fields["ergotropy"])
     powers = curve.columns.get(fields["power"])
     i, j = _argmax_first(energies), _argmax_first(powers)
+    scale = 0.0 if params is None else _energy_scale(params)
     return CurveSummary(
         max_ergotropy=None if i is None else float(energies[i]),
-        tau_at_max=None if i is None else float(curve.taus[i]),
+        tau_at_max=None if i is None else float(curve.taus[_first_peak(energies, i, scale)]),
         max_power=None if j is None else float(powers[j]),
         capacity=curve.columns.get(fields["capacity"]) if len(curve) else None,
     )
@@ -168,7 +196,7 @@ def stream_sweep(cfg: SweepConfig, tol: Tolerances | None = None) -> SweepResult
     grid = TauGrid(cfg.tau_grid(), tol)
     columns = compute_curves((p for _, p in _curve_cases(cfg)), grid, cfg.mode, cfg.metrics, tol)
     curves = (Curve(label=label, params=params, samples=samples,
-                    summary=summarize_curve(samples, cfg.mode))
+                    summary=summarize_curve(samples, cfg.mode, params))
               for (label, params), samples in zip(_curve_cases(cfg), columns))
     first = next(curves)
     provenance = {

@@ -191,7 +191,10 @@ def test_csv_round_trip_reproduces_manifest_summaries(tmp_path):
         series = by_label[entry["label"]]
         best_tau, best_e = max(series, key=lambda te: te[1])
         assert best_e == entry["summary"]["max_ergotropy"]
-        first = next(te for te in series if te[1] == best_e)
+        # the first tau that ties with the maximum under the summary's tie rule
+        floor = best_e - sweep.TIE_EPS * max(abs(best_e), sweep._energy_scale(
+            sweep.BatteryParams(**entry["params"])))
+        first = next(te for te in series if te[1] >= floor)
         assert first[0] == entry["summary"]["tau_at_max"]
 
 

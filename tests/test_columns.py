@@ -6,6 +6,7 @@ curve ``compute_sample`` gives at that tau. Every numeric-route curve whose
 Hamiltonian is too large for the ergotropy tolerance is flagged.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from sqbattery import (
     BatteryParams,
+    CurveColumns,
     SweepConfig,
     compute_curve,
     compute_sample,
@@ -23,8 +25,9 @@ from sqbattery import (
 )
 from sqbattery import metrics as metrics_mod
 from sqbattery import model as model_mod
+from sqbattery import sweep as sweep_mod
 from sqbattery.linalg import hermitian_eigendecomposition
-from sqbattery.metrics import ALL_METRICS, DEFAULT_METRICS, ORACLE_METRICS
+from sqbattery.metrics import ALL_METRICS, DEFAULT_METRICS, ORACLE_METRICS, main_fields
 from sqbattery.output import format_float
 from sqbattery.sweep import PRESET_NAMES, _argmax_first
 from reference import cell_bits
@@ -140,3 +143,36 @@ def test_summary_argmax_is_pythons_first_max(values):
     # leading NaN wins and later NaNs are passed over
     expected = max(range(len(values)), key=values.__getitem__, default=None)
     assert _argmax_first(np.array(values)) == expected
+
+
+@pytest.mark.parametrize("mode", ["corrected", "verbatim", "oracle-only"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_report_the_first_peak(name, mode):
+    # equal peaks a period (or, verbatim, a reflection tau -> pi - tau) apart
+    # differ in their last bits; the summary names the first, by pi/2
+    for curve in run_sweep(figure_preset(name, mode, DEFAULT_METRICS + ORACLE_METRICS)).curves:
+        energies = curve.samples.columns[main_fields(mode)["ergotropy"]]
+        k = int(np.searchsorted(curve.samples.taus, curve.summary.tau_at_max))
+        assert curve.samples.taus[k] == curve.summary.tau_at_max <= np.pi / 2 + 1e-12
+        assert curve.summary.max_ergotropy == energies.max()
+        assert energies[k] >= energies.max() - 1e-14
+        assert (energies[:k] < energies.max() - 1e-9).all()
+
+
+def test_perturbed_peaks_keep_their_tau_at_max():
+    # peaks within half the tie tolerance of each other, either way, stay tied
+    p = BatteryParams(1.5, 0.5, 0.5, 0.1)
+    taus = np.linspace(0.0, 2.0 * np.pi, 401)
+    curve = compute_curve(p, taus, "oracle-only", ALL_METRICS)
+    energies = curve.columns["ergotropy_numeric"]
+    m = energies.max()
+    peaks = np.flatnonzero(energies >= m - 1e-12)
+    assert len(peaks) == 4
+    delta = sweep_mod.TIE_EPS * max(m, sweep_mod._energy_scale(p))
+    expected = sweep_mod.summarize_curve(curve, "oracle-only", p).tau_at_max
+    assert expected == taus[peaks[0]]
+    for signs in itertools.product((-0.45, 0.45), repeat=len(peaks)):
+        perturbed = energies.copy()
+        perturbed[peaks] = m + delta * np.array(signs)
+        moved = CurveColumns(taus, {**curve.columns, "ergotropy_numeric": perturbed})
+        assert sweep_mod.summarize_curve(moved, "oracle-only", p).tau_at_max == expected

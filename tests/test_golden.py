@@ -33,7 +33,7 @@ GOLDEN_SHA256 = {
     ("verbatim", "fig2_d_coherence_l1.csv"):
         "3597f2ca22c728b3b5bd5864ca068b6219db39427dcf2c7ca01063bf7226084f",
     ("verbatim", "fig2_manifest.json"):
-        "14bed8999cd5202ae6a73274958a0705869cbdadcb3ef7fd7343e0869a44d73e",
+        "110b3b56e0157910f37a151fd59e886f74bde60ea20d2592a7f1b9527aa2c053",
     ("verbatim", "fig3_a_ergotropy.csv"):
         "c6618a8c9996510fe9acfef7d977b15484a4dc3930108baafa4129450b5447bb",
     ("verbatim", "fig3_b_power.csv"):
@@ -43,7 +43,7 @@ GOLDEN_SHA256 = {
     ("verbatim", "fig3_d_coherence_l1.csv"):
         "a781b6d41e2b5d097250fd710daa03c0938976faa289d409931850c99179a9f2",
     ("verbatim", "fig3_manifest.json"):
-        "bb23a777173d61ba10e8bcb3a19ce35e88e5fb0cee41944ac790f30d22fda37a",
+        "d44376fe60a5e3420ac98cf2659cd9e4c5c16896b6c5d286fc6976d68696d9b0",
     ("verbatim", "fig4_a_ergotropy.csv"):
         "fe417fc37e006973128179a6aadf8d07b03895ffa73df0ab67fd81595c9712cd",
     ("verbatim", "fig4_b_power.csv"):
@@ -53,7 +53,7 @@ GOLDEN_SHA256 = {
     ("verbatim", "fig4_d_coherence_l1.csv"):
         "b7cf3efa27069bc3a31db79276376fa52dbbaf7282038c384283027a86f5b283",
     ("verbatim", "fig4_manifest.json"):
-        "0e5be8753021ed54db05c8387b97d04b6e7faf226bff355e8e6492b3201fc19b",
+        "f88d9bb7db9a88c6d8a2adb8c80b92c8c7d5bfa794ee9f1484e82bc27cd4fb57",
     ("corrected", "fig1_a_ergotropy.csv"):
         "eafdf95ba1793ee93add3530fc007312ec5c5f5eeeb2811197e5e13b26994a2e",
     ("corrected", "fig1_b_power.csv"):
