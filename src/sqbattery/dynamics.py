@@ -11,10 +11,15 @@ element expressions unchanged; those are kept for comparison and for
 reproducing the original figure data, but they are not trace-preserving and
 drop the imaginary parts of the off-diagonal entries (see README, "Known
 discrepancies in the original closed forms").
+
+The numeric oracle's energies tr(U rho U^dagger H) need no evolved state: the
+unitary is a I + b J - i gamma K, so they are a quadratic form in (a, b,
+gamma) whose coefficients each (rho, H) gives once (:func:`_energy_forms`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -57,7 +62,6 @@ def per_tau(fn, tau) -> np.ndarray:
 
 # the libm factors of the closed forms, by their TauGrid attribute names
 FACTORS = {
-    "sin": math.sin, "cos": math.cos,
     "sin_sq": lambda x: math.sin(x) ** 2, "cos_sq": lambda x: math.cos(x) ** 2,
     "sin2": lambda x: math.sin(2 * x), "cos2": lambda x: math.cos(2 * x),
     "sin4": lambda x: math.sin(4 * x), "cos4": lambda x: math.cos(4 * x),
@@ -71,10 +75,18 @@ class TauGrid:
     ``nodes`` are the taus, then every tau + step, then every tau - step,
     where ``step`` is ``tol.fd_step``, which :class:`Tolerances` has checked:
     at most ``MAX_FD_STEP``, so every node of a finite tau is finite.
-    Each :data:`FACTORS` name is that factor at every tau (via
-    :func:`per_tau`), and ``unitaries`` the charging unitaries at every node
-    with their deviations from unitarity; both are built on first access.
-    All arrays are read-only, as a sweep's curves share them.
+    Built on first access and read-only, as a sweep's curves share them:
+
+    - each :data:`FACTORS` name: that factor at every tau, via :func:`per_tau`;
+    - ``factors``: the rows of :func:`_charging_factors` at every node, so
+      U(node) = a I + b J - i gamma K;
+    - ``quadratics``: a^2, b^2, gamma^2, ab, a gamma and b gamma at every node,
+      the terms of the oracle's energies;
+    - ``deviation``: max |U U^dagger - I| at every node, from the factors:
+      J^2 = I, JK = KJ and K^2 = 2I + 2J give
+      U U^dagger - I = (a^2 + b^2 + 2 gamma^2 - 1) I + (2ab + 2 gamma^2) J;
+    - ``unitaries``: the charging unitaries at the taus alone, the only nodes
+      at which states are formed.
     """
 
     def __init__(self, taus, tol: Tolerances | None = None):
@@ -88,17 +100,29 @@ class TauGrid:
         self.taus.flags.writeable = self.nodes.flags.writeable = False
 
     def __getattr__(self, name: str):
-        if name == "unitaries":
-            u = charging_unitaries(self.nodes)
-            value = u, _unitarity_deviation(u)
-        elif name in FACTORS:
+        if name in FACTORS:
             value = per_tau(FACTORS[name], self.taus)
+        elif name == "factors":
+            value = _charging_factors(self.nodes)
+        elif name == "quadratics":
+            a, b, g = self.factors[:3]
+            value = np.array([a * a, b * b, g * g, a * b, a * g, b * g])
+        elif name == "deviation":  # a NaN factor gives a NaN deviation
+            aa, bb, gg, ab = self.quadratics[:4]
+            value = np.maximum(np.abs(aa + bb + 2.0 * gg - 1.0), np.abs(2.0 * ab + 2.0 * gg))
+        elif name == "unitaries":
+            value = _unitary_stack(self.factors[:, :len(self.taus)])
         else:
             raise AttributeError(name)
-        for part in value if name == "unitaries" else (value,):
-            part.flags.writeable = False
+        value.flags.writeable = False
         setattr(self, name, value)
         return value
+
+    def expansion(self, nodes: slice, tol: Tolerances) -> np.ndarray:
+        """The ``quadratics`` at ``self.nodes[nodes]``, once the deviation of
+        each node's U from unitarity is checked (``NotUnitaryError``)."""
+        _require_unitary(self.deviation[nodes], tol)
+        return self.quadratics[:, nodes]
 
     def central_difference(self, energies: np.ndarray) -> np.ndarray:
         """dE/dtau at every tau, from energies at every tau + step, then every tau - step."""
@@ -120,10 +144,9 @@ class TauGrid:
             )
 
     def evolve(self, state: np.ndarray, nodes: slice, tol: Tolerances, out=None) -> np.ndarray:
-        """:func:`evolve` of ``state`` by the unitaries at ``self.nodes[nodes]``,
+        """:func:`evolve` of ``state`` by the unitaries at ``self.taus[nodes]``,
         into ``out`` if given."""
-        u, dev = self.unitaries
-        return _conjugate(state, u[nodes], dev[nodes], tol, out)
+        return _conjugate(state, self.unitaries[nodes], self.deviation[nodes], tol, out)
 
 
 def as_grid(tau, tol: Tolerances | None = None) -> TauGrid:
@@ -153,10 +176,79 @@ def charging_unitary(tau: float) -> np.ndarray:
 
 def charging_unitaries(taus) -> np.ndarray:
     """Stack ``(N, 4, 4)`` of :func:`charging_unitary`, one per tau."""
-    sin, cos, sin_sq, cos_sq = (per_tau(FACTORS[name], taus)
-                                for name in ("sin", "cos", "sin_sq", "cos_sq"))
-    a, b, c = cos_sq, -sin_sq, -1j * sin * cos
+    return _unitary_stack(_charging_factors(taus))
+
+
+def _charging_factors(taus) -> np.ndarray:
+    """Rows a = cos^2 tau, b = -sin^2 tau, gamma = sin tau cos tau, sin tau and
+    cos tau at every tau, from one ``math.sin`` and one ``math.cos`` each (the
+    squares are float ``** 2``, libm ``pow``, as in :func:`per_tau`).
+
+    The charging unitary is U = a I + b J - i gamma K, with J = X(x)X, the
+    anti-diagonal, and K = X(x)I + I(x)X, the pattern of its entries c.
+    """
+    taus = np.atleast_1d(np.asarray(taus, dtype=float)).tolist()
+    sin, cos = (np.fromiter(map(f, taus), float, len(taus)) for f in (math.sin, math.cos))
+    cos_sq, sin_sq = (np.fromiter(map(pow, x.tolist(), itertools.repeat(2)), float, len(taus))
+                      for x in (cos, sin))
+    return np.array([cos_sq, -sin_sq, sin * cos, sin, cos])
+
+
+def _unitary_stack(factors: np.ndarray) -> np.ndarray:
+    """The ``(N, 4, 4)`` unitaries a I + b J + c K of :func:`_charging_factors`
+    rows, with c = -i gamma formed as (-i sin) cos."""
+    a, b, _, sin, cos = factors
+    c = -1j * sin * cos
     return _matrix_stack([[a, c, c, b], [c, a, b, c], [c, b, a, c], [b, c, c, a]])
+
+
+# rho[i^s, j^t] at [s, t, 4i + j]: the permutation i -> i^s flips the qubits
+# whose bits s sets, so I, J and K are the permutations 0, 3 and 1 + 2
+_ROWS = np.array([[[k // 4 ^ s for k in range(16)]] for s in range(4)])
+_COLS = np.array([[k % 4 ^ t for k in range(16)] for t in range(4)])
+
+
+def _energy_forms(rhos: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Each set's energy form (k1, ..., k6, s): for U = a I + b J - i g K,
+    tr(U rho U^dagger H) = s (k1 a^2 + k2 b^2 + k3 g^2 + k4 ab + k5 ag + k6 bg).
+
+    With W_pq = tr(P_p rho P_q H) / s and P = (I, J, K): k1, k2, k3 = Re W_pp,
+    k4 = Re(W_ab + W_ba), k5 = -Im(W_ac - W_ca), k6 = -Im(W_bc - W_cb), each W
+    a sum of T[s, t] = sum_ij rho[i^s, j^t] H[j, i] / s, summed in a fixed
+    order. s is the largest power of two not above max |H_ij| (1/2 for H = 0),
+    an exact scale that keeps every sum finite where H is.
+    """
+    scale = np.ldexp(1.0, np.frexp(np.abs(hs).max(axis=(-2, -1)))[1] - 1)
+    # H[j, i] / s at [4i + j]
+    hr, hi = (part.swapaxes(-1, -2).reshape(-1, 1, 1, 16) / scale[:, None, None, None]
+              for part in (hs.real, hs.imag))
+    gathered = rhos[:, _ROWS, _COLS]
+    gr, gi = gathered.real, gathered.imag
+    re, im = gr * hr - gi * hi, gr * hi + gi * hr
+    tr, ti = re[..., 0], im[..., 0]
+    for k in range(1, 16):
+        tr, ti = tr + re[..., k], ti + im[..., k]
+    return np.stack([
+        tr[:, 0, 0], tr[:, 3, 3], (tr[:, 1, 1] + tr[:, 1, 2]) + (tr[:, 2, 1] + tr[:, 2, 2]),
+        tr[:, 0, 3] + tr[:, 3, 0],
+        -((ti[:, 0, 1] + ti[:, 0, 2]) - (ti[:, 1, 0] + ti[:, 2, 0])),
+        -((ti[:, 3, 1] + ti[:, 3, 2]) - (ti[:, 1, 3] + ti[:, 2, 3])),
+        scale,
+    ], axis=-1)
+
+
+def _evolved_energies(q: np.ndarray, form: np.ndarray, passive: float) -> np.ndarray:
+    """tr(U rho U^dagger H) - ``passive`` at the nodes of ``q``
+    (:meth:`TauGrid.expansion`), from one set's ``form``: real products summed
+    in a fixed order, so each node's value is its own. As U keeps rho's
+    spectrum, with rho's passive energy these are the evolved ergotropies."""
+    k, scale = form[:6], form[6]
+    energies = k[0] * q[0]
+    for i in range(1, 6):
+        energies += k[i] * q[i]
+    energies -= passive / scale
+    energies *= scale
+    return energies
 
 
 def evolve(state: np.ndarray, u: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
@@ -183,8 +275,9 @@ def _unitarity_deviation(u: np.ndarray) -> np.ndarray:
     return dev.reshape(u.shape[:-2])
 
 
-def _conjugate(state, u, dev, tol: Tolerances, out=None) -> np.ndarray:
-    # not "any(dev > tol)": a NaN deviation must fail too
+def _require_unitary(dev, tol: Tolerances) -> None:
+    """Raise ``NotUnitaryError`` at the first deviation from unitarity above
+    ``tol.unitary``; not "any(dev > tol)", as a NaN deviation must fail too."""
     if not np.all(dev <= tol.unitary):
         i = int(np.argmax(dev))
         which = f"matrix {i} of the stack" if dev.ndim else "matrix"
@@ -192,6 +285,10 @@ def _conjugate(state, u, dev, tol: Tolerances, out=None) -> np.ndarray:
             f"{which} deviates from unitarity by {float(dev.flat[i]):.3e} "
             f"(tolerance {tol.unitary:.1e})"
         )
+
+
+def _conjugate(state, u, dev, tol: Tolerances, out=None) -> np.ndarray:
+    _require_unitary(dev, tol)
     state = np.asarray(state)
     if state.ndim == 2:
         # u state as one product over the stacked rows of u, which gives each

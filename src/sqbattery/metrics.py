@@ -16,9 +16,10 @@ The closed forms take tau arrays or grids and the numeric routes take stacks:
 whole tau grid, every column once per curve; :func:`compute_curve` is its
 one-set case and :func:`compute_sample` that one's one-tau case. Its oracle
 reads each evolved state's spectrum off its Gibbs weights, so a block of
-curves decomposes only their Hamiltonians, in one call, then evolves each
-set's Gibbs state a chunk at a time. ``verify`` runs the same two steps,
-and its spectral leg checks that identity.
+curves decomposes only their Hamiltonians, in one call, and its energies
+come from U's three-matrix expansion (``dynamics._energy_forms``), with no
+state formed but for oracle-only coherence. ``verify`` takes the same energies
+and checks them against decomposed states.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TauGrid, _closed_coherence, as_grid, validate_mode
+from .dynamics import (TauGrid, _closed_coherence, _energy_forms, _evolved_energies, as_grid,
+                       validate_mode)
 from .linalg import MAX_STACK, _check_input, hermitian_eigendecomposition
 from .model import (
     BatteryParams,
@@ -175,22 +177,18 @@ def _numeric_pass(params, tol: Tolerances):
     return hs, rhos, passive, dec.eigenvalues
 
 
-def _evolved(grid: TauGrid, rho, h, passive: float, tol: Tolerances, nodes: slice):
-    """Yield ``(lo, states, ergotropies)``: the states U(tau) rho U(tau)^dagger
-    at the grid nodes from ``lo`` on, within ``nodes``, and their ergotropies.
-
-    A unitary keeps rho's spectrum, its Gibbs weights, so each ergotropy is
-    tr(state h) - ``passive`` and no state is decomposed; each chunk still
-    passes the eigensolver's input check. At most ``MAX_STACK`` states are
-    evolved at a time, into one buffer per call: each yielded ``states`` is
-    overwritten by the next chunk. Every value is that of its matrix alone.
-    """
-    buffer = np.empty((min(nodes.stop - nodes.start, MAX_STACK), *h.shape), dtype=complex)
-    for lo in range(nodes.start, nodes.stop, MAX_STACK):
-        hi = min(lo + MAX_STACK, nodes.stop)
+def _evolved(grid: TauGrid, rho, tol: Tolerances):
+    """Yield ``(lo, states)``: U(tau) rho U(tau)^dagger at the taus of ``grid``
+    from ``lo`` on, at most ``MAX_STACK`` at a time into one buffer per call
+    (each chunk is overwritten by the next), each chunk checked as the
+    eigensolver checks its input."""
+    count = len(grid.taus)
+    buffer = np.empty((min(count, MAX_STACK), *rho.shape), dtype=complex)
+    for lo in range(0, count, MAX_STACK):
+        hi = min(lo + MAX_STACK, count)
         states = grid.evolve(rho, slice(lo, hi), tol, out=buffer[:hi - lo])
         _check_input(states, 0, tol)
-        yield lo, states, _energies(states, h) - passive
+        yield lo, states
 
 
 def power_fd(p: BatteryParams, tau, tol: Tolerances | None = None):
@@ -344,18 +342,16 @@ def compute_curves(
     computed once. A request with numeric columns takes the sets in blocks
     of :data:`CURVE_BLOCK`, each one :func:`_numeric_pass`: the block's
     Hamiltonians are decomposed in one eigensolver call, for their Gibbs
-    states and the passive energy each set's evolved states share, and the
-    numeric columns (``ergotropy_numeric``, ``power_fd`` at tau +/- the
-    grid's step, and coherence in oracle-only mode) come from evolving each
-    set's Gibbs state in turn, at most ``MAX_STACK`` states at a time
-    (:func:`_evolved`). Any other request has no pass to share and takes
-    one set at a time; so only one block's columns need be
-    alive. In oracle-only mode each closed-form metric gives way to its
-    numeric counterpart in :data:`NUMERIC_FIELDS`; otherwise coherence is
-    read off the mode's closed-form states. Overflow comes from the
-    tau-independent thermal terms, so it flags its curve in-band rather
-    than raising; the closed forms go first, so such a set is left out of
-    its block's eigensolver call.
+    states, passive energies and energy forms; ``ergotropy_numeric`` and
+    ``power_fd`` (at tau +/- the grid's step) are each set's form at those
+    nodes, and only oracle-only coherence evolves states (:func:`_evolved`).
+    Any other request has no pass to share and takes one set at a time; so only
+    one block's columns need be alive. In oracle-only mode each closed-form
+    metric gives way to its numeric counterpart in :data:`NUMERIC_FIELDS`;
+    otherwise coherence is read off the mode's closed-form states. Overflow
+    comes from the tau-independent thermal terms, so it flags its curve
+    in-band rather than raising; the closed forms go first, so such a set
+    is left out of its block's eigensolver call.
     """
     validate_mode(mode, allow_oracle_only=True)
     unknown = set(metrics) - set(ALL_METRICS)
@@ -445,24 +441,31 @@ def _numeric_columns(
     """The oracle columns of each set of ``params``, each an array over the
     taus, flagged if ill-conditioned; in oracle-only mode also the coherence
     and the reconciled capacity of the numeric route. All sets share one
-    :func:`_numeric_pass`; then each set's nodes whose columns are selected
-    are evolved, a chunk at a time."""
+    :func:`_numeric_pass`; a non-finite energy raises ``ValueError``."""
     count = len(grid.taus)
     coherence = "coherence_l1" in metrics and mode == "oracle-only"
     numeric, power = "ergotropy_numeric" in metrics, "power_fd" in metrics
-    nodes = slice(0 if numeric or coherence else count, 3 * count if power else count)
+    nodes = slice(0 if numeric else count, 3 * count if power else count)
+    q = grid.expansion(nodes, tol) if numeric or power else None
     hs, rhos, passives, _ = _numeric_pass(params, tol)
+    forms = _energy_forms(rhos, hs)
     curves = []
-    for p, h, rho, passive in zip(params, hs, rhos, passives):
-        energies, c = np.empty(3 * count), {"coherence_l1": np.empty(count)} if coherence else {}
-        for lo, states, values in _evolved(grid, rho, h, passive, tol, nodes):
-            energies[lo:lo + len(values)] = values
-            if coherence and lo < count:  # the states at the taus themselves
-                c["coherence_l1"][lo:lo + len(states)] = l1_coherence(states[:count - lo])
-        if numeric:
-            c["ergotropy_numeric"] = energies[:count]
-        if power:
-            c["power_fd"] = grid.central_difference(energies[count:])
+    for p, h, rho, passive, form in zip(params, hs, rhos, passives, forms):
+        c = {}
+        if q is not None:
+            energies = _evolved_energies(q, form, passive)
+            finite = np.isfinite(energies)
+            if not finite.all():
+                node = float(grid.nodes[nodes][np.argmin(finite)])
+                raise ValueError(f"oracle energy of {p} is not finite at tau node {node!r}")
+            if numeric:
+                c["ergotropy_numeric"] = energies[:count]
+            if power:
+                c["power_fd"] = grid.central_difference(energies[count - nodes.start:])
+        if coherence:
+            c["coherence_l1"] = np.empty(count)
+            for lo, states in _evolved(grid, rho, tol):
+                c["coherence_l1"][lo:lo + len(states)] = l1_coherence(states)
         if "capacity_reconciled" in metrics:
             c["capacity_reconciled"] = capacity_reconciled(p, h, rho)
         scale = float(np.abs(h).max())  # Python floats, eps last: a huge bound is inf, no warning

@@ -3,7 +3,9 @@
 Formats are pinned for byte-identical reproducibility: comma-separated CSV
 with a header row, LF line endings, UTF-8, '.' decimals, floats at 17
 significant digits (lossless round trip for float64); JSON objects are
-emitted with sorted keys and two-space indentation.
+emitted with sorted keys and two-space indentation, every non-finite
+number as ``null`` (JSON, RFC 8259, has no Infinity or NaN; the CSV keeps
+``inf`` and ``nan``).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 import os
 from itertools import repeat
 from pathlib import Path
@@ -47,6 +50,17 @@ PANELS = tuple(zip("abcd", MAIN_COLUMNS, ORACLE_COLUMNS + (None,)))
 def format_float(x: float | None) -> str:
     """One CSV cell: 17 significant digits, or empty for None."""
     return "" if x is None else format(float(x), ".17g")
+
+
+def _json_value(x):
+    """``x``, or None for a non-finite float, which JSON cannot hold."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
+def _json_cells(values: np.ndarray) -> list:
+    """A block of a column as JSON values: its floats, non-finite ones as None."""
+    cells = values.tolist()
+    return cells if np.isfinite(values).all() else list(map(_json_value, cells))
 
 
 def _column(curve: Curve, name: str, mode: str):
@@ -123,14 +137,12 @@ def _curve_text(curve: Curve, mode: str, sample_keys):
     The samples are dumped ``MAX_STACK`` at a time into the slot of an empty
     ``"samples"`` list, so only one block of sample objects is held.
     """
-    entry = {
-        "label": curve.label,
-        "params": dataclasses.asdict(curve.params),
-        "summary": dataclasses.asdict(curve.summary),
-    }
+    entry = {"label": curve.label}
+    for key in ("params", "summary"):
+        entry[key] = {k: _json_value(v) for k, v in dataclasses.asdict(getattr(curve, key)).items()}
     if sample_keys is not None:
         entry["samples"] = []
-    text = json.dumps(entry, sort_keys=True, indent=2).replace("\n", "\n    ")
+    text = json.dumps(entry, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n    ")
     if sample_keys is None:
         yield text
         return
@@ -140,10 +152,10 @@ def _curve_text(curve: Curve, mode: str, sample_keys):
     columns = [_column(curve, key, mode) for key in sample_keys]
     for lo in range(0, len(curve.samples), MAX_STACK):
         hi = min(lo + MAX_STACK, len(curve.samples))
-        cells = [c[lo:hi].tolist() if isinstance(c, np.ndarray) else repeat(c, hi - lo)
-                 for c in columns]
+        cells = [_json_cells(c[lo:hi]) if isinstance(c, np.ndarray)
+                 else repeat(_json_value(c), hi - lo) for c in columns]
         block = json.dumps([dict(zip(sample_keys, row)) for row in zip(*cells)],
-                           sort_keys=True, indent=2)
+                           sort_keys=True, indent=2, allow_nan=False)
         # the block's objects without its brackets, each at the samples' indent
         yield ("," if lo else "") + block[1:-2].replace("\n", "\n      ")
     yield "\n      ]" + tail
@@ -160,7 +172,8 @@ def write_json(result: SweepResult, stream, sample_keys=SAMPLE_KEYS,
     if files is not None:
         top["files"] = files
     # the top-level empty list is the only '"curves": []' of the dump
-    head, _, tail = json.dumps(top, sort_keys=True, indent=2).partition('"curves": []')
+    head, _, tail = json.dumps(top, sort_keys=True, indent=2,
+                               allow_nan=False).partition('"curves": []')
     stream.write(head + '"curves": [')
     count = 0
     for count, curve in enumerate(result.curves, 1):

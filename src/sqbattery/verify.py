@@ -100,17 +100,20 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     """Run the five suites as reductions over one numeric pass.
 
     The pass decomposes every Hamiltonian (presets and cloud) in one stacked
-    call, for the thermal suite's Gibbs states. Each preset's Gibbs state is
-    then evolved on one ``TauGrid`` by :func:`metrics._evolved`, the curve
-    engine's per-set loop. The oracle reads each evolved state's spectrum off
-    its Gibbs weights; the ergotropy suite's spectral leg, which checks that
-    identity, decomposes the states at the taus (eigenvalues only, in stacks
-    of as many whole presets as fit in ``MAX_STACK``), while those at
-    tau +/- fd_step only feed the power suite. The closed columns are the
-    presets' :func:`metrics.compute_curves` columns, the ones that sweeps and
-    figures write. Each stack is reduced to its residuals before the next is
-    evolved, so at most ``MAX_STACK`` states at the taus (or one preset's)
-    are held at once.
+    call, for the thermal suite's Gibbs states. The oracle's energies, at the
+    taus for the ergotropy suite and at tau +/- fd_step for the power suite,
+    come from each preset's energy form (:func:`dynamics._energy_forms`) by
+    :func:`dynamics._evolved_energies`, as the curve engine takes them, with no
+    state formed. The states at the taus are formed apart, by
+    :func:`metrics._evolved`, through the charging unitaries of the one
+    ``TauGrid``, built at its taus alone: the evolved-state suite checks them
+    against the closed form, and the ergotropy suite's spectral leg
+    decomposes them (eigenvalues only, in stacks of as many whole presets as
+    fit in ``MAX_STACK``) and so checks the oracle by a second numeric route.
+    The closed columns are the presets' :func:`metrics.compute_curves`
+    columns, the ones that sweeps and figures write. Each stack is reduced to
+    its residuals before the next is evolved, so at most ``MAX_STACK`` states
+    at the taus (or one preset's) are held at once.
     """
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
@@ -126,27 +129,27 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     columns = [curve.columns for curve in metrics.compute_curves(presets, grid, "corrected", (
         "ergotropy_closed", "power_closed", "capacity_closed", "capacity_definitional"), tol)]
 
-    def evolve(i, nodes):  # preset i's (lo, states, ergotropies) at the nodes
-        return metrics._evolved(grid, rhos[i], hs[i], passive[i], tol, nodes)
-
+    # the terms of the oracle's energies at every node, and each preset's form
+    q = grid.expansion(slice(0, 3 * n), tol)
+    forms = dynamics._energy_forms(rhos[:len(presets)], hs[:len(presets)])
     evolved, ergotropies, powers = [], [], []
     size = max(1, MAX_STACK // n)  # whole presets whose states at the taus decompose together
     for first in range(0, len(presets), size):
         stack = range(first, min(first + size, len(presets)))
-        runs = [(chunk.copy(), e) for i in stack for _, chunk, e in evolve(i, slice(0, n))]
-        states, oracle = (np.concatenate(part) for part in zip(*runs))
+        states = np.concatenate([chunk.copy() for i in stack
+                                 for _, chunk in metrics._evolved(grid, rhos[i], tol)])
         spectra = hermitian_eigendecomposition(states, tol, vectors=False).eigenvalues
         for k, i in enumerate(stack):
             at = slice(k * n, (k + 1) * n)  # preset i's states at the taus
             closed = dynamics.evolved_state_closed_form(presets[i], grid, "corrected", tol)
             evolved.append(np.abs(closed - states[at]).max())
+            oracle = dynamics._evolved_energies(q, forms[i], passive[i])
             spectral = metrics._ergotropies(states[at], hs[i], spectra[at], levels[i])
             reference = metrics.ergotropy_vs_reference(states[at], rhos[i], hs[i])
             e_closed = columns[i]["ergotropy_closed"]
-            ergotropies.append(np.abs([spectral - oracle[at], spectral - reference,
+            ergotropies.append(np.abs([spectral - oracle[:n], spectral - reference,
                                        spectral - e_closed, reference - e_closed]).max())
-            shifted = [e for _, _, e in evolve(i, slice(n, 3 * n))]
-            fd = grid.central_difference(np.concatenate(shifted))
+            fd = grid.central_difference(oracle[n:])
             powers.append(np.abs(columns[i]["power_closed"] - fd).max())
     capacities = [residual for p, h, rho, c in zip(presets, hs, rhos, columns) for residual in (
         abs(c["capacity_closed"] - metrics.capacity_reconciled(p, h, rho)),

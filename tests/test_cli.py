@@ -177,6 +177,25 @@ def test_figure_json_format(tmp_path):
     assert set(samples[0]) == {"tau", "flag", "ergotropy"}
 
 
+def test_json_writes_non_finite_numbers_as_null():
+    # xic - tr(H rho_th), about 2e308, is beyond float64: JSON (RFC 8259) has
+    # no Infinity, so the sample and summary capacity are null; the CSV keeps inf
+    args = ("sweep", "--mode", "oracle-only", "--oracle", "--tau-count", "2",
+            "--vary", "xic=1,1e308")
+    proc = run_cli(*args, "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+
+    def no_constant(name):
+        raise ValueError(f"not JSON: {name}")
+
+    curves = json.loads(proc.stdout, parse_constant=no_constant)["curves"]
+    assert curves[1]["summary"]["capacity"] is None
+    assert [sample["capacity"] for sample in curves[1]["samples"]] == [None, None]
+    assert curves[0]["summary"]["capacity"] == curves[0]["samples"][0]["capacity"] > 0
+    rows = parse_csv(run_cli(*args).stdout)
+    assert [row["capacity"] for row in rows[2:]] == ["inf", "inf"]
+
+
 def test_csv_round_trip_reproduces_manifest_summaries(tmp_path):
     proc = run_cli("figure", "fig4", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr

@@ -43,9 +43,9 @@ def test_output_matches_golden_digest(tmp_path, command, mode, fmt):
 # and in oracle-only mode the numeric route behind the main columns too
 ORACLE_FIGURE_SHA256 = {
     ("corrected", "fig1_a_ergotropy.csv"):
-        "0dce8440365da7a90490995d090dd3d4f84f457a09109d28e5fcac181fc34773",
+        "609bc61c28e756dfc01e37bd4828926f4e61d65d48efddb1430809a3e415bea6",
     ("corrected", "fig1_b_power.csv"):
-        "1159bcaa60b964c8f74a58242da5871c6f3056b87048cd85c3b523f89a62b8d6",
+        "e5dbc46ed01baed57342cd601c7fa497137d962f1f71b4286cd72d3dac6f7188",
     ("corrected", "fig1_c_capacity.csv"):
         "22b70e897a24c1a7f5893d657fca2034b1adac4a6fbb6e68d01777228f74832c",
     ("corrected", "fig1_d_coherence_l1.csv"):
@@ -53,15 +53,15 @@ ORACLE_FIGURE_SHA256 = {
     ("corrected", "fig1_manifest.json"):
         "749670137cd84c214406772bfb1c276da0500c5ca88e4419436aed9badd9b886",
     ("oracle-only", "fig1_a_ergotropy.csv"):
-        "7764f8f53d8738cd1a86d4a8af3e540b6e68972ef551868c678fb168b88a8d70",
+        "d3d62dbb616cbd4db37b885d4b7983d599693ff991194ad621bb312c2f8a579e",
     ("oracle-only", "fig1_b_power.csv"):
-        "67bd33e3f18f08660fc7a48ed278eb6e60050166f7c61137259f7e19faf4448e",
+        "e8ff10ab608e10749e1422026a31994fbfa0ea4e5330b17260952e46006d496f",
     ("oracle-only", "fig1_c_capacity.csv"):
         "917ba8a45f33aead50fb4c3d5c2bab39507140256d7b595d278a9b50c40bb9ba",
     ("oracle-only", "fig1_d_coherence_l1.csv"):
         "4c28f42ecea16bd4c01ab5d0dc77cdec79d48ea70743bee41832c2bbf1cca80b",
     ("oracle-only", "fig1_manifest.json"):
-        "a4e0150a2b7983d4ceb630d8a42ca9d73560ee828cb4571b0d36b5fc806ccb1b",
+        "3a6ba87feae2c620b21885a96c9e5ef7ecc09a6f7279720ae62be0b3766a14c5",
 }
 
 
@@ -78,7 +78,7 @@ def test_oracle_figure_matches_golden_digest(tmp_path, mode, capsys):
 # the suites report, to the printed digits
 VERIFY_SHA256 = {
     "quick": "74aba4a5e03675eebe19f3b2a706bebd6df15f652a074eec8d41d5718e939980",
-    "full": "bf4af2600b385af575577d75d7122782be0576c4d66d32dfdbc0c17fce6d1439",
+    "full": "8b3f41f65ae98a829711d774a22a2071eba9bb9362a52fa1cd2999e214385d45",
 }
 
 

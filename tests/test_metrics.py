@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -38,6 +39,7 @@ from sqbattery.metrics import ALL_METRICS
 from sqbattery.sweep import summarize_curve
 from conftest import random_density, random_hermitian
 from reference import build_charging_hamiltonian, passive_state
+from test_tau_grid import counted
 
 
 def evolved(p, tau):
@@ -459,33 +461,35 @@ def test_oracle_route_reads_the_gate_charges():
 
 # ------------------------------------------------------ one finite-difference path
 
-def test_power_only_curve_decomposes_only_its_nodes(monkeypatch):
-    # H once, with eigenvectors, for the Gibbs state and its passive energy;
-    # the 2n states at tau +/- step are evolved and checked in chunks of at
-    # most MAX_STACK, but not decomposed: no state at tau
-    p = BatteryParams(1.5, 0.5, 0.5, 0.1)
-    taus = np.linspace(0.0, 2.0 * np.pi, 401)
-    calls, checked = eigensolver_calls(monkeypatch), []
-    check = metrics_mod._check_input
+def checked_states(monkeypatch):
+    """The length of every stack of states the curve engine checks from here on."""
+    checked, check = [], metrics_mod._check_input
     monkeypatch.setattr(metrics_mod, "_check_input",
                         lambda m, *args: checked.append(len(m)) or check(m, *args))
+    return checked
+
+
+def test_power_only_curve_decomposes_only_its_nodes(monkeypatch):
+    # H once, with eigenvectors, for the Gibbs state, its passive energy and
+    # its energy form; the energies at tau +/- step come from that form, so
+    # no state is formed, checked or decomposed
+    p = BatteryParams(1.5, 0.5, 0.5, 0.1)
+    taus = np.linspace(0.0, 2.0 * np.pi, 401)
+    calls, checked = eigensolver_calls(monkeypatch), checked_states(monkeypatch)
     compute_curve(p, taus, "corrected", ("power_fd",))
     power_fd(p, taus)
     assert calls == [((1, 4, 4), True)] * 2
-    assert checked == [MAX_STACK, 2 * len(taus) - MAX_STACK] * 2
+    assert checked == []
 
 
 def test_each_set_evolves_its_nodes_in_chunks_of_its_own(monkeypatch):
-    # a set's 3 x 401 nodes are evolved and checked MAX_STACK at a time,
-    # and no chunk spans two sets of a block
-    taus = np.linspace(0.0, 2.0 * np.pi, 401)
-    checked = []
-    check = metrics_mod._check_input
-    monkeypatch.setattr(metrics_mod, "_check_input",
-                        lambda m, *args: checked.append(len(m)) or check(m, *args))
+    # oracle-only coherence evolves each set's states at the taus alone,
+    # MAX_STACK at a time, each chunk checked, and no chunk spans two sets
+    taus = np.linspace(0.0, 2.0 * np.pi, MAX_STACK + 89)
+    checked = checked_states(monkeypatch)
     params = (BatteryParams(1.5, 0.5, 0.5, 0.1), BatteryParams(1.0, 0.5, 0.3, 0.5))
-    list(metrics_mod.compute_curves(params, taus, "corrected", ("ergotropy_numeric", "power_fd")))
-    assert checked == [MAX_STACK, MAX_STACK, 3 * len(taus) - 2 * MAX_STACK] * 2
+    list(metrics_mod.compute_curves(params, taus, "oracle-only", ALL_METRICS))
+    assert checked == [MAX_STACK, 89] * 2
 
 
 @pytest.mark.parametrize("mode", ["corrected", "verbatim", "oracle-only"])
@@ -501,7 +505,8 @@ def test_curve_makes_one_eigensolver_call(monkeypatch, mode):
 @pytest.mark.parametrize("corrupt, error", [(math.nan, ValueError), (1e-3, NotHermitianError)],
                          ids=["nan", "not-hermitian"])
 def test_corrupt_evolved_state_is_rejected(monkeypatch, metric, corrupt, error):
-    # undecomposed, an evolved state still meets the eigensolver's input check
+    # undecomposed, an oracle-only coherence state still meets the
+    # eigensolver's input check, whichever oracle column rides along
     conjugate = dynamics_mod._conjugate
 
     def corrupting(*args, **kwargs):
@@ -511,8 +516,63 @@ def test_corrupt_evolved_state_is_rejected(monkeypatch, metric, corrupt, error):
 
     monkeypatch.setattr(dynamics_mod, "_conjugate", corrupting)
     with pytest.raises(ValueError) as caught:
-        compute_curve(BatteryParams(1.5, 0.5, 0.5, 0.1), [0.3, 0.7], "corrected", (metric,))
+        compute_curve(BatteryParams(1.5, 0.5, 0.5, 0.1), [0.3, 0.7], "oracle-only",
+                      (metric, "coherence_l1"))
     assert caught.type is error
+
+
+@pytest.mark.parametrize("mode", ["corrected", "verbatim"])
+def test_oracle_columns_form_no_state(monkeypatch, mode):
+    # ergotropy_numeric and power_fd come from each set's energy form: no
+    # charging unitary is built and no state is evolved or checked
+    built = counted(monkeypatch, dynamics_mod, "_unitary_stack")
+    conjugated = counted(monkeypatch, dynamics_mod, "_conjugate")
+    public = counted(monkeypatch, dynamics_mod, "charging_unitaries")
+    checked = checked_states(monkeypatch)
+    params = (BatteryParams(1.5, 0.5, 0.5, 0.1), BatteryParams(1.0, 0.5, 0.3, 0.5))
+    taus = np.linspace(0.0, 2.0 * np.pi, 401)
+    list(metrics_mod.compute_curves(params, taus, mode, ALL_METRICS))
+    assert built == conjugated == public == checked == []
+
+
+def test_oracle_only_evolves_the_taus_through_one_unitary_stack(monkeypatch):
+    built = counted(monkeypatch, dynamics_mod, "_unitary_stack")
+    checked = checked_states(monkeypatch)
+    params = (BatteryParams(1.5, 0.5, 0.5, 0.1), BatteryParams(1.0, 0.5, 0.3, 0.5))
+    taus = np.linspace(0.0, 2.0 * np.pi, 401)
+    list(metrics_mod.compute_curves(params, taus, "oracle-only", ALL_METRICS))
+    assert [args[0].shape for args in built] == [(5, len(taus))]
+    assert checked == [len(taus)] * 2
+
+
+def test_non_finite_oracle_energy_is_rejected():
+    # H's largest eigenvalue, about 2.5e308, is beyond float64, so the passive
+    # energy is not finite; with no state formed to fail the eigensolver's
+    # input check, the energy check names the set and the first node
+    p = BatteryParams(1.79e308, 1.79e308, 1.79e308, 1.0)
+    message = re.escape(f"oracle energy of {p} is not finite at tau node ")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the eigenvalues overflow
+        for metrics, node in ((("ergotropy_numeric", "power_fd"), 0.0), (("power_fd",), 1e-4)):
+            with pytest.raises(ValueError, match=message + re.escape(repr(node))):
+                compute_curve(p, [0.0, 0.7], "corrected", metrics)
+
+
+def test_energy_form_is_the_trace_of_the_evolved_state():
+    # tr(U rho U^dagger H) from the form's six coefficients and scale, at
+    # Hermitian rho and H with complex entries too, against the matmul route
+    rng = np.random.default_rng(7)
+    rhos = np.array([random_density(rng, 4) for _ in range(5)])
+    hs = np.array([random_hermitian(rng, 4) * 10.0 ** e for e in (-3, 0, 2, 150, -200)])
+    taus = np.linspace(-4.0, 9.0, 53)
+    grid = dynamics_mod.TauGrid(taus)
+    q = grid.expansion(slice(0, len(taus)), DEFAULT_TOLERANCES)
+    forms = dynamics_mod._energy_forms(rhos, hs)
+    for rho, h, form in zip(rhos, hs, forms):
+        states = evolve(rho, charging_unitaries(taus))
+        expected = np.einsum("nij,ji->n", states, h).real
+        energies = dynamics_mod._evolved_energies(q, form, 0.0)
+        assert np.abs(energies - expected).max() <= 64 * np.finfo(float).eps * np.abs(h).max()
 
 
 @settings(max_examples=150, deadline=None)

@@ -117,6 +117,24 @@ def test_no_lapack_eigensolver_in_src():
     assert offenders == []
 
 
+def test_oracle_energies_are_fixed_order_elementwise_sums():
+    # the oracle's energy forms and per-node energies are real elementwise
+    # products summed in the order the code writes, so no BLAS kernel or
+    # reduction order decides their bits
+    tree = ast.parse((SRC / "dynamics.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    banned = {"matmul", "dot", "vdot", "inner", "einsum", "tensordot", "sum"}
+    offenders = []
+    for name in ("_energy_forms", "_evolved_energies"):
+        for node in ast.walk(functions[name]):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                offenders.append(f"{name}: @")
+            called = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if called in banned:
+                offenders.append(f"{name}: {called}")
+    assert offenders == []
+
+
 def test_src_parses_as_the_oldest_supported_python():
     # pyproject.toml declares requires-python >= 3.10
     for path in sorted(SRC.glob("*.py")):

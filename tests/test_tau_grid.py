@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from sqbattery import (
     BatteryParams,
+    NotUnitaryError,
     SweepConfig,
     Tolerances,
     compute_curve,
@@ -48,12 +49,16 @@ def counted(monkeypatch, module, name):
     return calls
 
 
-def grid_work(monkeypatch, cfg):
+def grid_work(monkeypatch):
+    """Count the grid's tau work from here on: ``per_tau`` calls, the nodes
+    of each factor evaluation, the taus of each unitary stack built, and the
+    product-based unitarity checks."""
     per_tau = counted(monkeypatch, dynamics, "per_tau")
-    unitaries = counted(monkeypatch, dynamics, "charging_unitaries")
+    factors = counted(monkeypatch, dynamics, "_charging_factors")
+    unitaries = counted(monkeypatch, dynamics, "_unitary_stack")
     checks = counted(monkeypatch, dynamics, "_unitarity_deviation")
-    result = run_sweep(cfg)
-    return result, len(per_tau), [len(args[0]) for args in unitaries], len(checks)
+    return lambda: (len(per_tau), [len(args[0]) for args in factors],
+                    [args[0].shape[1] for args in unitaries], len(checks))
 
 
 @pytest.mark.parametrize("mode", ["corrected", "verbatim", "oracle-only"])
@@ -62,9 +67,14 @@ def test_a_sweep_does_its_tau_work_once_however_many_curves(monkeypatch, mode):
     for values in ((0.2, 0.9), tuple(np.linspace(0.1, 2.9, 16))):
         cfg = SweepConfig(base=BASE, varied=(("xi2", values),), tau_count=9,
                           metrics=DEFAULT_METRICS + ORACLE_METRICS, mode=mode)
-        result, calls, stacks, checks = grid_work(monkeypatch, cfg)
-        assert stacks == [27]  # one stack: the taus and both finite-difference nodes
-        assert checks == 1  # and one unitarity check
+        work = grid_work(monkeypatch)
+        result = run_sweep(cfg)
+        calls, factors, stacks, checks = work()
+        assert factors == [27]  # once: the taus and both finite-difference nodes
+        # unitaries only where states are formed, for oracle-only coherence at
+        # the taus; the factors give every node's unitarity deviation
+        assert stacks == ([9] if mode == "oracle-only" else [])
+        assert checks == 0
         counts[len(values)] = calls
         taus = {id(curve.samples.taus) for curve in result.curves}
         assert len(taus) == 1
@@ -73,11 +83,12 @@ def test_a_sweep_does_its_tau_work_once_however_many_curves(monkeypatch, mode):
 
 
 def test_verify_builds_and_checks_one_unitary_stack_for_all_presets(monkeypatch):
-    unitaries = counted(monkeypatch, dynamics, "charging_unitaries")
-    checks = counted(monkeypatch, dynamics, "_unitarity_deviation")
+    # the factors at every node, for the energies and the deviations; the
+    # unitaries at the 81 taus alone, for the states
+    work = grid_work(monkeypatch)
     assert run_verification("quick").passed
-    assert [len(args[0]) for args in unitaries] == [3 * 81]
-    assert len(checks) == 1
+    _, factors, stacks, checks = work()
+    assert (factors, stacks, checks) == ([3 * 81], [81], 0)
 
 
 def test_grid_factors_are_the_scalar_expressions_and_read_only():
@@ -91,10 +102,46 @@ def test_grid_factors_are_the_scalar_expressions_and_read_only():
         assert not factor.flags.writeable
     with pytest.raises(AttributeError):
         grid.tan
-    u, dev = grid.unitaries
-    assert u.tobytes() == dynamics.charging_unitaries(grid.nodes).tobytes()
-    assert not (u.flags.writeable or dev.flags.writeable)
+    u = grid.unitaries
+    assert u.tobytes() == dynamics.charging_unitaries(grid.taus).tobytes()
+    for part in (u, grid.factors, grid.quadratics, grid.deviation):
+        assert not part.flags.writeable
     assert dynamics.TauGrid(0.3).scalar and not dynamics.TauGrid([0.3]).scalar
+
+
+# the three matrices of U(tau) = a I + b J - i gamma K
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+EYE, J = np.eye(4), np.kron(PAULI_X, PAULI_X)
+K = np.kron(PAULI_X, np.eye(2)) + np.kron(np.eye(2), PAULI_X)
+WIDE_TAUS = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 401), np.linspace(-40.0, 1e4, 997),
+                            [0.0, -0.0, np.pi / 2, np.pi, 1e17]])
+
+
+def test_charging_unitary_is_its_three_matrix_expansion():
+    # the oracle's energies rest on U being a I + b J - i gamma K exactly: the
+    # same values in every entry, signed zeros aside (0.0 is added to both)
+    assert (J @ J == EYE).all() and (J @ K == K @ J).all() and (K @ K == 2 * EYE + 2 * J).all()
+    grid = dynamics.TauGrid(WIDE_TAUS)
+    a, b, gamma = (row[:, None, None] for row in grid.factors[:3])
+    expansion = a * EYE + b * J + (-1j * gamma) * K
+    u = dynamics.charging_unitaries(grid.nodes)
+    assert (u + 0.0).tobytes() == (expansion + 0.0).tobytes()
+
+
+def test_factor_deviation_is_the_unitarity_deviation():
+    grid = dynamics.TauGrid(WIDE_TAUS)
+    products = dynamics._unitarity_deviation(dynamics.charging_unitaries(grid.nodes))
+    assert np.abs(grid.deviation - products).max() <= 4 * np.finfo(float).eps
+    # a NaN factor fails the check of every request that reads its node
+    grid = dynamics.TauGrid([0.3, 0.7])
+    factors = grid.factors.copy()
+    factors[2, 1] = math.nan
+    grid.factors = factors
+    assert math.isnan(grid.deviation[1])
+    for mode, metric in (("corrected", "ergotropy_numeric"), ("oracle-only", "coherence_l1")):
+        with pytest.raises(NotUnitaryError, match="matrix 1 of the stack deviates"):
+            compute_curve(BASE, grid, mode, (metric,))
+    assert compute_curve(BASE, grid, "corrected", ("power_fd",)).flag == ""
 
 
 @pytest.mark.parametrize("taus, message", [

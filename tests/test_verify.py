@@ -68,16 +68,18 @@ def test_quick_decomposes_every_input_once(monkeypatch):
 
 
 def test_verify_reaches_no_private_name_but_the_numeric_pass():
-    # verify reduces the curve engine's numeric pass and evolved states, and
-    # reads the spectral leg's ergotropies off their spectra; every other name
-    # it takes from metrics or model is public
+    # verify reduces the curve engine's numeric pass, oracle energies and
+    # evolved states, and reads the spectral leg's ergotropies off their
+    # spectra; every other name it takes from metrics, model or dynamics is public
     tree = ast.parse(inspect.getsource(verify_mod))
+    modules = ("metrics", "model", "dynamics")
     private = {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-               and node.value.id in ("metrics", "model") and node.attr.startswith("_")}
+               and node.value.id in modules and node.attr.startswith("_")}
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                and node.module in ("metrics", "model") for alias in node.names}
-    assert private == {"metrics._numeric_pass", "metrics._evolved", "metrics._ergotropies"}
+                and node.module in modules for alias in node.names}
+    assert private == {"metrics._numeric_pass", "metrics._evolved", "metrics._ergotropies",
+                       "dynamics._energy_forms", "dynamics._evolved_energies"}
     assert not any(name.startswith("_") for name in imported)
 
 
