@@ -14,12 +14,11 @@ discrepancies in the original closed forms").
 
 The numeric oracle's energies tr(U rho U^dagger H) need no evolved state: the
 unitary is a I + b J - i gamma K, so they are a quadratic form in (a, b,
-gamma) whose coefficients each (rho, H) gives once (:func:`_energy_forms`).
+gamma) whose coefficients each real (rho, H) gives once (:func:`_energy_forms`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -80,8 +79,8 @@ class TauGrid:
     - each :data:`FACTORS` name: that factor at every tau, via :func:`per_tau`;
     - ``factors``: the rows of :func:`_charging_factors` at every node, so
       U(node) = a I + b J - i gamma K;
-    - ``quadratics``: a^2, b^2, gamma^2, ab, a gamma and b gamma at every node,
-      the terms of the oracle's energies;
+    - ``quadratics``: a^2, b^2, gamma^2 and ab at every node, the terms of
+      the oracle's energies;
     - ``deviation``: max |U U^dagger - I| at every node, from the factors:
       J^2 = I, JK = KJ and K^2 = 2I + 2J give
       U U^dagger - I = (a^2 + b^2 + 2 gamma^2 - 1) I + (2ab + 2 gamma^2) J;
@@ -106,9 +105,9 @@ class TauGrid:
             value = _charging_factors(self.nodes)
         elif name == "quadratics":
             a, b, g = self.factors[:3]
-            value = np.array([a * a, b * b, g * g, a * b, a * g, b * g])
+            value = np.array([a * a, b * b, g * g, a * b])
         elif name == "deviation":  # a NaN factor gives a NaN deviation
-            aa, bb, gg, ab = self.quadratics[:4]
+            aa, bb, gg, ab = self.quadratics
             value = np.maximum(np.abs(aa + bb + 2.0 * gg - 1.0), np.abs(2.0 * ab + 2.0 * gg))
         elif name == "unitaries":
             value = _unitary_stack(self.factors[:, :len(self.taus)])
@@ -187,10 +186,8 @@ def _charging_factors(taus) -> np.ndarray:
     The charging unitary is U = a I + b J - i gamma K, with J = X(x)X, the
     anti-diagonal, and K = X(x)I + I(x)X, the pattern of its entries c.
     """
-    taus = np.atleast_1d(np.asarray(taus, dtype=float)).tolist()
-    sin, cos = (np.fromiter(map(f, taus), float, len(taus)) for f in (math.sin, math.cos))
-    cos_sq, sin_sq = (np.fromiter(map(pow, x.tolist(), itertools.repeat(2)), float, len(taus))
-                      for x in (cos, sin))
+    sin, cos = per_tau(math.sin, taus), per_tau(math.cos, taus)
+    cos_sq, sin_sq = (per_tau(lambda x: x ** 2, x) for x in (cos, sin))
     return np.array([cos_sq, -sin_sq, sin * cos, sin, cos])
 
 
@@ -209,30 +206,29 @@ _COLS = np.array([[k % 4 ^ t for k in range(16)] for t in range(4)])
 
 
 def _energy_forms(rhos: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """Each set's energy form (k1, ..., k6, s): for U = a I + b J - i g K,
-    tr(U rho U^dagger H) = s (k1 a^2 + k2 b^2 + k3 g^2 + k4 ab + k5 ag + k6 bg).
+    """Each set's energy form (k1, ..., k4, s): for U = a I + b J - i g K,
+    tr(U rho U^dagger H) = s (k1 a^2 + k2 b^2 + k3 g^2 + k4 ab).
 
-    With W_pq = tr(P_p rho P_q H) / s and P = (I, J, K): k1, k2, k3 = Re W_pp,
-    k4 = Re(W_ab + W_ba), k5 = -Im(W_ac - W_ca), k6 = -Im(W_bc - W_cb), each W
-    a sum of T[s, t] = sum_ij rho[i^s, j^t] H[j, i] / s, summed in a fixed
-    order. s is the largest power of two not above max |H_ij| (1/2 for H = 0),
-    an exact scale that keeps every sum finite where H is.
+    ``rhos`` and ``hs`` are real: H has only Z and X Pauli terms, so its
+    eigenvectors and Gibbs state are real too (complex dtype, zero imaginary
+    parts, which are not read). With W_pq = tr(P_p rho P_q H) / s and
+    P = (I, J, K): k1, k2, k3 = W_pp, k4 = W_ab + W_ba, each W a sum of
+    T[s, t] = sum_ij rho[i^s, j^t] H[j, i] / s, summed in a fixed order; the
+    a g and b g terms, imaginary parts of W, vanish for real rho and H.
+    s is the largest power of two not above max |H_ij| (1/2 for H = 0), an
+    exact scale that keeps every sum finite where H is.
     """
+    hs = hs.real
     scale = np.ldexp(1.0, np.frexp(np.abs(hs).max(axis=(-2, -1)))[1] - 1)
     # H[j, i] / s at [4i + j]
-    hr, hi = (part.swapaxes(-1, -2).reshape(-1, 1, 1, 16) / scale[:, None, None, None]
-              for part in (hs.real, hs.imag))
-    gathered = rhos[:, _ROWS, _COLS]
-    gr, gi = gathered.real, gathered.imag
-    re, im = gr * hr - gi * hi, gr * hi + gi * hr
-    tr, ti = re[..., 0], im[..., 0]
+    h = hs.swapaxes(-1, -2).reshape(-1, 1, 1, 16) / scale[:, None, None, None]
+    terms = rhos.real[:, _ROWS, _COLS] * h
+    t = terms[..., 0]
     for k in range(1, 16):
-        tr, ti = tr + re[..., k], ti + im[..., k]
+        t = t + terms[..., k]
     return np.stack([
-        tr[:, 0, 0], tr[:, 3, 3], (tr[:, 1, 1] + tr[:, 1, 2]) + (tr[:, 2, 1] + tr[:, 2, 2]),
-        tr[:, 0, 3] + tr[:, 3, 0],
-        -((ti[:, 0, 1] + ti[:, 0, 2]) - (ti[:, 1, 0] + ti[:, 2, 0])),
-        -((ti[:, 3, 1] + ti[:, 3, 2]) - (ti[:, 1, 3] + ti[:, 2, 3])),
+        t[:, 0, 0], t[:, 3, 3], (t[:, 1, 1] + t[:, 1, 2]) + (t[:, 2, 1] + t[:, 2, 2]),
+        t[:, 0, 3] + t[:, 3, 0],
         scale,
     ], axis=-1)
 
@@ -242,9 +238,9 @@ def _evolved_energies(q: np.ndarray, form: np.ndarray, passive: float) -> np.nda
     (:meth:`TauGrid.expansion`), from one set's ``form``: real products summed
     in a fixed order, so each node's value is its own. As U keeps rho's
     spectrum, with rho's passive energy these are the evolved ergotropies."""
-    k, scale = form[:6], form[6]
+    k, scale = form[:4], form[4]
     energies = k[0] * q[0]
-    for i in range(1, 6):
+    for i in range(1, 4):
         energies += k[i] * q[i]
     energies -= passive / scale
     energies *= scale

@@ -136,10 +136,10 @@ def _argmax_first(values: np.ndarray | None) -> int | None:
     return int(np.nanargmax(values)) if i and math.isnan(values[i]) else i
 
 
-# cells within TIE_EPS * max(|m|, S) of the maximum m tie with it, S the energy
-# scale of H: rounding spreads equal peaks by a few ulps of m in the closed forms
-# and by a few eps * S in the oracle, whose energies are O(S) before the passive
-# energy is taken off
+# cells within TIE_EPS * |m| of the maximum m tie with it, or in oracle-only
+# mode within TIE_EPS * max(|m|, S), S the energy scale of H: rounding spreads
+# equal peaks by a few ulps of m in the closed forms and by a few eps * S in
+# the oracle, whose energies are O(S) before the passive energy is taken off
 TIE_EPS = 64 * sys.float_info.epsilon
 
 
@@ -157,23 +157,23 @@ def _first_peak(values: np.ndarray, i: int, scale: float) -> int:
     return int(np.argmax(values >= m - TIE_EPS * max(abs(m), scale)))
 
 
-def summarize_curve(curve: CurveColumns, mode: str,
-                    params: BatteryParams | None = None) -> CurveSummary:
-    """Per-curve summary recomputable from the stored columns.
+def summarize_curve(curve: CurveColumns, mode: str, params: BatteryParams) -> CurveSummary:
+    """Per-curve summary, recomputable from the stored columns and the
+    curve's ``params``.
 
     The ergotropy/power columns used are the closed-form ones except in
     oracle-only mode, where the numeric columns and the reconciled capacity
     take over. ``max_ergotropy`` and ``max_power`` are the largest values as
     :func:`_argmax_first` finds them; ``tau_at_max`` is the first tau whose
-    ergotropy ties with that maximum, to within :data:`TIE_EPS` of the larger
-    of it and the :func:`_energy_scale` of ``params`` (of the maximum alone
-    without them), so equal peaks a period apart give the first one.
+    ergotropy ties with that maximum, to within :data:`TIE_EPS` of it (in
+    oracle-only mode, of the larger of it and the :func:`_energy_scale` of
+    ``params``), so equal peaks a period apart give the first one.
     """
     fields = main_fields(mode)
     energies = curve.columns.get(fields["ergotropy"])
     powers = curve.columns.get(fields["power"])
     i, j = _argmax_first(energies), _argmax_first(powers)
-    scale = 0.0 if params is None else _energy_scale(params)
+    scale = _energy_scale(params) if mode == "oracle-only" else 0.0
     return CurveSummary(
         max_ergotropy=None if i is None else float(energies[i]),
         tau_at_max=None if i is None else float(curve.taus[_first_peak(energies, i, scale)]),

@@ -176,3 +176,15 @@ def test_perturbed_peaks_keep_their_tau_at_max():
         perturbed[peaks] = m + delta * np.array(signs)
         moved = CurveColumns(taus, {**curve.columns, "ergotropy_numeric": perturbed})
         assert sweep_mod.summarize_curve(moved, "oracle-only", p).tau_at_max == expected
+
+
+def test_weakly_coupled_closed_curve_keeps_its_peak():
+    # the closed forms are accurate relative to their maximum, not to the
+    # energy scale of H: an ergotropy of about 2e-18 against xi1 = 1, far
+    # below 64 eps, still peaks at pi/4, not at tau = 0, where it is 0
+    p = BatteryParams(xi1=1.0, xi2=0.0, xic=1e-9, temperature=0.1)
+    curve = run_sweep(SweepConfig(p, mode="corrected")).curves[0]
+    energies = curve.samples.columns["ergotropy_closed"]
+    assert 0.0 < energies.max() < sweep_mod.TIE_EPS * sweep_mod._energy_scale(p)
+    assert energies[0] == 0.0
+    assert abs(curve.summary.tau_at_max - np.pi / 4) < 1e-12

@@ -34,6 +34,7 @@ from sqbattery import (
 from sqbattery import dynamics as dynamics_mod
 from sqbattery import metrics as metrics_mod
 from sqbattery import model as model_mod
+from sqbattery import verify as verify_mod
 from sqbattery.linalg import MAX_STACK
 from sqbattery.metrics import ALL_METRICS
 from sqbattery.sweep import summarize_curve
@@ -399,7 +400,7 @@ def test_scalar_tau_curve_is_its_one_tau_sample(mode):
     for name, value in sample.columns.items():
         assert type(curve.columns[name]) is type(value), name
         assert np.asarray(curve.columns[name]).tobytes() == np.asarray(value).tobytes(), name
-    assert summarize_curve(curve, mode) == summarize_curve(sample, mode)
+    assert summarize_curve(curve, mode, p) == summarize_curve(sample, mode, p)
 
 
 def test_compute_sample_overflow_flagged_in_band():
@@ -558,12 +559,22 @@ def test_non_finite_oracle_energy_is_rejected():
                 compute_curve(p, [0.0, 0.7], "corrected", metrics)
 
 
+def test_numeric_pass_states_and_hamiltonians_are_real():
+    # the energy form reads real parts alone: H has only Z and X Pauli
+    # terms, so it, its eigenvectors and its Gibbs state are real
+    params = verify_mod.preset_param_sets() + verify_mod.random_cloud(200) + [
+        BatteryParams(1.0, 0.0, 1e-9, 0.1), BatteryParams(0.0, 0.0, 0.0, 1.0),
+        BatteryParams(1.0, 1.0, -2.0, 0.01)]
+    hs, rhos, _, _ = metrics_mod._numeric_pass(params, DEFAULT_TOLERANCES)
+    assert not hs.imag.any() and not rhos.imag.any()
+
+
 def test_energy_form_is_the_trace_of_the_evolved_state():
-    # tr(U rho U^dagger H) from the form's six coefficients and scale, at
-    # Hermitian rho and H with complex entries too, against the matmul route
+    # tr(U rho U^dagger H) from the form's four coefficients and scale, at
+    # real symmetric rho and H, against the matmul route
     rng = np.random.default_rng(7)
-    rhos = np.array([random_density(rng, 4) for _ in range(5)])
-    hs = np.array([random_hermitian(rng, 4) * 10.0 ** e for e in (-3, 0, 2, 150, -200)])
+    rhos = np.array([random_density(rng, 4).real for _ in range(5)])
+    hs = np.array([random_hermitian(rng, 4).real * 10.0 ** e for e in (-3, 0, 2, 150, -200)])
     taus = np.linspace(-4.0, 9.0, 53)
     grid = dynamics_mod.TauGrid(taus)
     q = grid.expansion(slice(0, len(taus)), DEFAULT_TOLERANCES)
