@@ -15,6 +15,8 @@ discrepancies in the original closed forms").
 The numeric oracle's energies tr(U rho U^dagger H) need no evolved state: the
 unitary is a I + b J - i gamma K, so they are a quadratic form in (a, b,
 gamma) whose coefficients each real (rho, H) gives once (:func:`_energy_forms`).
+Their exact tau derivative, the oracle's power, is the same form of the
+quadratics' derivatives (``TauGrid.slopes``).
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ def per_tau(fn, tau) -> np.ndarray:
 
 # the libm factors of the closed forms, by their TauGrid attribute names
 FACTORS = {
-    "sin_sq": lambda x: math.sin(x) ** 2, "cos_sq": lambda x: math.cos(x) ** 2,
     "sin2": lambda x: math.sin(2 * x), "cos2": lambda x: math.cos(2 * x),
     "sin4": lambda x: math.sin(4 * x), "cos4": lambda x: math.cos(4 * x),
     "sin2_sq": lambda x: math.sin(2 * x) ** 2,
@@ -71,87 +72,74 @@ FACTORS = {
 class TauGrid:
     """A tau grid and the work that depends on it alone, done at most once.
 
-    ``nodes`` are the taus, then every tau + step, then every tau - step,
-    where ``step`` is ``tol.fd_step``, which :class:`Tolerances` has checked:
-    at most ``MAX_FD_STEP``, so every node of a finite tau is finite.
     Built on first access and read-only, as a sweep's curves share them:
 
     - each :data:`FACTORS` name: that factor at every tau, via :func:`per_tau`;
-    - ``factors``: the rows of :func:`_charging_factors` at every node, so
-      U(node) = a I + b J - i gamma K;
-    - ``quadratics``: a^2, b^2, gamma^2 and ab at every node, the terms of
-      the oracle's energies;
-    - ``deviation``: max |U U^dagger - I| at every node, from the factors:
+    - ``factors``: the rows of :func:`_charging_factors` at every tau, so
+      U(tau) = a I + b J - i gamma K; ``cos_sq`` is its row a and ``sin_sq``
+      is -b;
+    - ``quadratics``: a^2, b^2, gamma^2 and ab at every tau, the terms of the
+      oracle's energies;
+    - ``slopes``: their exact tau derivatives -4 a gamma, -4 b gamma,
+      2 gamma (a + b) and -2 gamma (a + b), as a' = b' = -2 gamma and
+      gamma' = a + b: the terms of the oracle's power;
+    - ``deviation``: max |U U^dagger - I| at every tau, from the factors:
       J^2 = I, JK = KJ and K^2 = 2I + 2J give
       U U^dagger - I = (a^2 + b^2 + 2 gamma^2 - 1) I + (2ab + 2 gamma^2) J;
-    - ``unitaries``: the charging unitaries at the taus alone, the only nodes
-      at which states are formed.
+    - ``unitaries``: the charging unitaries, built only where states are formed.
     """
 
-    def __init__(self, taus, tol: Tolerances | None = None):
-        self.scalar, self.step = np.ndim(taus) == 0, resolve(tol).fd_step
+    def __init__(self, taus):
+        self.scalar = np.ndim(taus) == 0
         self.taus = np.array(taus, dtype=float, ndmin=1)
         if not self.taus.size:
             raise ValueError("tau grid is empty")
         if not np.isfinite(self.taus).all():
             raise ValueError("taus must be finite")
-        self.nodes = np.concatenate([self.taus, self.taus + self.step, self.taus - self.step])
-        self.taus.flags.writeable = self.nodes.flags.writeable = False
+        self.taus.flags.writeable = False
 
     def __getattr__(self, name: str):
         if name in FACTORS:
             value = per_tau(FACTORS[name], self.taus)
         elif name == "factors":
-            value = _charging_factors(self.nodes)
+            value = _charging_factors(self.taus)
+        elif name == "cos_sq":
+            value = self.factors[0]
+        elif name == "sin_sq":
+            value = -self.factors[1]
         elif name == "quadratics":
             a, b, g = self.factors[:3]
             value = np.array([a * a, b * b, g * g, a * b])
+        elif name == "slopes":
+            a, b, g = self.factors[:3]
+            ag, bg, gs = a * g, b * g, g * (a + b)
+            value = np.array([-4.0 * ag, -4.0 * bg, 2.0 * gs, -2.0 * gs])
         elif name == "deviation":  # a NaN factor gives a NaN deviation
             aa, bb, gg, ab = self.quadratics
             value = np.maximum(np.abs(aa + bb + 2.0 * gg - 1.0), np.abs(2.0 * ab + 2.0 * gg))
         elif name == "unitaries":
-            value = _unitary_stack(self.factors[:, :len(self.taus)])
+            value = _unitary_stack(self.factors)
         else:
             raise AttributeError(name)
         value.flags.writeable = False
         setattr(self, name, value)
         return value
 
-    def expansion(self, nodes: slice, tol: Tolerances) -> np.ndarray:
-        """The ``quadratics`` at ``self.nodes[nodes]``, once the deviation of
-        each node's U from unitarity is checked (``NotUnitaryError``)."""
-        _require_unitary(self.deviation[nodes], tol)
-        return self.quadratics[:, nodes]
+    def expansion(self, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+        """``quadratics`` and ``slopes``, once the deviation of each tau's U
+        from unitarity is checked (``NotUnitaryError``)."""
+        _require_unitary(self.deviation, tol)
+        return self.quadratics, self.slopes
 
-    def central_difference(self, energies: np.ndarray) -> np.ndarray:
-        """dE/dtau at every tau, from energies at every tau + step, then every tau - step."""
-        half = len(energies) // 2
-        return (energies[:half] - energies[half:]) / (2.0 * self.step)
-
-    def require_resolved(self, tol: Tolerances) -> None:
-        """Raise ``ValueError`` at the first tau whose finite-difference nodes are
-        not resolved: (tau + step) - (tau - step) is off 2 step by more than
-        ``tol.power_equivalence`` of it, as from tau = 2**24 on with the defaults."""
-        count, width = len(self.taus), 2.0 * self.step
-        spread = self.nodes[count:2 * count] - self.nodes[2 * count:]
-        bad = ~(np.abs(spread - width) <= tol.power_equivalence * width)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"finite-difference nodes tau +/- {self.step!r} of tau {float(self.taus[i])!r} "
-                f"are {float(spread[i])!r} apart, not {width!r} within power_equivalence"
-            )
-
-    def evolve(self, state: np.ndarray, nodes: slice, tol: Tolerances, out=None) -> np.ndarray:
-        """:func:`evolve` of ``state`` by the unitaries at ``self.taus[nodes]``,
+    def evolve(self, state: np.ndarray, part: slice, tol: Tolerances, out=None) -> np.ndarray:
+        """:func:`evolve` of ``state`` by the unitaries at ``self.taus[part]``,
         into ``out`` if given."""
-        return _conjugate(state, self.unitaries[nodes], self.deviation[nodes], tol, out)
+        return _conjugate(state, self.unitaries[part], self.deviation[part], tol, out)
 
 
-def as_grid(tau, tol: Tolerances | None = None) -> TauGrid:
-    """``tau`` if it is a :class:`TauGrid`, whose own tolerances fixed its
-    step, else a one-off grid of its taus at the ``fd_step`` of ``tol``."""
-    return tau if isinstance(tau, TauGrid) else TauGrid(tau, tol)
+def as_grid(tau) -> TauGrid:
+    """``tau`` if it is a :class:`TauGrid`, else a one-off grid of its taus."""
+    return tau if isinstance(tau, TauGrid) else TauGrid(tau)
 
 
 def _matrix_stack(rows) -> np.ndarray:
@@ -234,10 +222,12 @@ def _energy_forms(rhos: np.ndarray, hs: np.ndarray) -> np.ndarray:
 
 
 def _evolved_energies(q: np.ndarray, form: np.ndarray, passive: float) -> np.ndarray:
-    """tr(U rho U^dagger H) - ``passive`` at the nodes of ``q``
-    (:meth:`TauGrid.expansion`), from one set's ``form``: real products summed
-    in a fixed order, so each node's value is its own. As U keeps rho's
-    spectrum, with rho's passive energy these are the evolved ergotropies."""
+    """s (k1 q1 + k2 q2 + k3 q3 + k4 q4) - ``passive`` at every tau of ``q``,
+    either array of :meth:`TauGrid.expansion`, from one set's ``form``: real
+    products summed in a fixed order, so each tau's value is its own. Of the
+    quadratics these are tr(U rho U^dagger H) - ``passive``, with rho's
+    passive energy the evolved ergotropies, as U keeps rho's spectrum; of
+    the slopes, with ``passive`` 0, their exact tau derivative, the power."""
     k, scale = form[:4], form[4]
     energies = k[0] * q[0]
     for i in range(1, 4):
@@ -312,7 +302,7 @@ def evolved_state_closed_form(
     :class:`TauGrid` (an ``(N, 4, 4)`` stack); the thermal terms are evaluated once.
     """
     validate_mode(mode)
-    grid = as_grid(tau, tol)
+    grid = as_grid(tau)
     states = _evolved_states(p, thermal_terms(p, tol), grid, mode)
     return states[0] if grid.scalar else states
 

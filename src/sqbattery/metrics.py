@@ -2,7 +2,8 @@
 
 Ergotropy comes in three routes: the sorted-spectrum definition, the
 thermal-reference trace formula, and a closed form. Power is the tau
-derivative of ergotropy (closed form plus a finite-difference oracle).
+derivative of ergotropy: a closed form, and the oracle's exact derivative of
+its energy form (named ``power_fd`` in every output).
 Capacity is exposed in both of its published guises, which disagree: the
 energy-gap definition evaluated on the battery Hamiltonian is identically 0
 because both extreme diagonal entries equal xic, while the thermal-referenced
@@ -17,9 +18,10 @@ whole tau grid, every column once per curve; :func:`compute_curve` is its
 one-set case and :func:`compute_sample` that one's one-tau case. Its oracle
 reads each evolved state's spectrum off its Gibbs weights, so a block of
 curves decomposes only their Hamiltonians, in one call, and its energies
-come from U's three-matrix expansion (``dynamics._energy_forms``), with no
-state formed but for oracle-only coherence. ``verify`` takes the same energies
-and checks them against decomposed states.
+come from U's three-matrix expansion (``dynamics._energy_forms``), as does
+its power, with no state formed but for oracle-only coherence. ``verify``
+takes the same energies and checks them against decomposed states, and the
+power against their central difference.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def ergotropy_closed_form(
     ``TauGrid`` (an array); the thermal terms are evaluated once.
     """
     validate_mode(mode)
-    g = as_grid(tau, tol)
+    g = as_grid(tau)
     values = _ergotropy_closed(p, thermal_terms(p, tol), g, mode)
     return float(values[0]) if g.scalar else values
 
@@ -147,7 +149,7 @@ def power_closed_form(
     array of them, like :func:`ergotropy_closed_form`.
     """
     validate_mode(mode)
-    g = as_grid(tau, tol)
+    g = as_grid(tau)
     values = _power_closed(p, thermal_terms(p, tol), g, mode)
     return float(values[0]) if g.scalar else values
 
@@ -192,14 +194,15 @@ def _evolved(grid: TauGrid, rho, tol: Tolerances):
 
 
 def power_fd(p: BatteryParams, tau, tol: Tolerances | None = None):
-    """Central-difference dE/dtau through the fully numeric ergotropy route:
-    the ``power_fd`` column of :func:`compute_curve` on ``TauGrid(tau, tol)``,
-    whose step is the ``fd_step`` of ``tol``.
+    """dE/dtau through the fully numeric route: the ``power_fd`` column of
+    :func:`compute_curve`, the exact tau derivative of the oracle's energy
+    form, at every finite tau. ``tol`` sets the unitarity tolerance. The
+    name is the output schema's, kept from when this was a finite difference.
 
     ``tau`` is one charging time (gives a float) or an array of them (gives
     an array).
     """
-    grid = TauGrid(tau, tol)
+    grid = TauGrid(tau)
     fd = compute_curve(p, grid, "corrected", ("power_fd",), tol).columns["power_fd"]
     return float(fd[0]) if grid.scalar else fd
 
@@ -333,19 +336,16 @@ def compute_curves(
     in order, each with its own flag.
 
     ``taus`` is an array or a ``TauGrid``, which a sweep shares between its
-    curves. The request is checked once, on call: a ``power_fd`` column, or
-    in oracle-only mode the power column it stands in for, raises
-    ``ValueError`` at a tau too large for the grid's step (see
-    :meth:`TauGrid.require_resolved`), before any overflow is flagged.
-    Every column is evaluated once per curve: each closed form is one call
-    over the whole tau array, and the tau-independent capacities are
-    computed once. A request with numeric columns takes the sets in blocks
-    of :data:`CURVE_BLOCK`, each one :func:`_numeric_pass`: the block's
+    curves. The mode and metrics are checked once, on call. Every column is
+    evaluated once per curve: each closed form is one call over the whole
+    tau array, and the tau-independent capacities are computed once. A
+    request with numeric columns takes the sets in blocks of
+    :data:`CURVE_BLOCK`, each one :func:`_numeric_pass`: the block's
     Hamiltonians are decomposed in one eigensolver call, for their Gibbs
-    states, passive energies and energy forms; ``ergotropy_numeric`` and
-    ``power_fd`` (at tau +/- the grid's step) are each set's form at those
-    nodes, and only oracle-only coherence evolves states (:func:`_evolved`).
-    Any other request has no pass to share and takes one set at a time; so only
+    states, passive energies and energy forms; ``ergotropy_numeric`` is each
+    set's form at the taus and ``power_fd`` its exact tau derivative
+    (:meth:`TauGrid.expansion`), at every finite tau, and only oracle-only
+    coherence evolves states (:func:`_evolved`). Any other request has no pass to share and takes one set at a time; so only
     one block's columns need be alive. In oracle-only mode each closed-form
     metric gives way to its numeric counterpart in :data:`NUMERIC_FIELDS`;
     otherwise coherence is read off the mode's closed-form states. Overflow
@@ -361,9 +361,7 @@ def compute_curves(
     if mode == "oracle-only":
         counterparts = dict(zip(CLOSED_FIELDS.values(), NUMERIC_FIELDS.values()))
         metrics = tuple(counterparts.get(m, m) for m in metrics)
-    grid = as_grid(taus, tol)
-    if "power_fd" in metrics:
-        grid.require_resolved(tol)
+    grid = as_grid(taus)
     evolves = mode == "oracle-only" or not set(metrics).isdisjoint(ORACLE_METRICS)
     return _curve_blocks(iter(params), grid, mode, metrics, tol, evolves)
 
@@ -441,27 +439,26 @@ def _numeric_columns(
     """The oracle columns of each set of ``params``, each an array over the
     taus, flagged if ill-conditioned; in oracle-only mode also the coherence
     and the reconciled capacity of the numeric route. All sets share one
-    :func:`_numeric_pass`; a non-finite energy raises ``ValueError``."""
+    :func:`_numeric_pass`; a non-finite oracle value raises ``ValueError``."""
     count = len(grid.taus)
     coherence = "coherence_l1" in metrics and mode == "oracle-only"
-    numeric, power = "ergotropy_numeric" in metrics, "power_fd" in metrics
-    nodes = slice(0 if numeric else count, 3 * count if power else count)
-    q = grid.expansion(nodes, tol) if numeric or power else None
+    oracle = [name for name in ORACLE_METRICS if name in metrics]
+    quadratics, slopes = grid.expansion(tol) if oracle else (None, None)
     hs, rhos, passives, _ = _numeric_pass(params, tol)
     forms = _energy_forms(rhos, hs)
     curves = []
     for p, h, rho, passive, form in zip(params, hs, rhos, passives, forms):
         c = {}
-        if q is not None:
-            energies = _evolved_energies(q, form, passive)
-            finite = np.isfinite(energies)
+        # the energy less the passive energy, and its exact tau derivative
+        terms = {"ergotropy_numeric": (quadratics, passive), "power_fd": (slopes, 0.0)}
+        for name in oracle:
+            q, offset = terms[name]
+            values = _evolved_energies(q, form, offset)
+            finite = np.isfinite(values)
             if not finite.all():
-                node = float(grid.nodes[nodes][np.argmin(finite)])
-                raise ValueError(f"oracle energy of {p} is not finite at tau node {node!r}")
-            if numeric:
-                c["ergotropy_numeric"] = energies[:count]
-            if power:
-                c["power_fd"] = grid.central_difference(energies[count - nodes.start:])
+                tau = float(grid.taus[np.argmin(finite)])
+                raise ValueError(f"oracle {name} of {p} is not finite at tau {tau!r}")
+            c[name] = values
         if coherence:
             c["coherence_l1"] = np.empty(count)
             for lo, states in _evolved(grid, rho, tol):

@@ -189,11 +189,11 @@ def stream_sweep(cfg: SweepConfig, tol: Tolerances | None = None) -> SweepResult
     one block's columns need be alive at a time.
 
     The grid and the first block are built and evaluated on call, so a
-    request that fails at once, such as one whose finite-difference nodes
-    :func:`compute_curves` rejects, fails before anything is drawn.
+    request that fails at once, such as one whose first block raises,
+    fails before anything is drawn.
     """
     tol = resolve(tol)
-    grid = TauGrid(cfg.tau_grid(), tol)
+    grid = TauGrid(cfg.tau_grid())
     columns = compute_curves((p for _, p in _curve_cases(cfg)), grid, cfg.mode, cfg.metrics, tol)
     curves = (Curve(label=label, params=params, samples=samples,
                     summary=summarize_curve(samples, cfg.mode, params))

@@ -13,8 +13,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-# the largest fd_step: a central difference reads sin(4h)/(4h) of the derivative of
-# sin 4 tau, the fastest harmonic, 2.7e-4 short at h = 1e-2; tau +/- h stays finite
+# the largest fd_step of verify's central difference: it reads sin(4h)/(4h) of the
+# derivative of sin 4 tau, the fastest harmonic, 2.7e-4 short at h = 1e-2
 MAX_FD_STEP = 1e-2
 
 
@@ -32,7 +32,7 @@ class Tolerances:
     ergotropy_equivalence: float = 1e-9
     power_equivalence: float = 1e-5
     capacity_equivalence: float = 1e-10
-    fd_step: float = 1e-4           # central-difference step for the power oracle, <= MAX_FD_STEP
+    fd_step: float = 1e-4           # verify's central-difference step for power, <= MAX_FD_STEP
     # hyperbolic terms switch to exponent-shifted evaluation past this bound
     exponent_bound: float = 700.0
 

@@ -101,12 +101,15 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
 
     The pass decomposes every Hamiltonian (presets and cloud) in one stacked
     call, for the thermal suite's Gibbs states. The oracle's energies, at the
-    taus for the ergotropy suite and at tau +/- fd_step for the power suite,
-    come from each preset's energy form (:func:`dynamics._energy_forms`) by
-    :func:`dynamics._evolved_energies`, as the curve engine takes them, with no
-    state formed. The states at the taus are formed apart, by
-    :func:`metrics._evolved`, through the charging unitaries of the one
-    ``TauGrid``, built at its taus alone: the evolved-state suite checks them
+    taus for the ergotropy suite and at tau +/- ``tol.fd_step`` for the power
+    suite, come from each preset's energy form (:func:`dynamics._energy_forms`)
+    by :func:`dynamics._evolved_energies` on a ``TauGrid`` of those three
+    runs, as the curve engine takes them, with no state formed; the power
+    suite holds the closed-form power and the oracle's exact derivative,
+    ``power_fd``, to their central difference. ``verify`` is the one reader of
+    ``fd_step``. The states at the taus are formed apart, by
+    :func:`metrics._evolved`, through the charging unitaries of a ``TauGrid``
+    of the taus alone: the evolved-state suite checks them
     against the closed form, and the ergotropy suite's spectral leg
     decomposes them (eigenvalues only, in stacks of as many whole presets as
     fit in ``MAX_STACK``) and so checks the oracle by a second numeric route.
@@ -121,7 +124,7 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     presets = preset_param_sets()
     param_sets = presets + random_cloud(1000 if level == "full" else 100)
     taus = np.linspace(0.0, 2.0 * np.pi, 401 if level == "full" else 81)
-    grid, n = dynamics.TauGrid(taus, tol), len(taus)
+    grid, n, step = dynamics.TauGrid(taus), len(taus), tol.fd_step
 
     hs, rhos, passive, levels = metrics._numeric_pass(param_sets, tol)
     closed_rhos = np.array([model.gibbs_state_closed_form(p, tol) for p in param_sets])
@@ -129,8 +132,9 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     columns = [curve.columns for curve in metrics.compute_curves(presets, grid, "corrected", (
         "ergotropy_closed", "power_closed", "capacity_closed", "capacity_definitional"), tol)]
 
-    # the terms of the oracle's energies at every node, and each preset's form
-    q = grid.expansion(slice(0, 3 * n), tol)
+    # the terms of the oracle's energies and power at the taus and at tau +/- step,
+    # and each preset's form
+    q, slopes = dynamics.TauGrid(np.concatenate([taus, taus + step, taus - step])).expansion(tol)
     forms = dynamics._energy_forms(rhos[:len(presets)], hs[:len(presets)])
     evolved, ergotropies, powers = [], [], []
     size = max(1, MAX_STACK // n)  # whole presets whose states at the taus decompose together
@@ -149,8 +153,9 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
             e_closed = columns[i]["ergotropy_closed"]
             ergotropies.append(np.abs([spectral - oracle[:n], spectral - reference,
                                        spectral - e_closed, reference - e_closed]).max())
-            fd = grid.central_difference(oracle[n:])
-            powers.append(np.abs(columns[i]["power_closed"] - fd).max())
+            fd = (oracle[n:2 * n] - oracle[2 * n:]) / (2.0 * step)
+            exact = dynamics._evolved_energies(slopes[:, :n], forms[i], 0.0)
+            powers.append(np.abs([columns[i]["power_closed"] - fd, exact - fd]).max())
     capacities = [residual for p, h, rho, c in zip(presets, hs, rhos, columns) for residual in (
         abs(c["capacity_closed"] - metrics.capacity_reconciled(p, h, rho)),
         abs(c["capacity_definitional"] - 0.0))]
@@ -169,7 +174,7 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
                f"{len(presets)} parameter sets x {n} tau points; the spectral leg checks "
                "the Gibbs-weight spectrum the oracle reads"),
         _suite("power closed form vs finite-difference derivative", powers,
-               tol.power_equivalence, f"central difference h={grid.step:g}, global scale 1.0"),
+               tol.power_equivalence, f"central difference h={step:g}, global scale 1.0"),
         _suite("capacity reconciliation and limits", capacities, tol.capacity_equivalence,
                "closed vs xic - tr(H R_th); gap definition = 0; tanh limit"),
     )

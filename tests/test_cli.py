@@ -383,8 +383,8 @@ def test_tolerance_env_parsing():
 
 
 def test_tolerances_reject_values_that_are_not_positive_numbers():
-    # Tolerances alone sets the finite-difference step of every tau grid
-    # and refuses a step too large to read a derivative (see MAX_FD_STEP)
+    # Tolerances alone sets the finite-difference step of verify's power
+    # check and refuses a step too large to read a derivative (see MAX_FD_STEP)
     for field, value in [("fd_step", 0), ("fd_step", "x"), ("fd_step", 0.0), ("fd_step", -1e-4),
                          ("fd_step", float("nan")), ("fd_step", float("inf")), ("fd_step", 0.5),
                          ("fd_step", 1e300), ("hermitian", None),
@@ -487,19 +487,19 @@ def test_negative_values_in_scientific_notation_are_values(args, column, value):
     assert parse_csv(proc.stdout)[0][column] == value
 
 
-def test_point_oracle_rejects_unresolved_finite_difference_nodes():
-    args = ("point", "--xi1", "1.5", "--xi2", "0.5", "--xic", "0.5", "--temp", "0.1",
-            "--tau", "1e17")
-    proc = run_cli(*args, "--oracle")
-    assert proc.returncode == 2
-    assert "1e+17" in proc.stderr and proc.stdout == ""
-    proc = run_cli(*args)
+def test_oracle_sweep_serves_every_finite_tau():
+    # power_fd is the exact derivative of the oracle's energy form, with no
+    # nodes at tau +/- a step to round together: tau 5e7 and 1e8 were refused
+    proc = run_cli("sweep", "--oracle", "--xi1", "1.5", "--xic", "0.5", "--temp", "0.1",
+                   "--tau-start", "0", "--tau-stop", "1e8", "--tau-count", "3")
     assert proc.returncode == 0, proc.stderr
+    rows = parse_csv(proc.stdout)
+    assert [row["tau"] for row in rows] == ["0", "50000000", "100000000"]
+    for row in rows:
+        assert abs(float(row["power"]) - float(row["power_fd"])) <= DEFAULT.power_equivalence
 
 
 @pytest.mark.parametrize("args, code, message", [
-    (("sweep", "--oracle", "--xi1", "1.5", "--xic", "0.5", "--temp", "0.1",
-      "--tau-start", "0", "--tau-stop", "1e8", "--tau-count", "3"), 2, "finite-difference nodes"),
     (("point", "--xi1", "1e200"), 3, "overflows or underflows"),
     (("sweep", "--xi1", "1", "--xic", "0.5", "--vary", "xi2=1,2", "--vary", "xi2=3"), 2,
      "varied more than once"),
@@ -508,7 +508,7 @@ def test_point_oracle_rejects_unresolved_finite_difference_nodes():
     (("sweep", "--vary", "xi2"), 2, "--vary expects NAME=V1,V2,..."),
     (("sweep", "--vary", "xi2=a,b"), 2, "--vary xi2: bad value list"),
     (("sweep", "--vary", "xi2=,"), 2, "--vary xi2: empty value list"),
-], ids=["unresolved-tau", "overflow", "vary-twice", "vary-invalid-value", "vary-no-values",
+], ids=["overflow", "vary-twice", "vary-invalid-value", "vary-no-values",
         "vary-bad-value", "vary-empty"])
 def test_rejected_request_writes_nothing(tmp_path, capsys, args, code, message):
     # the whole request is evaluated before its output is opened

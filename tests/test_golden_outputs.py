@@ -45,7 +45,7 @@ ORACLE_FIGURE_SHA256 = {
     ("corrected", "fig1_a_ergotropy.csv"):
         "609bc61c28e756dfc01e37bd4828926f4e61d65d48efddb1430809a3e415bea6",
     ("corrected", "fig1_b_power.csv"):
-        "e5dbc46ed01baed57342cd601c7fa497137d962f1f71b4286cd72d3dac6f7188",
+        "bd2f4dc9a733d1b72d7bea14dd1a56f38bbd69f66670661584c457d86c385d20",
     ("corrected", "fig1_c_capacity.csv"):
         "22b70e897a24c1a7f5893d657fca2034b1adac4a6fbb6e68d01777228f74832c",
     ("corrected", "fig1_d_coherence_l1.csv"):
@@ -55,13 +55,13 @@ ORACLE_FIGURE_SHA256 = {
     ("oracle-only", "fig1_a_ergotropy.csv"):
         "d3d62dbb616cbd4db37b885d4b7983d599693ff991194ad621bb312c2f8a579e",
     ("oracle-only", "fig1_b_power.csv"):
-        "e8ff10ab608e10749e1422026a31994fbfa0ea4e5330b17260952e46006d496f",
+        "9b5b02848755f900ea5bbe553dbc56352961309ef34b191dbc15c94b682a9f21",
     ("oracle-only", "fig1_c_capacity.csv"):
         "917ba8a45f33aead50fb4c3d5c2bab39507140256d7b595d278a9b50c40bb9ba",
     ("oracle-only", "fig1_d_coherence_l1.csv"):
         "4c28f42ecea16bd4c01ab5d0dc77cdec79d48ea70743bee41832c2bbf1cca80b",
     ("oracle-only", "fig1_manifest.json"):
-        "3a6ba87feae2c620b21885a96c9e5ef7ecc09a6f7279720ae62be0b3766a14c5",
+        "a444627a2c975f59c653dc3660be559f04b3ae90433b9cf58cf58715e31d5cbb",
 }
 
 

@@ -219,18 +219,17 @@ def test_power_matches_finite_difference(preset_params):
     taus = np.linspace(0.0, 2 * np.pi, 41)
     for p in preset_params:
         for tau in taus:
-            fd = power_fd(p, float(tau), Tolerances(fd_step=1e-4))
+            fd = power_fd(p, float(tau))
             assert abs(power_closed_form(p, float(tau)) - fd) <= 1e-5
 
 
-def test_power_fd_second_order_convergence():
-    p = BatteryParams(xi1=1.5, xi2=1.5, xic=1.0, temperature=0.1)
-    tau = 0.3
-    exact = power_closed_form(p, tau)
-    e1 = abs(power_fd(p, tau, Tolerances(fd_step=1e-3)) - exact)
-    e2 = abs(power_fd(p, tau, Tolerances(fd_step=5e-4)) - exact)
-    assert e1 > 1e-9  # above the rounding floor, so the ratio is meaningful
-    assert 2.5 <= e1 / e2 <= 6.0
+def test_power_fd_is_the_closed_form_on_the_presets(preset_params):
+    # the exact derivative of the oracle's energy form, to rounding; the
+    # central difference it replaced was 1.7e-7 off
+    taus = np.linspace(0.0, 2 * np.pi, 401)
+    for p in preset_params:
+        bound = 64 * np.finfo(float).eps * np.abs(build_full_hamiltonian(p)).max()
+        assert np.abs(power_fd(p, taus) - power_closed_form(p, taus)).max() <= bound
 
 
 def test_power_fd_rejects_bad_step():
@@ -472,8 +471,8 @@ def checked_states(monkeypatch):
 
 def test_power_only_curve_decomposes_only_its_nodes(monkeypatch):
     # H once, with eigenvectors, for the Gibbs state, its passive energy and
-    # its energy form; the energies at tau +/- step come from that form, so
-    # no state is formed, checked or decomposed
+    # its energy form; the power comes from that form's slopes at the taus,
+    # so no state is formed, checked or decomposed
     p = BatteryParams(1.5, 0.5, 0.5, 0.1)
     taus = np.linspace(0.0, 2.0 * np.pi, 401)
     calls, checked = eigensolver_calls(monkeypatch), checked_states(monkeypatch)
@@ -548,14 +547,15 @@ def test_oracle_only_evolves_the_taus_through_one_unitary_stack(monkeypatch):
 
 def test_non_finite_oracle_energy_is_rejected():
     # H's largest eigenvalue, about 2.5e308, is beyond float64, so the passive
-    # energy is not finite; with no state formed to fail the eigensolver's
-    # input check, the energy check names the set and the first node
+    # energy is not finite, nor is the form; with no state formed to fail the
+    # eigensolver's input check, the oracle's check names the set, the column
+    # and the first tau
     p = BatteryParams(1.79e308, 1.79e308, 1.79e308, 1.0)
-    message = re.escape(f"oracle energy of {p} is not finite at tau node ")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the eigenvalues overflow
-        for metrics, node in ((("ergotropy_numeric", "power_fd"), 0.0), (("power_fd",), 1e-4)):
-            with pytest.raises(ValueError, match=message + re.escape(repr(node))):
+        for metrics in (("ergotropy_numeric", "power_fd"), ("power_fd",)):
+            message = re.escape(f"oracle {metrics[0]} of {p} is not finite at tau 0.0")
+            with pytest.raises(ValueError, match=message):
                 compute_curve(p, [0.0, 0.7], "corrected", metrics)
 
 
@@ -571,19 +571,29 @@ def test_numeric_pass_states_and_hamiltonians_are_real():
 
 def test_energy_form_is_the_trace_of_the_evolved_state():
     # tr(U rho U^dagger H) from the form's four coefficients and scale, at
-    # real symmetric rho and H, against the matmul route
+    # real symmetric rho and H, against the matmul route; and its tau
+    # derivative from the slopes, against the matmul route's central difference
     rng = np.random.default_rng(7)
     rhos = np.array([random_density(rng, 4).real for _ in range(5)])
     hs = np.array([random_hermitian(rng, 4).real * 10.0 ** e for e in (-3, 0, 2, 150, -200)])
-    taus = np.linspace(-4.0, 9.0, 53)
-    grid = dynamics_mod.TauGrid(taus)
-    q = grid.expansion(slice(0, len(taus)), DEFAULT_TOLERANCES)
+    taus, step = np.linspace(-4.0, 9.0, 53), 1e-5
+    q, slopes = dynamics_mod.TauGrid(taus).expansion(DEFAULT_TOLERANCES)
     forms = dynamics_mod._energy_forms(rhos, hs)
+
+    def matmul_energies(rho, h, at):
+        return np.einsum("nij,ji->n", evolve(rho, charging_unitaries(at)), h).real
+
     for rho, h, form in zip(rhos, hs, forms):
-        states = evolve(rho, charging_unitaries(taus))
-        expected = np.einsum("nij,ji->n", states, h).real
+        scale = np.abs(h).max()
         energies = dynamics_mod._evolved_energies(q, form, 0.0)
-        assert np.abs(energies - expected).max() <= 64 * np.finfo(float).eps * np.abs(h).max()
+        assert np.abs(energies - matmul_energies(rho, h, taus)).max() <= \
+            64 * np.finfo(float).eps * scale
+        fd = (matmul_energies(rho, h, taus + step) - matmul_energies(rho, h, taus - step)) / (
+            (taus + step) - (taus - step))
+        # E has frequencies up to 4 and weights up to 4 max|H| in all, so the
+        # truncation is at most 256 max|H| step^2 / 6; then the rounding over 2 step
+        power = dynamics_mod._evolved_energies(slopes, form, 0.0)
+        assert np.abs(power - fd).max() <= (43 * step ** 2 + 1e-9) * scale
 
 
 @settings(max_examples=150, deadline=None)
@@ -618,23 +628,17 @@ def test_power_fd_is_the_compute_curve_column():
     assert power_fd(p, taus).tobytes() == column.tobytes()
 
 
-def test_power_fd_rejects_unresolved_nodes():
-    # from 2**24 on the nodes tau +/- 1e-4 round apart by other than 2e-4 (to
-    # within 1e-5 of it); unchecked, the oracle gave -0.5254 at 1e12 (closed
-    # form -0.4304) and 0.0 at 1e17
+def test_power_fd_serves_large_taus():
+    # with nodes tau +/- 1e-4, which round apart by other than 2e-4 from 2**24
+    # on, these taus were refused; unchecked, the oracle gave -0.5254 at 1e12
+    # (closed form -0.4304) and 0.0 at 1e17
     p = BatteryParams(1.5, 0.5, 0.5, 0.1)
-    for tau in (1e12, 1e17):
-        with pytest.raises(ValueError, match=re.escape(f"tau {tau!r}")):
-            power_fd(p, tau)
-    with pytest.raises(ValueError, match=re.escape("tau 1000000000000.0")):
-        power_fd(p, [0.5, 1e12, 1e17])
-    with pytest.raises(ValueError, match="finite-difference"):
-        compute_sample(p, 1e12, mode="corrected", metrics=ALL_METRICS)
-    # without a power_fd column the cell is still served
-    assert compute_sample(p, 1e12, metrics=("ergotropy_numeric",)).flag == ""
+    taus = [0.5, 1e12, 1e17]
+    bound = 64 * np.finfo(float).eps * np.abs(build_full_hamiltonian(p)).max()
+    assert np.abs(power_fd(p, taus) - power_closed_form(p, taus)).max() <= bound
+    assert compute_sample(p, 1e12, mode="corrected", metrics=ALL_METRICS).flag == ""
 
 
 def test_power_fd_accepts_resolved_large_tau():
-    # at 1e6 the node spread is off 2 step by 4.9e-7 of it, below power_equivalence
     p = BatteryParams(1.5, 0.5, 0.5, 0.1)
     assert abs(power_fd(p, 1e6) - power_closed_form(p, 1e6)) <= 1e-5

@@ -73,15 +73,20 @@ def test_the_cli_never_holds_a_whole_sweep():
 
 def test_each_request_is_stated_once():
     # SweepConfig.metrics alone says which columns are written, and
-    # metrics.compute_curves alone applies the finite-difference rule and
-    # maps each main column to its closed-form or numeric column
-    owned = {"require_resolved", "CLOSED_FIELDS", "NUMERIC_FIELDS"}
+    # metrics.compute_curves alone maps each main column to its closed-form
+    # or numeric column
+    owned = {"CLOSED_FIELDS", "NUMERIC_FIELDS"}
     offenders = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
                  if path.name != "metrics.py" for name in sorted(names_in(path) & owned)]
     offenders += [path.name for path in SRC.glob("*.py")
                   if "include_oracle" in path.read_text(encoding="utf-8")]
-    # Tolerances.fd_step alone sets the finite-difference step: no function
-    # takes a step of its own
+    # the engine has no step: power_fd is an exact derivative, and verify
+    # alone reads Tolerances.fd_step, for its central difference
+    assert "fd_step" in names_in(SRC / "verify.py")
+    offenders += [f"{path.name}: fd_step" for path in sorted(SRC.glob("*.py"))
+                  if path.name not in ("verify.py", "tolerances.py")
+                  and "fd_step" in names_in(path)]
+    # and no function takes a step of its own
     offenders += [f"{path.name}: {node.name}" for path in sorted(SRC.glob("*.py"))
                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))

@@ -1,9 +1,10 @@
 """One tau grid per sweep, one row template per curve.
 
-Everything that depends on the taus alone (the libm factors, the
-finite-difference nodes and the checked charging unitaries) is computed once
-per grid, however many curves share it, and the CSV writer's one-``%``
-template renders exactly what formatting every cell on its own gives.
+Everything that depends on the taus alone (the libm factors, the terms of
+the oracle's energies and power, and the checked charging unitaries) is
+computed once per grid, however many curves share it, and the CSV writer's
+one-``%`` template renders exactly what formatting every cell on its own
+gives.
 """
 
 import dataclasses
@@ -50,7 +51,7 @@ def counted(monkeypatch, module, name):
 
 
 def grid_work(monkeypatch):
-    """Count the grid's tau work from here on: ``per_tau`` calls, the nodes
+    """Count the grid's tau work from here on: ``per_tau`` calls, the taus
     of each factor evaluation, the taus of each unitary stack built, and the
     product-based unitarity checks."""
     per_tau = counted(monkeypatch, dynamics, "per_tau")
@@ -70,9 +71,9 @@ def test_a_sweep_does_its_tau_work_once_however_many_curves(monkeypatch, mode):
         work = grid_work(monkeypatch)
         result = run_sweep(cfg)
         calls, factors, stacks, checks = work()
-        assert factors == [27]  # once: the taus and both finite-difference nodes
+        assert factors == [9]  # once, at the taus alone
         # unitaries only where states are formed, for oracle-only coherence at
-        # the taus; the factors give every node's unitarity deviation
+        # the taus; the factors give every tau's unitarity deviation
         assert stacks == ([9] if mode == "oracle-only" else [])
         assert checks == 0
         counts[len(values)] = calls
@@ -83,19 +84,20 @@ def test_a_sweep_does_its_tau_work_once_however_many_curves(monkeypatch, mode):
 
 
 def test_verify_builds_and_checks_one_unitary_stack_for_all_presets(monkeypatch):
-    # the factors at every node, for the energies and the deviations; the
-    # unitaries at the 81 taus alone, for the states
+    # the factors at the 81 taus and at tau +/- fd_step, for the energies, the
+    # power and the deviations; the unitaries at the 81 taus alone, for the states
     work = grid_work(monkeypatch)
     assert run_verification("quick").passed
     _, factors, stacks, checks = work()
-    assert (factors, stacks, checks) == ([3 * 81], [81], 0)
+    assert (sorted(factors), stacks, checks) == ([81, 3 * 81], [81], 0)
 
 
 def test_grid_factors_are_the_scalar_expressions_and_read_only():
     taus = [0.0, 0.3, 2.5, 1e17, -4.0]
-    grid = dynamics.TauGrid(taus, Tolerances(fd_step=1e-3))
-    assert grid.nodes.tolist() == taus + [t + 1e-3 for t in taus] + [t - 1e-3 for t in taus]
-    for name, fn in dynamics.FACTORS.items():
+    grid = dynamics.TauGrid(taus)
+    assert grid.taus.tolist() == taus
+    squares = {"cos_sq": lambda x: math.cos(x) ** 2, "sin_sq": lambda x: math.sin(x) ** 2}
+    for name, fn in {**dynamics.FACTORS, **squares}.items():
         factor = getattr(grid, name)
         assert factor.tolist() == [fn(t) for t in taus]
         assert getattr(grid, name) is factor
@@ -104,7 +106,7 @@ def test_grid_factors_are_the_scalar_expressions_and_read_only():
         grid.tan
     u = grid.unitaries
     assert u.tobytes() == dynamics.charging_unitaries(grid.taus).tobytes()
-    for part in (u, grid.factors, grid.quadratics, grid.deviation):
+    for part in (u, grid.factors, grid.quadratics, grid.slopes, grid.deviation):
         assert not part.flags.writeable
     assert dynamics.TauGrid(0.3).scalar and not dynamics.TauGrid([0.3]).scalar
 
@@ -124,24 +126,35 @@ def test_charging_unitary_is_its_three_matrix_expansion():
     grid = dynamics.TauGrid(WIDE_TAUS)
     a, b, gamma = (row[:, None, None] for row in grid.factors[:3])
     expansion = a * EYE + b * J + (-1j * gamma) * K
-    u = dynamics.charging_unitaries(grid.nodes)
+    u = dynamics.charging_unitaries(grid.taus)
     assert (u + 0.0).tobytes() == (expansion + 0.0).tobytes()
 
 
 def test_factor_deviation_is_the_unitarity_deviation():
     grid = dynamics.TauGrid(WIDE_TAUS)
-    products = dynamics._unitarity_deviation(dynamics.charging_unitaries(grid.nodes))
+    products = dynamics._unitarity_deviation(dynamics.charging_unitaries(grid.taus))
     assert np.abs(grid.deviation - products).max() <= 4 * np.finfo(float).eps
-    # a NaN factor fails the check of every request that reads its node
+    # a NaN factor fails the check of every oracle request
     grid = dynamics.TauGrid([0.3, 0.7])
     factors = grid.factors.copy()
     factors[2, 1] = math.nan
     grid.factors = factors
     assert math.isnan(grid.deviation[1])
-    for mode, metric in (("corrected", "ergotropy_numeric"), ("oracle-only", "coherence_l1")):
+    for mode, metric in (("corrected", "ergotropy_numeric"), ("corrected", "power_fd"),
+                         ("oracle-only", "coherence_l1")):
         with pytest.raises(NotUnitaryError, match="matrix 1 of the stack deviates"):
             compute_curve(BASE, grid, mode, (metric,))
-    assert compute_curve(BASE, grid, "corrected", ("power_fd",)).flag == ""
+
+
+def test_slopes_are_the_derivatives_of_the_quadratics():
+    # a' = b' = -2 gamma and gamma' = a + b; against the central difference of
+    # the quadratics, whose third derivatives are at most 12, so within 2 h^2
+    taus = np.linspace(-40.0, 40.0, 997)
+    slopes = dynamics.TauGrid(taus).slopes
+    for step in (1e-3, 1e-4):
+        ahead, behind = (dynamics.TauGrid(taus + s * step).quadratics for s in (1, -1))
+        difference = (ahead - behind) / ((taus + step) - (taus - step))
+        assert np.abs(slopes - difference).max() <= 2 * step ** 2 + 1e-11
 
 
 @pytest.mark.parametrize("taus, message", [
@@ -162,8 +175,8 @@ def test_grids_without_finite_taus_are_rejected(taus, message):
 
 @pytest.mark.parametrize("step", [0.0, -1e-4, math.nan, math.inf])
 def test_finite_difference_steps_must_be_finite_and_positive(step):
-    # the step of every tau grid, and so of power_fd, is the fd_step of a
-    # Tolerances, which rejects a bad one where it is set
+    # verify's central-difference step is the fd_step of a Tolerances, which
+    # rejects a bad one where it is set
     message = "tolerance fd_step must be a finite number > 0"
     with pytest.raises(ValueError, match=message):
         Tolerances(fd_step=step)
@@ -172,14 +185,12 @@ def test_finite_difference_steps_must_be_finite_and_positive(step):
 
 
 def test_steps_too_large_to_be_derivative_steps_are_rejected_so_nodes_stay_finite():
-    # a step that once overflowed the nodes is refused where it is set; at the
-    # largest step allowed, every node of the largest finite taus is finite
+    # a step that once overflowed the nodes is refused where it is set, so
+    # verify's nodes tau +/- fd_step stay finite
     message = "tolerance fd_step must be a finite number > 0 and <= 0.01, got 1e"
     with pytest.raises(ValueError, match=message):
         Tolerances(fd_step=1e308)
-    top = np.finfo(float).max
-    grid = dynamics.TauGrid([top, -top], Tolerances(fd_step=MAX_FD_STEP))
-    assert np.isfinite(grid.nodes).all()
+    assert Tolerances(fd_step=MAX_FD_STEP).fd_step == MAX_FD_STEP
 
 
 def test_round_robin_schedule_is_built_once_and_read_only():
