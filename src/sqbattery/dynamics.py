@@ -12,11 +12,11 @@ reproducing the original figure data, but they are not trace-preserving and
 drop the imaginary parts of the off-diagonal entries (see README, "Known
 discrepancies in the original closed forms").
 
-The numeric oracle's energies tr(U rho U^dagger H) need no evolved state: the
-unitary is a I + b J - i gamma K, so they are a quadratic form in (a, b,
-gamma) whose coefficients each real (rho, H) gives once (:func:`_energy_forms`).
-Their exact tau derivative, the oracle's power, is the same form of the
-quadratics' derivatives (``TauGrid.slopes``).
+The numeric oracle forms no evolved state: U = a I + b J - i gamma K, so each
+entry of U rho U^dagger is a quadratic form in (a, b, gamma) that each real
+rho gives once (:func:`_state_forms`); its energies contract it with H
+(:func:`_energy_forms`), and their exact tau derivative, the oracle's power,
+is the same form of the quadratics' derivatives (``TauGrid.slopes``).
 """
 
 from __future__ import annotations
@@ -78,15 +78,15 @@ class TauGrid:
     - ``factors``: the rows of :func:`_charging_factors` at every tau, so
       U(tau) = a I + b J - i gamma K; ``cos_sq`` is its row a and ``sin_sq``
       is -b;
-    - ``quadratics``: a^2, b^2, gamma^2 and ab at every tau, the terms of the
-      oracle's energies;
+    - ``quadratics``: a^2, b^2, gamma^2, ab, a gamma and b gamma at every
+      tau, the terms of the oracle's states; the first four, of its energies;
     - ``slopes``: their exact tau derivatives -4 a gamma, -4 b gamma,
       2 gamma (a + b) and -2 gamma (a + b), as a' = b' = -2 gamma and
       gamma' = a + b: the terms of the oracle's power;
     - ``deviation``: max |U U^dagger - I| at every tau, from the factors:
       J^2 = I, JK = KJ and K^2 = 2I + 2J give
       U U^dagger - I = (a^2 + b^2 + 2 gamma^2 - 1) I + (2ab + 2 gamma^2) J;
-    - ``unitaries``: the charging unitaries, built only where states are formed.
+    - ``unitaries``: the charging unitaries, for the states ``verify`` forms.
     """
 
     def __init__(self, taus):
@@ -109,13 +109,13 @@ class TauGrid:
             value = -self.factors[1]
         elif name == "quadratics":
             a, b, g = self.factors[:3]
-            value = np.array([a * a, b * b, g * g, a * b])
+            value = np.array([a * a, b * b, g * g, a * b, a * g, b * g])
         elif name == "slopes":
             a, b, g = self.factors[:3]
-            ag, bg, gs = a * g, b * g, g * (a + b)
+            (ag, bg), gs = self.quadratics[4:], g * (a + b)
             value = np.array([-4.0 * ag, -4.0 * bg, 2.0 * gs, -2.0 * gs])
         elif name == "deviation":  # a NaN factor gives a NaN deviation
-            aa, bb, gg, ab = self.quadratics
+            aa, bb, gg, ab = self.quadratics[:4]
             value = np.maximum(np.abs(aa + bb + 2.0 * gg - 1.0), np.abs(2.0 * ab + 2.0 * gg))
         elif name == "unitaries":
             value = _unitary_stack(self.factors)
@@ -131,10 +131,9 @@ class TauGrid:
         _require_unitary(self.deviation, tol)
         return self.quadratics, self.slopes
 
-    def evolve(self, state: np.ndarray, part: slice, tol: Tolerances, out=None) -> np.ndarray:
-        """:func:`evolve` of ``state`` by the unitaries at ``self.taus[part]``,
-        into ``out`` if given."""
-        return _conjugate(state, self.unitaries[part], self.deviation[part], tol, out)
+    def evolve(self, state: np.ndarray, tol: Tolerances) -> np.ndarray:
+        """:func:`evolve` of ``state`` by the unitaries at every tau."""
+        return _conjugate(state, self.unitaries, self.deviation, tol)
 
 
 def as_grid(tau) -> TauGrid:
@@ -193,32 +192,42 @@ _ROWS = np.array([[[k // 4 ^ s for k in range(16)]] for s in range(4)])
 _COLS = np.array([[k % 4 ^ t for k in range(16)] for t in range(4)])
 
 
-def _energy_forms(rhos: np.ndarray, hs: np.ndarray) -> np.ndarray:
+def _state_forms(rhos: np.ndarray) -> np.ndarray:
+    """Each set's state form C, ``(n, 6, 16)``: U rho U^dagger at [4i + j] is
+    C1 a^2 + C2 b^2 + C3 g^2 + C4 ab + i (C5 a g + C6 b g), the rows of
+    ``TauGrid.quadratics``, with C1..C6 = rho, J rho J, K rho K, J rho + rho J,
+    rho K - K rho and J rho K - K rho J, each T[s, t] = rho[i^s, j^t] summed
+    in a fixed order. H has only Z and X Pauli terms, so ``rhos``, its Gibbs
+    states, are real (complex dtype; the zero imaginary parts are not read)."""
+    t = rhos.real[:, _ROWS, _COLS]
+    return np.stack([t[:, 0, 0], t[:, 3, 3], (t[:, 1, 1] + t[:, 1, 2]) + (t[:, 2, 1] + t[:, 2, 2]),
+                     t[:, 0, 3] + t[:, 3, 0], (t[:, 0, 1] + t[:, 0, 2]) - (t[:, 1, 0] + t[:, 2, 0]),
+                     (t[:, 3, 1] + t[:, 3, 2]) - (t[:, 1, 3] + t[:, 2, 3])], axis=1)
+
+
+def _combine(coefficients, rows) -> np.ndarray:
+    """c[0] r[0] + c[1] r[1] + ... elementwise in that order: no kernel's order sets its bits."""
+    total = coefficients[0] * rows[0]
+    for i in range(1, len(coefficients)):
+        total += coefficients[i] * rows[i]
+    return total
+
+
+def _energy_forms(states: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """Each set's energy form (k1, ..., k4, s): for U = a I + b J - i g K,
     tr(U rho U^dagger H) = s (k1 a^2 + k2 b^2 + k3 g^2 + k4 ab).
 
-    ``rhos`` and ``hs`` are real: H has only Z and X Pauli terms, so its
-    eigenvectors and Gibbs state are real too (complex dtype, zero imaginary
-    parts, which are not read). With W_pq = tr(P_p rho P_q H) / s and
-    P = (I, J, K): k1, k2, k3 = W_pp, k4 = W_ab + W_ba, each W a sum of
-    T[s, t] = sum_ij rho[i^s, j^t] H[j, i] / s, summed in a fixed order; the
-    a g and b g terms, imaginary parts of W, vanish for real rho and H.
-    s is the largest power of two not above max |H_ij| (1/2 for H = 0), an
-    exact scale that keeps every sum finite where H is.
-    """
+    k_m is the :func:`_state_forms` C_m of ``states`` contracted with the
+    real H^T / s of ``hs`` over the 16 entries in a fixed order; C5 and C6 are
+    antisymmetric and H symmetric, so the a g and b g terms vanish. s is the
+    largest power of two not above max |H_ij| (1/2 for H = 0), an exact
+    scale that keeps every sum finite where H is."""
     hs = hs.real
     scale = np.ldexp(1.0, np.frexp(np.abs(hs).max(axis=(-2, -1)))[1] - 1)
     # H[j, i] / s at [4i + j]
-    h = hs.swapaxes(-1, -2).reshape(-1, 1, 1, 16) / scale[:, None, None, None]
-    terms = rhos.real[:, _ROWS, _COLS] * h
-    t = terms[..., 0]
-    for k in range(1, 16):
-        t = t + terms[..., k]
-    return np.stack([
-        t[:, 0, 0], t[:, 3, 3], (t[:, 1, 1] + t[:, 1, 2]) + (t[:, 2, 1] + t[:, 2, 2]),
-        t[:, 0, 3] + t[:, 3, 0],
-        scale,
-    ], axis=-1)
+    h = hs.swapaxes(-1, -2).reshape(-1, 1, 16) / scale[:, None, None]
+    k = _combine(np.moveaxis(states[:, :4], -1, 0), np.moveaxis(h, -1, 0))
+    return np.concatenate([k, scale[:, None]], axis=-1)
 
 
 def _evolved_energies(q: np.ndarray, form: np.ndarray, passive: float) -> np.ndarray:
@@ -228,13 +237,19 @@ def _evolved_energies(q: np.ndarray, form: np.ndarray, passive: float) -> np.nda
     quadratics these are tr(U rho U^dagger H) - ``passive``, with rho's
     passive energy the evolved ergotropies, as U keeps rho's spectrum; of
     the slopes, with ``passive`` 0, their exact tau derivative, the power."""
-    k, scale = form[:4], form[4]
-    energies = k[0] * q[0]
-    for i in range(1, 4):
-        energies += k[i] * q[i]
-    energies -= passive / scale
-    energies *= scale
+    energies = _combine(form[:4], q)
+    energies -= passive / form[4]
+    energies *= form[4]
     return energies
+
+
+def _evolved_coherence(q: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """The l1 coherence of U rho U^dagger at every tau of the quadratics ``q``
+    from one set's :func:`_state_forms` ``state``: the Hermitian state's
+    entries above the diagonal, each |Re + i Im| twice, summed in a fixed order."""
+    c = state[:, [1, 2, 3, 6, 7, 11], None]  # the entries [4i + j] above the diagonal
+    magnitudes = np.hypot(_combine(c[:4], q[:4, None]), _combine(c[4:], q[4:, None]))
+    return _combine([2.0] * 6, magnitudes)
 
 
 def evolve(state: np.ndarray, u: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
@@ -273,7 +288,7 @@ def _require_unitary(dev, tol: Tolerances) -> None:
         )
 
 
-def _conjugate(state, u, dev, tol: Tolerances, out=None) -> np.ndarray:
+def _conjugate(state, u, dev, tol: Tolerances) -> np.ndarray:
     _require_unitary(dev, tol)
     state = np.asarray(state)
     if state.ndim == 2:
@@ -287,7 +302,7 @@ def _conjugate(state, u, dev, tol: Tolerances, out=None) -> np.ndarray:
         left = left.reshape(u.shape)
     else:
         left = u @ state
-    return np.matmul(left, u.conj().swapaxes(-1, -2), out=out)
+    return left @ u.conj().swapaxes(-1, -2)
 
 
 def evolved_state_closed_form(

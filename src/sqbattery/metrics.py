@@ -17,11 +17,11 @@ The closed forms take tau arrays or grids and the numeric routes take stacks:
 whole tau grid, every column once per curve; :func:`compute_curve` is its
 one-set case and :func:`compute_sample` that one's one-tau case. Its oracle
 reads each evolved state's spectrum off its Gibbs weights, so a block of
-curves decomposes only their Hamiltonians, in one call, and its energies
-come from U's three-matrix expansion (``dynamics._energy_forms``), as does
-its power, with no state formed but for oracle-only coherence. ``verify``
-takes the same energies and checks them against decomposed states, and the
-power against their central difference.
+curves decomposes only their Hamiltonians, in one call, and its energies,
+power and oracle-only coherence come from U's three-matrix expansion
+(``dynamics._state_forms``), with no state formed. ``verify`` takes the
+same energies and checks them against decomposed states, and the power
+against their central difference.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (TauGrid, _closed_coherence, _energy_forms, _evolved_energies, as_grid,
-                       validate_mode)
-from .linalg import MAX_STACK, _check_input, hermitian_eigendecomposition
+from .dynamics import (TauGrid, _closed_coherence, _energy_forms, _evolved_coherence,
+                       _evolved_energies, _state_forms, as_grid, validate_mode)
+from .linalg import hermitian_eigendecomposition
 from .model import (
     BatteryParams,
     ThermalTerms,
@@ -177,20 +177,6 @@ def _numeric_pass(params, tol: Tolerances):
     dec = hermitian_eigendecomposition(hs, tol)
     rhos, passive = _gibbs_state(dec, [p.temperature for p in params])
     return hs, rhos, passive, dec.eigenvalues
-
-
-def _evolved(grid: TauGrid, rho, tol: Tolerances):
-    """Yield ``(lo, states)``: U(tau) rho U(tau)^dagger at the taus of ``grid``
-    from ``lo`` on, at most ``MAX_STACK`` at a time into one buffer per call
-    (each chunk is overwritten by the next), each chunk checked as the
-    eigensolver checks its input."""
-    count = len(grid.taus)
-    buffer = np.empty((min(count, MAX_STACK), *rho.shape), dtype=complex)
-    for lo in range(0, count, MAX_STACK):
-        hi = min(lo + MAX_STACK, count)
-        states = grid.evolve(rho, slice(lo, hi), tol, out=buffer[:hi - lo])
-        _check_input(states, 0, tol)
-        yield lo, states
 
 
 def power_fd(p: BatteryParams, tau, tol: Tolerances | None = None):
@@ -342,16 +328,17 @@ def compute_curves(
     request with numeric columns takes the sets in blocks of
     :data:`CURVE_BLOCK`, each one :func:`_numeric_pass`: the block's
     Hamiltonians are decomposed in one eigensolver call, for their Gibbs
-    states, passive energies and energy forms; ``ergotropy_numeric`` is each
-    set's form at the taus and ``power_fd`` its exact tau derivative
-    (:meth:`TauGrid.expansion`), at every finite tau, and only oracle-only
-    coherence evolves states (:func:`_evolved`). Any other request has no pass to share and takes one set at a time; so only
-    one block's columns need be alive. In oracle-only mode each closed-form
-    metric gives way to its numeric counterpart in :data:`NUMERIC_FIELDS`;
-    otherwise coherence is read off the mode's closed-form states. Overflow
-    comes from the tau-independent thermal terms, so it flags its curve
-    in-band rather than raising; the closed forms go first, so such a set
-    is left out of its block's eigensolver call.
+    states, passive energies and state and energy forms, which give
+    ``ergotropy_numeric``, its exact tau derivative ``power_fd`` and
+    oracle-only coherence at every finite tau (:meth:`TauGrid.expansion`),
+    with no state formed. Any other request has no pass to share and takes
+    one set at a time; so only one block's columns need be alive. In
+    oracle-only mode each closed-form metric gives way to its numeric
+    counterpart in :data:`NUMERIC_FIELDS`; otherwise coherence is read off
+    the mode's closed-form states. Overflow comes from the tau-independent
+    thermal terms, so it flags its curve in-band rather than raising; the
+    closed forms go first, so such a set is left out of its block's
+    eigensolver call.
     """
     validate_mode(mode, allow_oracle_only=True)
     unknown = set(metrics) - set(ALL_METRICS)
@@ -362,25 +349,25 @@ def compute_curves(
         counterparts = dict(zip(CLOSED_FIELDS.values(), NUMERIC_FIELDS.values()))
         metrics = tuple(counterparts.get(m, m) for m in metrics)
     grid = as_grid(taus)
-    evolves = mode == "oracle-only" or not set(metrics).isdisjoint(ORACLE_METRICS)
-    return _curve_blocks(iter(params), grid, mode, metrics, tol, evolves)
+    has_numeric = mode == "oracle-only" or not set(metrics).isdisjoint(ORACLE_METRICS)
+    return _curve_blocks(iter(params), grid, mode, metrics, tol, has_numeric)
 
 
 def _curve_blocks(params: Iterator[BatteryParams], grid: TauGrid, mode: str,
                   metrics: tuple[str, ...], tol: Tolerances,
-                  evolves: bool) -> Iterator[CurveColumns]:
+                  has_numeric: bool) -> Iterator[CurveColumns]:
     """The curves of :func:`compute_curves`, a block of sets at a time:
-    :data:`CURVE_BLOCK` sets if the request ``evolves`` states, else one.
-    A block's columns are let go before the next block is evaluated."""
-    while block := tuple(itertools.islice(params, CURVE_BLOCK if evolves else 1)):
-        yield from _curve_block(block, grid, mode, metrics, tol, evolves)
+    :data:`CURVE_BLOCK` sets if the request ``has_numeric`` columns, else
+    one. A block's columns are let go before the next block is evaluated."""
+    while block := tuple(itertools.islice(params, CURVE_BLOCK if has_numeric else 1)):
+        yield from _curve_block(block, grid, mode, metrics, tol, has_numeric)
 
 
 def _curve_block(block: tuple[BatteryParams, ...], grid: TauGrid, mode: str,
                  metrics: tuple[str, ...], tol: Tolerances,
-                 evolves: bool) -> Iterator[CurveColumns]:
-    """One block's curves: every set's closed columns, then one numeric
-    pass over the sets that did not overflow, if the request ``evolves``."""
+                 has_numeric: bool) -> Iterator[CurveColumns]:
+    """One block's curves: every set's closed columns, then, if the request
+    ``has_numeric`` columns, one numeric pass over the sets that did not overflow."""
     closed = []
     for p in block:
         try:
@@ -388,7 +375,7 @@ def _curve_block(block: tuple[BatteryParams, ...], grid: TauGrid, mode: str,
         except OverflowError:  # covers ParameterOverflowError and raw float overflow alike
             closed.append(None)
     live = [p for p, columns in zip(block, closed) if columns is not None]
-    numeric = iter(_numeric_columns(live, grid, mode, metrics, tol) if evolves and live
+    numeric = iter(_numeric_columns(live, grid, mode, metrics, tol) if has_numeric and live
                    else [CurveColumns(grid.taus, {}) for _ in live])
     for columns in closed:
         if columns is None:
@@ -440,29 +427,26 @@ def _numeric_columns(
     taus, flagged if ill-conditioned; in oracle-only mode also the coherence
     and the reconciled capacity of the numeric route. All sets share one
     :func:`_numeric_pass`; a non-finite oracle value raises ``ValueError``."""
-    count = len(grid.taus)
-    coherence = "coherence_l1" in metrics and mode == "oracle-only"
-    oracle = [name for name in ORACLE_METRICS if name in metrics]
+    coherence = ("coherence_l1",) if mode == "oracle-only" else ()
+    oracle = [name for name in ORACLE_METRICS + coherence if name in metrics]
     quadratics, slopes = grid.expansion(tol) if oracle else (None, None)
     hs, rhos, passives, _ = _numeric_pass(params, tol)
-    forms = _energy_forms(rhos, hs)
+    states = _state_forms(rhos)
+    forms = _energy_forms(states, hs)
     curves = []
-    for p, h, rho, passive, form in zip(params, hs, rhos, passives, forms):
+    for p, h, rho, passive, state, form in zip(params, hs, rhos, passives, states, forms):
         c = {}
-        # the energy less the passive energy, and its exact tau derivative
-        terms = {"ergotropy_numeric": (quadratics, passive), "power_fd": (slopes, 0.0)}
+        # the energy less the passive energy, its exact tau derivative, and the coherence
+        terms = {"ergotropy_numeric": lambda: _evolved_energies(quadratics, form, passive),
+                 "power_fd": lambda: _evolved_energies(slopes, form, 0.0),
+                 "coherence_l1": lambda: _evolved_coherence(quadratics, state)}
         for name in oracle:
-            q, offset = terms[name]
-            values = _evolved_energies(q, form, offset)
+            values = terms[name]()
             finite = np.isfinite(values)
             if not finite.all():
                 tau = float(grid.taus[np.argmin(finite)])
                 raise ValueError(f"oracle {name} of {p} is not finite at tau {tau!r}")
             c[name] = values
-        if coherence:
-            c["coherence_l1"] = np.empty(count)
-            for lo, states in _evolved(grid, rho, tol):
-                c["coherence_l1"][lo:lo + len(states)] = l1_coherence(states)
         if "capacity_reconciled" in metrics:
             c["capacity_reconciled"] = capacity_reconciled(p, h, rho)
         scale = float(np.abs(h).max())  # Python floats, eps last: a huge bound is inf, no warning

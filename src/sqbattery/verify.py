@@ -107,16 +107,17 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     runs, as the curve engine takes them, with no state formed; the power
     suite holds the closed-form power and the oracle's exact derivative,
     ``power_fd``, to their central difference. ``verify`` is the one reader of
-    ``fd_step``. The states at the taus are formed apart, by
-    :func:`metrics._evolved`, through the charging unitaries of a ``TauGrid``
-    of the taus alone: the evolved-state suite checks them
-    against the closed form, and the ergotropy suite's spectral leg
-    decomposes them (eigenvalues only, in stacks of as many whole presets as
-    fit in ``MAX_STACK``) and so checks the oracle by a second numeric route.
-    The closed columns are the presets' :func:`metrics.compute_curves`
-    columns, the ones that sweeps and figures write. Each stack is reduced to
-    its residuals before the next is evolved, so at most ``MAX_STACK`` states
-    at the taus (or one preset's) are held at once.
+    ``fd_step``. The states at the taus are formed apart, the only states
+    the library forms: each preset's in one :meth:`dynamics.TauGrid.evolve`
+    call through the charging unitaries of a ``TauGrid`` of the taus alone.
+    The evolved-state suite checks them against the closed form, and the
+    ergotropy suite's spectral leg decomposes them (eigenvalues only, in
+    stacks of as many whole presets as fit in ``MAX_STACK``) and so checks
+    the oracle by a second numeric route. The closed columns are the
+    presets' :func:`metrics.compute_curves` columns, the ones that sweeps and
+    figures write. Each stack is reduced to its residuals before the next is
+    evolved, so at most ``MAX_STACK`` states at the taus (or one preset's)
+    are held at once.
     """
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
@@ -135,13 +136,12 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     # the terms of the oracle's energies and power at the taus and at tau +/- step,
     # and each preset's form
     q, slopes = dynamics.TauGrid(np.concatenate([taus, taus + step, taus - step])).expansion(tol)
-    forms = dynamics._energy_forms(rhos[:len(presets)], hs[:len(presets)])
+    forms = dynamics._energy_forms(dynamics._state_forms(rhos[:len(presets)]), hs[:len(presets)])
     evolved, ergotropies, powers = [], [], []
     size = max(1, MAX_STACK // n)  # whole presets whose states at the taus decompose together
     for first in range(0, len(presets), size):
         stack = range(first, min(first + size, len(presets)))
-        states = np.concatenate([chunk.copy() for i in stack
-                                 for _, chunk in metrics._evolved(grid, rhos[i], tol)])
+        states = np.concatenate([grid.evolve(rhos[i], tol) for i in stack])
         spectra = hermitian_eigendecomposition(states, tol, vectors=False).eigenvalues
         for k, i in enumerate(stack):
             at = slice(k * n, (k + 1) * n)  # preset i's states at the taus

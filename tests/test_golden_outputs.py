@@ -43,9 +43,9 @@ def test_output_matches_golden_digest(tmp_path, command, mode, fmt):
 # and in oracle-only mode the numeric route behind the main columns too
 ORACLE_FIGURE_SHA256 = {
     ("corrected", "fig1_a_ergotropy.csv"):
-        "609bc61c28e756dfc01e37bd4828926f4e61d65d48efddb1430809a3e415bea6",
+        "d70f20b53b27420a480385bf70603c2a2cccc17b3fb7c36bd1000b7b2782c29e",
     ("corrected", "fig1_b_power.csv"):
-        "bd2f4dc9a733d1b72d7bea14dd1a56f38bbd69f66670661584c457d86c385d20",
+        "9dfd15aaaee5ed1a6626440cdd062fd584a3a5bf1a3a416b81a543b4781d9802",
     ("corrected", "fig1_c_capacity.csv"):
         "22b70e897a24c1a7f5893d657fca2034b1adac4a6fbb6e68d01777228f74832c",
     ("corrected", "fig1_d_coherence_l1.csv"):
@@ -53,15 +53,15 @@ ORACLE_FIGURE_SHA256 = {
     ("corrected", "fig1_manifest.json"):
         "749670137cd84c214406772bfb1c276da0500c5ca88e4419436aed9badd9b886",
     ("oracle-only", "fig1_a_ergotropy.csv"):
-        "d3d62dbb616cbd4db37b885d4b7983d599693ff991194ad621bb312c2f8a579e",
+        "4ba9e2c00ac19cc08eea3c23f79646c5c71bb4bba7ae1e1101b89f6644b2eb4f",
     ("oracle-only", "fig1_b_power.csv"):
-        "9b5b02848755f900ea5bbe553dbc56352961309ef34b191dbc15c94b682a9f21",
+        "aba90f8a6ba1a550698a5022af44eb5dce6ee2fae7bbc2e46f2892dd7c98097f",
     ("oracle-only", "fig1_c_capacity.csv"):
         "917ba8a45f33aead50fb4c3d5c2bab39507140256d7b595d278a9b50c40bb9ba",
     ("oracle-only", "fig1_d_coherence_l1.csv"):
-        "4c28f42ecea16bd4c01ab5d0dc77cdec79d48ea70743bee41832c2bbf1cca80b",
+        "9125b1974fa0f0f14c85c3316e7040aeadd90b224a492d4bdc54b0a520f4ad9a",
     ("oracle-only", "fig1_manifest.json"):
-        "a444627a2c975f59c653dc3660be559f04b3ae90433b9cf58cf58715e31d5cbb",
+        "007f6224277a7f94744c655c55646cee5628c2b2889062679dfba255380378df",
 }
 
 

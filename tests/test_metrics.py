@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from sqbattery import (
     DEFAULT_TOLERANCES,
     BatteryParams,
-    NotHermitianError,
     Tolerances,
     build_full_hamiltonian,
     capacity_closed_form,
@@ -35,7 +34,6 @@ from sqbattery import dynamics as dynamics_mod
 from sqbattery import metrics as metrics_mod
 from sqbattery import model as model_mod
 from sqbattery import verify as verify_mod
-from sqbattery.linalg import MAX_STACK
 from sqbattery.metrics import ALL_METRICS
 from sqbattery.sweep import summarize_curve
 from conftest import random_density, random_hermitian
@@ -461,35 +459,16 @@ def test_oracle_route_reads_the_gate_charges():
 
 # ------------------------------------------------------ one finite-difference path
 
-def checked_states(monkeypatch):
-    """The length of every stack of states the curve engine checks from here on."""
-    checked, check = [], metrics_mod._check_input
-    monkeypatch.setattr(metrics_mod, "_check_input",
-                        lambda m, *args: checked.append(len(m)) or check(m, *args))
-    return checked
-
-
 def test_power_only_curve_decomposes_only_its_nodes(monkeypatch):
     # H once, with eigenvectors, for the Gibbs state, its passive energy and
     # its energy form; the power comes from that form's slopes at the taus,
-    # so no state is formed, checked or decomposed
+    # so no state is formed or decomposed
     p = BatteryParams(1.5, 0.5, 0.5, 0.1)
     taus = np.linspace(0.0, 2.0 * np.pi, 401)
-    calls, checked = eigensolver_calls(monkeypatch), checked_states(monkeypatch)
+    calls = eigensolver_calls(monkeypatch)
     compute_curve(p, taus, "corrected", ("power_fd",))
     power_fd(p, taus)
     assert calls == [((1, 4, 4), True)] * 2
-    assert checked == []
-
-
-def test_each_set_evolves_its_nodes_in_chunks_of_its_own(monkeypatch):
-    # oracle-only coherence evolves each set's states at the taus alone,
-    # MAX_STACK at a time, each chunk checked, and no chunk spans two sets
-    taus = np.linspace(0.0, 2.0 * np.pi, MAX_STACK + 89)
-    checked = checked_states(monkeypatch)
-    params = (BatteryParams(1.5, 0.5, 0.5, 0.1), BatteryParams(1.0, 0.5, 0.3, 0.5))
-    list(metrics_mod.compute_curves(params, taus, "oracle-only", ALL_METRICS))
-    assert checked == [MAX_STACK, 89] * 2
 
 
 @pytest.mark.parametrize("mode", ["corrected", "verbatim", "oracle-only"])
@@ -501,62 +480,33 @@ def test_curve_makes_one_eigensolver_call(monkeypatch, mode):
     assert calls == [((1, 4, 4), True)]
 
 
-@pytest.mark.parametrize("metric", ["ergotropy_numeric", "power_fd"])
-@pytest.mark.parametrize("corrupt, error", [(math.nan, ValueError), (1e-3, NotHermitianError)],
-                         ids=["nan", "not-hermitian"])
-def test_corrupt_evolved_state_is_rejected(monkeypatch, metric, corrupt, error):
-    # undecomposed, an oracle-only coherence state still meets the
-    # eigensolver's input check, whichever oracle column rides along
-    conjugate = dynamics_mod._conjugate
-
-    def corrupting(*args, **kwargs):
-        states = conjugate(*args, **kwargs)
-        states[-1, 0, 1] += corrupt
-        return states
-
-    monkeypatch.setattr(dynamics_mod, "_conjugate", corrupting)
-    with pytest.raises(ValueError) as caught:
-        compute_curve(BatteryParams(1.5, 0.5, 0.5, 0.1), [0.3, 0.7], "oracle-only",
-                      (metric, "coherence_l1"))
-    assert caught.type is error
-
-
-@pytest.mark.parametrize("mode", ["corrected", "verbatim"])
+@pytest.mark.parametrize("mode", ["corrected", "verbatim", "oracle-only"])
 def test_oracle_columns_form_no_state(monkeypatch, mode):
-    # ergotropy_numeric and power_fd come from each set's energy form: no
-    # charging unitary is built and no state is evolved or checked
+    # ergotropy_numeric and power_fd come from each set's energy form, and
+    # oracle-only coherence from its state form: no charging unitary is
+    # built and no state is evolved
     built = counted(monkeypatch, dynamics_mod, "_unitary_stack")
     conjugated = counted(monkeypatch, dynamics_mod, "_conjugate")
     public = counted(monkeypatch, dynamics_mod, "charging_unitaries")
-    checked = checked_states(monkeypatch)
     params = (BatteryParams(1.5, 0.5, 0.5, 0.1), BatteryParams(1.0, 0.5, 0.3, 0.5))
     taus = np.linspace(0.0, 2.0 * np.pi, 401)
     list(metrics_mod.compute_curves(params, taus, mode, ALL_METRICS))
-    assert built == conjugated == public == checked == []
-
-
-def test_oracle_only_evolves_the_taus_through_one_unitary_stack(monkeypatch):
-    built = counted(monkeypatch, dynamics_mod, "_unitary_stack")
-    checked = checked_states(monkeypatch)
-    params = (BatteryParams(1.5, 0.5, 0.5, 0.1), BatteryParams(1.0, 0.5, 0.3, 0.5))
-    taus = np.linspace(0.0, 2.0 * np.pi, 401)
-    list(metrics_mod.compute_curves(params, taus, "oracle-only", ALL_METRICS))
-    assert [args[0].shape for args in built] == [(5, len(taus))]
-    assert checked == [len(taus)] * 2
+    assert built == conjugated == public == []
 
 
 def test_non_finite_oracle_energy_is_rejected():
     # H's largest eigenvalue, about 2.5e308, is beyond float64, so the passive
-    # energy is not finite, nor is the form; with no state formed to fail the
-    # eigensolver's input check, the oracle's check names the set, the column
-    # and the first tau
+    # energy is not finite, nor are the Gibbs state and the forms; with no
+    # state formed to fail the eigensolver's input check, the oracle's check
+    # names the set, the column and the first tau
     p = BatteryParams(1.79e308, 1.79e308, 1.79e308, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the eigenvalues overflow
-        for metrics in (("ergotropy_numeric", "power_fd"), ("power_fd",)):
+        for mode, metrics in (("corrected", ("ergotropy_numeric", "power_fd")),
+                              ("corrected", ("power_fd",)), ("oracle-only", ("coherence_l1",))):
             message = re.escape(f"oracle {metrics[0]} of {p} is not finite at tau 0.0")
             with pytest.raises(ValueError, match=message):
-                compute_curve(p, [0.0, 0.7], "corrected", metrics)
+                compute_curve(p, [0.0, 0.7], mode, metrics)
 
 
 def test_numeric_pass_states_and_hamiltonians_are_real():
@@ -570,24 +520,35 @@ def test_numeric_pass_states_and_hamiltonians_are_real():
 
 
 def test_energy_form_is_the_trace_of_the_evolved_state():
-    # tr(U rho U^dagger H) from the form's four coefficients and scale, at
-    # real symmetric rho and H, against the matmul route; and its tau
-    # derivative from the slopes, against the matmul route's central difference
+    # at real symmetric rho and H, against the matmul route: every entry of
+    # U rho U^dagger from the state form's six coefficient matrices, its l1
+    # coherence, tr(U rho U^dagger H) from the energy form's four coefficients
+    # and scale, and its tau derivative from the slopes, against the matmul
+    # route's central difference
     rng = np.random.default_rng(7)
     rhos = np.array([random_density(rng, 4).real for _ in range(5)])
     hs = np.array([random_hermitian(rng, 4).real * 10.0 ** e for e in (-3, 0, 2, 150, -200)])
     taus, step = np.linspace(-4.0, 9.0, 53), 1e-5
     q, slopes = dynamics_mod.TauGrid(taus).expansion(DEFAULT_TOLERANCES)
-    forms = dynamics_mod._energy_forms(rhos, hs)
+    states = dynamics_mod._state_forms(rhos)
+    forms = dynamics_mod._energy_forms(states, hs)
+    eps = np.finfo(float).eps
 
     def matmul_energies(rho, h, at):
         return np.einsum("nij,ji->n", evolve(rho, charging_unitaries(at)), h).real
 
-    for rho, h, form in zip(rhos, hs, forms):
+    for rho, h, state, form in zip(rhos, hs, states, forms):
+        evolved = evolve(rho, charging_unitaries(taus))
+        entries = np.einsum("kn,ke->ne", q[:4], state[:4]) + 1j * np.einsum(
+            "kn,ke->ne", q[4:], state[4:])
+        assert np.abs(entries - evolved.reshape(-1, 16)).max() <= 16 * eps
+        coherence = dynamics_mod._evolved_coherence(q, state)
+        reference = l1_coherence(evolved)
+        assert np.abs(coherence - reference).max() <= 16 * eps * reference.max()
         scale = np.abs(h).max()
         energies = dynamics_mod._evolved_energies(q, form, 0.0)
         assert np.abs(energies - matmul_energies(rho, h, taus)).max() <= \
-            64 * np.finfo(float).eps * scale
+            64 * eps * scale
         fd = (matmul_energies(rho, h, taus + step) - matmul_energies(rho, h, taus - step)) / (
             (taus + step) - (taus - step))
         # E has frequencies up to 4 and weights up to 4 max|H| in all, so the

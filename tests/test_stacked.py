@@ -254,10 +254,9 @@ def test_overflow_curve_flags_every_cell():
 
 
 def test_oracle_curve_peak_memory():
-    # the evolved states are decomposed eigenvalues-only and H once: 1.2 MB,
-    # where accumulating every state's eigenvectors peaked at 1.8 MB
+    # no state is formed and H is decomposed once: about 0.08 MB
     grid = dynamics.TauGrid(np.linspace(0.0, 2 * np.pi, 401))
-    compute_curve(BASE, grid, "corrected", ALL_METRICS)  # builds the grid's unitaries
+    compute_curve(BASE, grid, "corrected", ALL_METRICS)  # builds the grid's quadratics
     tracemalloc.start()
     try:
         compute_curve(BASE, grid, "corrected", ALL_METRICS)
@@ -269,12 +268,12 @@ def test_oracle_curve_peak_memory():
 
 @pytest.mark.parametrize("mode", ["corrected", "oracle-only"])
 def test_long_curve_peak_memory_is_set_by_the_chunk(mode):
-    # the evolved states are evolved and decomposed MAX_STACK nodes at a
-    # time, and closed-form coherence is read off the distinct entries, so a
-    # 4001-tau curve peaks near a 401-tau one; holding every state peaked at
-    # 9.3 MB (corrected) and 9.2 MB (oracle-only)
+    # no state is formed, and coherence is read off the distinct entries of
+    # the closed-form states or off the oracle's state form, so a 4001-tau
+    # curve peaks at about 0.8 MB (corrected) and 0.7 MB (oracle-only), where
+    # a (4001, 4, 4) complex stack alone is 1 MB
     grid = dynamics.TauGrid(np.linspace(0.0, 2 * np.pi, 4001))
-    compute_curve(BASE, grid, mode, ALL_METRICS)  # builds the grid's unitaries
+    compute_curve(BASE, grid, mode, ALL_METRICS)  # builds the grid's quadratics
     tracemalloc.start()
     try:
         compute_curve(BASE, grid, mode, ALL_METRICS)
@@ -286,8 +285,8 @@ def test_long_curve_peak_memory_is_set_by_the_chunk(mode):
 
 @pytest.mark.parametrize("mode", ["corrected", "verbatim", "oracle-only"])
 def test_cells_across_chunk_boundaries_equal_single_cells(mode):
-    # oracle-only coherence evolves MAX_STACK taus at a time, so the chunk
-    # boundary falls inside these taus
+    # a curve longer than any stack the library forms gives every cell the
+    # bits it has alone
     taus = np.linspace(0.0, 2 * np.pi, MAX_STACK + 88)
     for metrics in (ALL_METRICS, ("power_fd",)):
         curve = compute_curve(BASE, taus, mode, metrics)

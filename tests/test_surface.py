@@ -123,14 +123,15 @@ def test_no_lapack_eigensolver_in_src():
 
 
 def test_oracle_energies_are_fixed_order_elementwise_sums():
-    # the oracle's energy forms and per-node energies are real elementwise
-    # products summed in the order the code writes, so no BLAS kernel or
-    # reduction order decides their bits
+    # the oracle's state and energy forms, its per-node energies and its
+    # coherence are real elementwise products summed in the order the code
+    # writes, so no BLAS kernel or reduction order decides their bits
     tree = ast.parse((SRC / "dynamics.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     banned = {"matmul", "dot", "vdot", "inner", "einsum", "tensordot", "sum"}
     offenders = []
-    for name in ("_energy_forms", "_evolved_energies"):
+    for name in ("_state_forms", "_combine", "_energy_forms", "_evolved_energies",
+                 "_evolved_coherence"):
         for node in ast.walk(functions[name]):
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
                 offenders.append(f"{name}: @")
@@ -138,6 +139,14 @@ def test_oracle_energies_are_fixed_order_elementwise_sums():
             if called in banned:
                 offenders.append(f"{name}: {called}")
     assert offenders == []
+
+
+def test_the_curve_engine_forms_no_state():
+    # every oracle column is read off the state and energy forms: metrics
+    # evolves no state, builds no unitary and checks no state as eigensolver
+    # input; verify alone forms states
+    assert names_in(SRC / "metrics.py") & {"evolve", "_conjugate", "unitaries",
+                                           "_check_input"} == set()
 
 
 def test_src_parses_as_the_oldest_supported_python():

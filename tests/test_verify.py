@@ -68,9 +68,10 @@ def test_quick_decomposes_every_input_once(monkeypatch):
 
 
 def test_verify_reaches_no_private_name_but_the_numeric_pass():
-    # verify reduces the curve engine's numeric pass, oracle energies and
-    # evolved states, and reads the spectral leg's ergotropies off their
-    # spectra; every other name it takes from metrics, model or dynamics is public
+    # verify reduces the curve engine's numeric pass and oracle energies,
+    # forms the evolved states itself, and reads the spectral leg's
+    # ergotropies off their spectra; every other name it takes from metrics,
+    # model or dynamics is public
     tree = ast.parse(inspect.getsource(verify_mod))
     modules = ("metrics", "model", "dynamics")
     private = {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
@@ -78,7 +79,7 @@ def test_verify_reaches_no_private_name_but_the_numeric_pass():
                and node.value.id in modules and node.attr.startswith("_")}
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 and node.module in modules for alias in node.names}
-    assert private == {"metrics._numeric_pass", "metrics._evolved", "metrics._ergotropies",
+    assert private == {"metrics._numeric_pass", "metrics._ergotropies", "dynamics._state_forms",
                        "dynamics._energy_forms", "dynamics._evolved_energies"}
     assert not any(name.startswith("_") for name in imported)
 
