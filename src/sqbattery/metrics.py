@@ -19,9 +19,9 @@ one-set case and :func:`compute_sample` that one's one-tau case. Its oracle
 reads each evolved state's spectrum off its Gibbs weights, so a block of
 curves decomposes only their Hamiltonians, in one call, and its energies,
 power and oracle-only coherence come from U's three-matrix expansion
-(``dynamics._state_forms``), with no state formed. ``verify`` takes the
-same energies and checks them against decomposed states, and the power
-against their central difference.
+(``dynamics._state_forms``), with no state formed. ``verify`` reads its
+oracle and closed columns off one engine call and checks the energies
+against decomposed states, and the power against their central difference.
 """
 
 from __future__ import annotations
@@ -324,21 +324,22 @@ def compute_curves(
     ``taus`` is an array or a ``TauGrid``, which a sweep shares between its
     curves. The mode and metrics are checked once, on call. Every column is
     evaluated once per curve: each closed form is one call over the whole
-    tau array, and the tau-independent capacities are computed once. A
-    request with numeric columns takes the sets in blocks of
-    :data:`CURVE_BLOCK`, each one :func:`_numeric_pass`: the block's
+    tau array, and the tau-independent capacities are computed once. In
+    oracle-only mode each closed-form metric gives way to its numeric
+    counterpart in :data:`NUMERIC_FIELDS`; otherwise coherence is read off
+    the mode's closed-form states. A request with numeric columns, named
+    once (``ergotropy_numeric``, ``power_fd``, and in oracle-only mode
+    ``coherence_l1`` and ``capacity_reconciled``), takes the sets in blocks
+    of :data:`CURVE_BLOCK`, each one :func:`_numeric_pass`: the block's
     Hamiltonians are decomposed in one eigensolver call, for their Gibbs
     states, passive energies and state and energy forms, which give
     ``ergotropy_numeric``, its exact tau derivative ``power_fd`` and
     oracle-only coherence at every finite tau (:meth:`TauGrid.expansion`),
     with no state formed. Any other request has no pass to share and takes
-    one set at a time; so only one block's columns need be alive. In
-    oracle-only mode each closed-form metric gives way to its numeric
-    counterpart in :data:`NUMERIC_FIELDS`; otherwise coherence is read off
-    the mode's closed-form states. Overflow comes from the tau-independent
-    thermal terms, so it flags its curve in-band rather than raising; the
-    closed forms go first, so such a set is left out of its block's
-    eigensolver call.
+    one set at a time; so only one block's columns need be alive. Overflow
+    comes from the tau-independent thermal terms, so it flags its curve
+    in-band rather than raising; the closed forms go first, so such a set is
+    left out of its block's eigensolver call.
     """
     validate_mode(mode, allow_oracle_only=True)
     unknown = set(metrics) - set(ALL_METRICS)
@@ -348,26 +349,26 @@ def compute_curves(
     if mode == "oracle-only":
         counterparts = dict(zip(CLOSED_FIELDS.values(), NUMERIC_FIELDS.values()))
         metrics = tuple(counterparts.get(m, m) for m in metrics)
-    grid = as_grid(taus)
-    has_numeric = mode == "oracle-only" or not set(metrics).isdisjoint(ORACLE_METRICS)
-    return _curve_blocks(iter(params), grid, mode, metrics, tol, has_numeric)
+    oracle_only = ("coherence_l1", "capacity_reconciled") if mode == "oracle-only" else ()
+    numeric = tuple(name for name in ORACLE_METRICS + oracle_only if name in metrics)
+    return _curve_blocks(iter(params), as_grid(taus), mode, metrics, tol, numeric)
 
 
 def _curve_blocks(params: Iterator[BatteryParams], grid: TauGrid, mode: str,
                   metrics: tuple[str, ...], tol: Tolerances,
-                  has_numeric: bool) -> Iterator[CurveColumns]:
+                  numeric: tuple[str, ...]) -> Iterator[CurveColumns]:
     """The curves of :func:`compute_curves`, a block of sets at a time:
-    :data:`CURVE_BLOCK` sets if the request ``has_numeric`` columns, else
+    :data:`CURVE_BLOCK` sets if the request has ``numeric`` columns, else
     one. A block's columns are let go before the next block is evaluated."""
-    while block := tuple(itertools.islice(params, CURVE_BLOCK if has_numeric else 1)):
-        yield from _curve_block(block, grid, mode, metrics, tol, has_numeric)
+    while block := tuple(itertools.islice(params, CURVE_BLOCK if numeric else 1)):
+        yield from _curve_block(block, grid, mode, metrics, tol, numeric)
 
 
 def _curve_block(block: tuple[BatteryParams, ...], grid: TauGrid, mode: str,
                  metrics: tuple[str, ...], tol: Tolerances,
-                 has_numeric: bool) -> Iterator[CurveColumns]:
+                 numeric: tuple[str, ...]) -> Iterator[CurveColumns]:
     """One block's curves: every set's closed columns, then, if the request
-    ``has_numeric`` columns, one numeric pass over the sets that did not overflow."""
+    has ``numeric`` columns, one numeric pass over the sets that did not overflow."""
     closed = []
     for p in block:
         try:
@@ -375,13 +376,13 @@ def _curve_block(block: tuple[BatteryParams, ...], grid: TauGrid, mode: str,
         except OverflowError:  # covers ParameterOverflowError and raw float overflow alike
             closed.append(None)
     live = [p for p, columns in zip(block, closed) if columns is not None]
-    numeric = iter(_numeric_columns(live, grid, mode, metrics, tol) if has_numeric and live
-                   else [CurveColumns(grid.taus, {}) for _ in live])
+    curves = iter(_numeric_columns(live, grid, numeric, tol) if numeric and live
+                  else [CurveColumns(grid.taus, {}) for _ in live])
     for columns in closed:
         if columns is None:
             yield CurveColumns(grid.taus, {}, "overflow")
         else:
-            curve = next(numeric)
+            curve = next(curves)
             curve.columns.update(columns)
             yield curve
 
@@ -419,16 +420,15 @@ _THERMAL_BODIES = {
 def _numeric_columns(
     params: list[BatteryParams],
     grid: TauGrid,
-    mode: str,
-    metrics: tuple[str, ...],
+    numeric: tuple[str, ...],
     tol: Tolerances,
 ) -> list[CurveColumns]:
-    """The oracle columns of each set of ``params``, each an array over the
-    taus, flagged if ill-conditioned; in oracle-only mode also the coherence
-    and the reconciled capacity of the numeric route. All sets share one
-    :func:`_numeric_pass`; a non-finite oracle value raises ``ValueError``."""
-    coherence = ("coherence_l1",) if mode == "oracle-only" else ()
-    oracle = [name for name in ORACLE_METRICS + coherence if name in metrics]
+    """The ``numeric`` columns of each set of ``params``, flagged if
+    ill-conditioned: the oracle's (``ergotropy_numeric``, ``power_fd`` and
+    ``coherence_l1``), each an array over the taus, and the reconciled
+    capacity. All sets share one :func:`_numeric_pass`; a non-finite oracle
+    value raises ``ValueError``."""
+    oracle = [name for name in numeric if name != "capacity_reconciled"]
     quadratics, slopes = grid.expansion(tol) if oracle else (None, None)
     hs, rhos, passives, _ = _numeric_pass(params, tol)
     states = _state_forms(rhos)
@@ -447,7 +447,7 @@ def _numeric_columns(
                 tau = float(grid.taus[np.argmin(finite)])
                 raise ValueError(f"oracle {name} of {p} is not finite at tau {tau!r}")
             c[name] = values
-        if "capacity_reconciled" in metrics:
+        if "capacity_reconciled" in numeric:
             c["capacity_reconciled"] = capacity_reconciled(p, h, rho)
         scale = float(np.abs(h).max())  # Python floats, eps last: a huge bound is inf, no warning
         ill = scale * max(1.0, scale / p.temperature) * np.finfo(float).eps > tol.ergotropy_equivalence

@@ -194,10 +194,11 @@ def stream_sweep(cfg: SweepConfig, tol: Tolerances | None = None) -> SweepResult
     """
     tol = resolve(tol)
     grid = TauGrid(cfg.tau_grid())
-    columns = compute_curves((p for _, p in _curve_cases(cfg)), grid, cfg.mode, cfg.metrics, tol)
+    cases, drawn = itertools.tee(_curve_cases(cfg))  # holds the cases of one block at most
+    columns = compute_curves((p for _, p in drawn), grid, cfg.mode, cfg.metrics, tol)
     curves = (Curve(label=label, params=params, samples=samples,
                     summary=summarize_curve(samples, cfg.mode, params))
-              for (label, params), samples in zip(_curve_cases(cfg), columns))
+              for (label, params), samples in zip(cases, columns))
     first = next(curves)
     provenance = {
         "package": __about__.NAME,

@@ -97,25 +97,23 @@ def _suite(name: str, residuals: list, tolerance: float, detail: str) -> SuiteRe
 
 
 def run_verification(level: str = "quick", tol: Tolerances | None = None) -> VerificationReport:
-    """Run the five suites as reductions over one numeric pass.
+    """Run the five suites as reductions over one numeric pass and one engine call.
 
     The pass decomposes every Hamiltonian (presets and cloud) in one stacked
-    call, for the thermal suite's Gibbs states. The oracle's energies, at the
-    taus for the ergotropy suite and at tau +/- ``tol.fd_step`` for the power
-    suite, come from each preset's energy form (:func:`dynamics._energy_forms`)
-    by :func:`dynamics._evolved_energies` on a ``TauGrid`` of those three
-    runs, as the curve engine takes them, with no state formed; the power
-    suite holds the closed-form power and the oracle's exact derivative,
-    ``power_fd``, to their central difference. ``verify`` is the one reader of
-    ``fd_step``. The states at the taus are formed apart, the only states
+    call, for the thermal suite's Gibbs states. One
+    :func:`metrics.compute_curves` call over the presets, on the taus, then
+    tau + ``tol.fd_step``, then tau - ``tol.fd_step``, gives the closed
+    columns that sweeps and figures write and the oracle's
+    ``ergotropy_numeric`` and ``power_fd``. The ergotropy suite reads them at
+    the taus; the power suite holds the closed-form power and ``power_fd``
+    to the oracle energies' central difference. ``verify`` is the one reader
+    of ``fd_step``. The states at the taus are formed apart, the only states
     the library forms: each preset's in one :meth:`dynamics.TauGrid.evolve`
-    call through the charging unitaries of a ``TauGrid`` of the taus alone.
-    The evolved-state suite checks them against the closed form, and the
-    ergotropy suite's spectral leg decomposes them (eigenvalues only, in
-    stacks of as many whole presets as fit in ``MAX_STACK``) and so checks
-    the oracle by a second numeric route. The closed columns are the
-    presets' :func:`metrics.compute_curves` columns, the ones that sweeps and
-    figures write. Each stack is reduced to its residuals before the next is
+    call from its Gibbs state of the pass. The evolved-state suite checks
+    them against the closed form, and the ergotropy suite's spectral leg
+    decomposes them (eigenvalues only, in stacks of as many whole presets as
+    fit in ``MAX_STACK``) and so checks the oracle by a second numeric
+    route. Each stack is reduced to its residuals before the next is
     evolved, so at most ``MAX_STACK`` states at the taus (or one preset's)
     are held at once.
     """
@@ -127,16 +125,13 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
     taus = np.linspace(0.0, 2.0 * np.pi, 401 if level == "full" else 81)
     grid, n, step = dynamics.TauGrid(taus), len(taus), tol.fd_step
 
-    hs, rhos, passive, levels = metrics._numeric_pass(param_sets, tol)
+    hs, rhos, _, levels = metrics._numeric_pass(param_sets, tol)
     closed_rhos = np.array([model.gibbs_state_closed_form(p, tol) for p in param_sets])
     gibbs = [np.abs(closed_rhos - rhos)]
-    columns = [curve.columns for curve in metrics.compute_curves(presets, grid, "corrected", (
-        "ergotropy_closed", "power_closed", "capacity_closed", "capacity_definitional"), tol)]
-
-    # the terms of the oracle's energies and power at the taus and at tau +/- step,
-    # and each preset's form
-    q, slopes = dynamics.TauGrid(np.concatenate([taus, taus + step, taus - step])).expansion(tol)
-    forms = dynamics._energy_forms(dynamics._state_forms(rhos[:len(presets)]), hs[:len(presets)])
+    columns = [curve.columns for curve in metrics.compute_curves(
+        presets, np.concatenate([taus, taus + step, taus - step]), "corrected",
+        ("ergotropy_closed", "power_closed", "capacity_closed", "capacity_definitional")
+        + metrics.ORACLE_METRICS, tol)]
     evolved, ergotropies, powers = [], [], []
     size = max(1, MAX_STACK // n)  # whole presets whose states at the taus decompose together
     for first in range(0, len(presets), size):
@@ -147,15 +142,14 @@ def run_verification(level: str = "quick", tol: Tolerances | None = None) -> Ver
             at = slice(k * n, (k + 1) * n)  # preset i's states at the taus
             closed = dynamics.evolved_state_closed_form(presets[i], grid, "corrected", tol)
             evolved.append(np.abs(closed - states[at]).max())
-            oracle = dynamics._evolved_energies(q, forms[i], passive[i])
+            c, oracle = columns[i], columns[i]["ergotropy_numeric"]
             spectral = metrics._ergotropies(states[at], hs[i], spectra[at], levels[i])
             reference = metrics.ergotropy_vs_reference(states[at], rhos[i], hs[i])
-            e_closed = columns[i]["ergotropy_closed"]
+            e_closed = c["ergotropy_closed"][:n]
             ergotropies.append(np.abs([spectral - oracle[:n], spectral - reference,
                                        spectral - e_closed, reference - e_closed]).max())
             fd = (oracle[n:2 * n] - oracle[2 * n:]) / (2.0 * step)
-            exact = dynamics._evolved_energies(slopes[:, :n], forms[i], 0.0)
-            powers.append(np.abs([columns[i]["power_closed"] - fd, exact - fd]).max())
+            powers.append(np.abs([c["power_closed"][:n] - fd, c["power_fd"][:n] - fd]).max())
     capacities = [residual for p, h, rho, c in zip(presets, hs, rhos, columns) for residual in (
         abs(c["capacity_closed"] - metrics.capacity_reconciled(p, h, rho)),
         abs(c["capacity_definitional"] - 0.0))]

@@ -480,6 +480,16 @@ def test_curve_makes_one_eigensolver_call(monkeypatch, mode):
     assert calls == [((1, 4, 4), True)]
 
 
+def test_oracle_only_curve_without_numeric_columns_makes_no_eigensolver_call(monkeypatch):
+    # the gap capacity is read off H's diagonal, so no numeric pass is run,
+    # and the curve has no ill_conditioned flag, which describes numeric columns
+    calls = eigensolver_calls(monkeypatch)
+    curve = compute_curve(BatteryParams(1.5, 0.5, 0.5, 0.3), [0.1, 0.2], "oracle-only",
+                          ("capacity_definitional",))
+    assert calls == []
+    assert (curve.columns, curve.flag) == ({"capacity_definitional": 0.0}, "")
+
+
 @pytest.mark.parametrize("mode", ["corrected", "verbatim", "oracle-only"])
 def test_oracle_columns_form_no_state(monkeypatch, mode):
     # ergotropy_numeric and power_fd come from each set's energy form, and

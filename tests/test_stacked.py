@@ -267,11 +267,11 @@ def test_oracle_curve_peak_memory():
 
 
 @pytest.mark.parametrize("mode", ["corrected", "oracle-only"])
-def test_long_curve_peak_memory_is_set_by_the_chunk(mode):
+def test_long_curve_peak_memory_is_set_by_per_tau_temporaries(mode):
     # no state is formed, and coherence is read off the distinct entries of
     # the closed-form states or off the oracle's state form, so a 4001-tau
-    # curve peaks at about 0.8 MB (corrected) and 0.7 MB (oracle-only), where
-    # a (4001, 4, 4) complex stack alone is 1 MB
+    # curve's peak is set by per-tau temporaries: about 0.8 MB (corrected)
+    # and 0.7 MB (oracle-only), where a (4001, 4, 4) complex stack alone is 1 MB
     grid = dynamics.TauGrid(np.linspace(0.0, 2 * np.pi, 4001))
     compute_curve(BASE, grid, mode, ALL_METRICS)  # builds the grid's quadratics
     tracemalloc.start()
@@ -284,9 +284,9 @@ def test_long_curve_peak_memory_is_set_by_the_chunk(mode):
 
 
 @pytest.mark.parametrize("mode", ["corrected", "verbatim", "oracle-only"])
-def test_cells_across_chunk_boundaries_equal_single_cells(mode):
-    # a curve longer than any stack the library forms gives every cell the
-    # bits it has alone
+def test_curve_longer_than_max_stack_equals_single_cells(mode):
+    # a curve of more taus than MAX_STACK, the largest stack the library
+    # decomposes, gives every cell the bits it has alone
     taus = np.linspace(0.0, 2 * np.pi, MAX_STACK + 88)
     for metrics in (ALL_METRICS, ("power_fd",)):
         curve = compute_curve(BASE, taus, mode, metrics)

@@ -11,6 +11,7 @@ from sqbattery import (
     figure_preset,
     run_sweep,
 )
+from sqbattery import sweep as sweep_mod
 from sqbattery.metrics import ALL_METRICS, DEFAULT_METRICS
 from sqbattery.output import (CURVE_COLUMNS, MAIN_COLUMNS, ORACLE_COLUMNS, sweep_csv_text,
                               write_figure_files, write_json)
@@ -143,6 +144,28 @@ def test_multi_parameter_cross_product_labels():
     ]
     assert result.curves[3].params.xi2 == 1.0
     assert result.curves[3].params.temperature == 0.2
+
+
+@pytest.mark.parametrize("metrics", [DEFAULT_METRICS, ALL_METRICS], ids=["closed", "numeric"])
+def test_sweep_walks_its_curve_cases_once(monkeypatch, metrics):
+    # one walk gives both the labels and the params the engine evaluates, so
+    # each varied set is built once
+    walks = []
+    curve_cases = sweep_mod._curve_cases
+
+    def counting(cfg):
+        walks.append(cfg)
+        return curve_cases(cfg)
+
+    monkeypatch.setattr(sweep_mod, "_curve_cases", counting)
+    cfg = SweepConfig(BASE, (("xi2", (0.5, 1.0)), ("temperature", (0.1, 0.2))),
+                      tau_count=3, metrics=metrics)
+    result = run_sweep(cfg)
+    assert walks == [cfg]
+    assert [(c.label, c.params) for c in result.curves] == list(curve_cases(cfg))
+    for curve in result.curves:  # each curve's cells are its own params'
+        assert cell_bits(curve.samples, 0) == cell_bits(
+            compute_sample(curve.params, 0.0, metrics=metrics), 0)
 
 
 def test_overflow_cells_flagged_not_fatal():

@@ -40,8 +40,9 @@ def test_nan_residual_fails_its_suite(monkeypatch, name, suite):
     assert not report.passed
 
 
-def test_quick_decomposes_every_input_once(monkeypatch):
+def test_quick_eigensolver_call_list(monkeypatch):
     # the kernel's chunks: the thermal suite's Hamiltonians with eigenvectors,
+    # then the curve engine's one block, the 16 presets' H with eigenvectors,
     # then, for the spectral leg, the 16 presets' 81 states at the taus
     # eigenvalues-only, in stacks of as many whole presets as fit in
     # MAX_STACK; neither H's spectrum nor the states at tau +/- fd_step, which
@@ -60,18 +61,39 @@ def test_quick_decomposes_every_input_once(monkeypatch):
     monkeypatch.setattr(linalg_mod, "_decompose", counting)
     assert verify_mod.run_verification("quick").passed
     assert [(shape, vectors) for shape, vectors, _ in chunks] == (
-        [((116, 4, 4), True)] + [((per_stack * 81, 4, 4), False)] * 2
+        [((116, 4, 4), True), ((16, 4, 4), True)] + [((per_stack * 81, 4, 4), False)] * 2
         + [(((16 - 2 * per_stack) * 81, 4, 4), False)])
-    assert np.array_equal(chunks[0][2], [model_mod.build_full_hamiltonian(p) for p in
-                                         presets + verify_mod.random_cloud(100)])
-    assert np.array_equal(np.concatenate([m for _, _, m in chunks[1:]]), np.concatenate(states))
+    hamiltonians = [model_mod.build_full_hamiltonian(p) for p in presets]
+    assert np.array_equal(chunks[0][2], hamiltonians + [
+        model_mod.build_full_hamiltonian(p) for p in verify_mod.random_cloud(100)])
+    assert np.array_equal(chunks[1][2], hamiltonians)
+    assert np.array_equal(np.concatenate([m for _, _, m in chunks[2:]]), np.concatenate(states))
+
+
+def test_quick_reads_the_oracle_off_one_engine_call(monkeypatch):
+    # the closed and oracle columns at the taus and the energies at
+    # tau +/- fd_step come from one compute_curves call over the presets on
+    # the 3 x 81 taus
+    calls = []
+    compute_curves = metrics_mod.compute_curves
+
+    def recording(params, taus, mode, metrics, tol):
+        calls.append((len(params), np.shape(taus), mode, metrics))
+        return compute_curves(params, taus, mode, metrics, tol)
+
+    monkeypatch.setattr(metrics_mod, "compute_curves", recording)
+    assert verify_mod.run_verification("quick").passed
+    assert len(calls) == 1
+    count, shape, mode, metrics = calls[0]
+    assert (count, shape, mode) == (16, (243,), "corrected")
+    assert {"ergotropy_numeric", "power_fd"} <= set(metrics)
 
 
 def test_verify_reaches_no_private_name_but_the_numeric_pass():
-    # verify reduces the curve engine's numeric pass and oracle energies,
-    # forms the evolved states itself, and reads the spectral leg's
-    # ergotropies off their spectra; every other name it takes from metrics,
-    # model or dynamics is public
+    # verify reduces the curve engine's numeric pass and columns, forms the
+    # evolved states itself, and reads the spectral leg's ergotropies off
+    # their spectra; every other name it takes from metrics, model or
+    # dynamics is public
     tree = ast.parse(inspect.getsource(verify_mod))
     modules = ("metrics", "model", "dynamics")
     private = {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
@@ -79,8 +101,7 @@ def test_verify_reaches_no_private_name_but_the_numeric_pass():
                and node.value.id in modules and node.attr.startswith("_")}
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 and node.module in modules for alias in node.names}
-    assert private == {"metrics._numeric_pass", "metrics._ergotropies", "dynamics._state_forms",
-                       "dynamics._energy_forms", "dynamics._evolved_energies"}
+    assert private == {"metrics._numeric_pass", "metrics._ergotropies"}
     assert not any(name.startswith("_") for name in imported)
 
 
