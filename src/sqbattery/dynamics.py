@@ -6,17 +6,20 @@ The dynamics is periodic in tau with period pi.
 
 The evolved-state closed form exists in two variants. ``corrected`` (the
 default) reproduces U(tau) R U(tau)† exactly and is the form cross-checked
-against the numeric route. ``verbatim`` evaluates the originally published
-element expressions unchanged; those are kept for comparison and for
-reproducing the original figure data, but they are not trace-preserving and
-drop the imaginary parts of the off-diagonal entries (see README, "Known
-discrepancies in the original closed forms").
+against the numeric route: it is the state form below of the closed Gibbs
+state. ``verbatim`` evaluates the originally published element expressions
+unchanged; those are kept for comparison and for reproducing the original
+figure data, but they are not trace-preserving and drop the imaginary parts
+of the off-diagonal entries (see README, "Known discrepancies in the
+original closed forms").
 
-The numeric oracle forms no evolved state: U = a I + b J - i gamma K, so each
-entry of U rho U^dagger is a quadratic form in (a, b, gamma) that each real
-rho gives once (:func:`_state_forms`); its energies contract it with H
-(:func:`_energy_forms`), and their exact tau derivative, the oracle's power,
-is the same form of the quadratics' derivatives (``TauGrid.slopes``).
+U = a I + b J - i gamma K, so each entry of U rho U^dagger is a quadratic
+form in (a, b, gamma) that each real rho gives once (:func:`_state_forms`).
+Of the closed Gibbs state it gives the corrected closed states and coherence.
+The numeric oracle forms no evolved state: its energies contract the form of
+its Gibbs state with H (:func:`_energy_forms`), and their exact tau
+derivative, the oracle's power, is the same form of the quadratics'
+derivatives (``TauGrid.slopes``).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from .exceptions import NotUnitaryError
 from .linalg import MAX_STACK
-from .model import BatteryParams, ThermalTerms, thermal_entries, thermal_terms
+from .model import BatteryParams, ThermalTerms, _thermal_state, thermal_terms
 from .tolerances import Tolerances, resolve
 
 __all__ = [
@@ -79,7 +82,7 @@ class TauGrid:
       U(tau) = a I + b J - i gamma K; ``cos_sq`` is its row a and ``sin_sq``
       is -b;
     - ``quadratics``: a^2, b^2, gamma^2, ab, a gamma and b gamma at every
-      tau, the terms of the oracle's states; the first four, of its energies;
+      tau, the terms of the evolved states; the first four, of the oracle's energies;
     - ``slopes``: their exact tau derivatives -4 a gamma, -4 b gamma,
       2 gamma (a + b) and -2 gamma (a + b), as a' = b' = -2 gamma and
       gamma' = a + b: the terms of the oracle's power;
@@ -197,8 +200,9 @@ def _state_forms(rhos: np.ndarray) -> np.ndarray:
     C1 a^2 + C2 b^2 + C3 g^2 + C4 ab + i (C5 a g + C6 b g), the rows of
     ``TauGrid.quadratics``, with C1..C6 = rho, J rho J, K rho K, J rho + rho J,
     rho K - K rho and J rho K - K rho J, each T[s, t] = rho[i^s, j^t] summed
-    in a fixed order. H has only Z and X Pauli terms, so ``rhos``, its Gibbs
-    states, are real (complex dtype; the zero imaginary parts are not read)."""
+    in a fixed order. ``rhos`` are real: the closed Gibbs state, or, as H has
+    only Z and X Pauli terms, its numeric Gibbs states (complex dtype; the
+    zero imaginary parts are not read)."""
     t = rhos.real[:, _ROWS, _COLS]
     return np.stack([t[:, 0, 0], t[:, 3, 3], (t[:, 1, 1] + t[:, 1, 2]) + (t[:, 2, 1] + t[:, 2, 2]),
                      t[:, 0, 3] + t[:, 3, 0], (t[:, 0, 1] + t[:, 0, 2]) - (t[:, 1, 0] + t[:, 2, 0]),
@@ -243,12 +247,19 @@ def _evolved_energies(q: np.ndarray, form: np.ndarray, passive: float) -> np.nda
     return energies
 
 
+def _evolved_parts(q: np.ndarray, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re and Im of entries of U rho U^dagger at every tau of the quadratics
+    ``q``, each ``(entries, taus)``, from those entries' columns ``state`` of
+    one set's :func:`_state_forms`: real products summed in a fixed order."""
+    c = state[:, :, None]
+    return _combine(c[:4], q[:4, None]), _combine(c[4:], q[4:, None])
+
+
 def _evolved_coherence(q: np.ndarray, state: np.ndarray) -> np.ndarray:
     """The l1 coherence of U rho U^dagger at every tau of the quadratics ``q``
     from one set's :func:`_state_forms` ``state``: the Hermitian state's
     entries above the diagonal, each |Re + i Im| twice, summed in a fixed order."""
-    c = state[:, [1, 2, 3, 6, 7, 11], None]  # the entries [4i + j] above the diagonal
-    magnitudes = np.hypot(_combine(c[:4], q[:4, None]), _combine(c[4:], q[4:, None]))
+    magnitudes = np.hypot(*_evolved_parts(q, state[:, [1, 2, 3, 6, 7, 11]]))  # [4i + j], i < j
     return _combine([2.0] * 6, magnitudes)
 
 
@@ -323,65 +334,38 @@ def evolved_state_closed_form(
 
 
 def _evolved_states(p: BatteryParams, t: ThermalTerms, g: TauGrid, mode: str) -> np.ndarray:
-    """The closed-form states of ``mode`` over ``g``, from the thermal terms ``t`` of ``p``."""
-    r11, r12, r13, r14, r22, r23, r24, r33, r34 = _evolved_entries(p, t, g, mode)
-    return _matrix_stack([
-        [r11, r12, r13, r14],
-        [np.conj(r12), r22, r23, r24],
-        [np.conj(r13), np.conj(r23), r33, r34],
-        [r14, np.conj(r24), np.conj(r34), r11],
-    ])
+    """The closed-form states of ``mode`` over ``g``, from the thermal terms ``t``
+    of ``p``: corrected ones are the state form of the closed Gibbs state, their
+    real and imaginary parts written into one complex stack; verbatim ones are
+    real and symmetric, with r44 = r11."""
+    if mode == "corrected":
+        re, im = _evolved_parts(g.quadratics, _thermal_form(p, t))
+        states = np.empty((len(g.taus), 16), dtype=complex)
+        states.real, states.imag = re.T, im.T
+        return states.reshape(-1, 4, 4)
+    r11, r12, r13, r14, r22, r23, r24, r33, r34 = _evolved_verbatim(p, t, g)
+    return _matrix_stack([[r11, r12, r13, r14], [r12, r22, r23, r24],
+                          [r13, r23, r33, r34], [r14, r24, r34, r11]])
+
+
+def _thermal_form(p: BatteryParams, t: ThermalTerms) -> np.ndarray:
+    """The :func:`_state_forms` of the closed Gibbs state of ``p``, from its thermal terms ``t``."""
+    return _state_forms(_thermal_state(p, t)[None])[0]
 
 
 def _closed_coherence(p: BatteryParams, t: ThermalTerms, g: TauGrid, mode: str) -> np.ndarray:
-    """The l1 coherence of the closed-form states of ``mode``, from their
-    distinct off-diagonal entries rather than a stack. The sum of the 16
-    magnitudes (zeros on the diagonal) keeps numpy's pairwise order for 16
-    contiguous terms: r[j] = m[j] + m[j + 8], then
+    """The l1 coherence of the closed-form states of ``mode``. Corrected, it is
+    :func:`_evolved_coherence` of the closed Gibbs state's state form.
+    Verbatim, it comes from the distinct real off-diagonal entries rather than
+    a stack: the sum of the 16 magnitudes (zeros on the diagonal) keeps numpy's
+    pairwise order for 16 contiguous terms, r[j] = m[j] + m[j + 8], then
     ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)); so the bits match
     those of the stack's."""
-    _, r12, r13, r14, _, r23, r24, _, r34 = _evolved_entries(p, t, g, mode)
+    if mode == "corrected":
+        return _evolved_coherence(g.quadratics, _thermal_form(p, t))
+    _, r12, r13, r14, _, r23, r24, _, r34 = _evolved_verbatim(p, t, g)
     a12, a13, a14, a23, a24, a34 = map(np.abs, (r12, r13, r14, r23, r24, r34))
     return ((a13 + (a12 + a23)) + (a13 + (a14 + a34))) + (((a12 + a14) + a24) + ((a23 + a34) + a24))
-
-
-def _evolved_entries(p: BatteryParams, t: ThermalTerms, g: TauGrid, mode: str) -> tuple:
-    """The distinct entries (r11, r12, r13, r14, r22, r23, r24, r33, r34) of the
-    closed-form states of ``mode``, each an array over the taus of ``g``.
-
-    Both variants are Hermitian with r44 = r11 (verbatim ones real, so the
-    lower triangle is their conjugate there too); corrected ones have r33 = r22.
-    """
-    return (_evolved_corrected if mode == "corrected" else _evolved_verbatim)(p, t, g)
-
-
-def _evolved_corrected(p: BatteryParams, t: ThermalTerms, g: TauGrid) -> tuple:
-    """Exact entries of U(tau) R U(tau)†.
-
-    Conjugating the thermal state (which commutes with X(x)X) by the
-    closed-form unitary mixes its entries with fixed trigonometric weights:
-      f1 = a^2 + b^2, f2 = 2ab, f3 = (sin cos)^2, f4 = sin cos cos(2 tau),
-    and the only imaginary contribution is f4 times the commutator of the
-    state with the collective drive.
-    """
-    p11, p12, p13, p14, p22, p23 = thermal_entries(p, t)
-    c4 = g.cos4
-    f1 = (3.0 + c4) / 4.0
-    f2 = (c4 - 1.0) / 4.0
-    f3 = (1.0 - c4) / 8.0
-    f4 = g.sin4 / 4.0
-    diag_gap = (p11 + p14) - (p22 + p23)
-
-    r11 = f1 * p11 + f2 * p14 + 2 * f3 * (p22 + p23)
-    r14 = f1 * p14 + f2 * p11 + 2 * f3 * (p22 + p23)
-    r22 = f1 * p22 + f2 * p23 + 2 * f3 * (p11 + p14)
-    r23 = f1 * p23 + f2 * p22 + 2 * f3 * (p11 + p14)
-    off = 2 * f3 * (p12 + p13)
-    r12 = f1 * p12 + f2 * p13 + off + 1j * f4 * diag_gap
-    r13 = f1 * p13 + f2 * p12 + off + 1j * f4 * diag_gap
-    r24 = f1 * p13 + f2 * p12 + off - 1j * f4 * diag_gap
-    r34 = f1 * p12 + f2 * p13 + off - 1j * f4 * diag_gap
-    return r11, r12, r13, r14, r22, r23, r24, r22, r34
 
 
 def _evolved_verbatim(p: BatteryParams, t: ThermalTerms, g: TauGrid) -> tuple:

@@ -219,11 +219,10 @@ def capacity_reconciled(p: BatteryParams, h: np.ndarray, rho: np.ndarray) -> flo
 
 
 def l1_coherence(state: np.ndarray):
-    """Sum of off-diagonal entry magnitudes in the computational basis.
-
-    A stack ``(N, n, n)`` gives an array of N values.
-    """
-    mags = np.abs(np.asarray(state))
+    """Sum of off-diagonal entry magnitudes in the computational basis, each
+    hypot(Re, Im). A stack ``(N, n, n)`` gives an array of N values."""
+    state = np.asarray(state)
+    mags = np.hypot(state.real, state.imag)
     n = mags.shape[-1]
     mags[..., range(n), range(n)] = 0.0
     if mags.ndim == 2:
@@ -248,8 +247,8 @@ DEFAULT_METRICS = (
     "coherence_l1",
 )
 ORACLE_METRICS = ("ergotropy_numeric", "power_fd")
-# parameter sets evaluated together by a request with numeric columns: their
-# Hamiltonians share one eigensolver call, and their columns are alive at once
+# parameter sets evaluated together: their columns are alive at once, and in a
+# request with numeric columns their Hamiltonians share one eigensolver call
 CURVE_BLOCK = 16
 # the curve column behind each main output column: the closed forms, or in
 # oracle-only mode their numeric counterparts
@@ -327,19 +326,18 @@ def compute_curves(
     tau array, and the tau-independent capacities are computed once. In
     oracle-only mode each closed-form metric gives way to its numeric
     counterpart in :data:`NUMERIC_FIELDS`; otherwise coherence is read off
-    the mode's closed-form states. A request with numeric columns, named
-    once (``ergotropy_numeric``, ``power_fd``, and in oracle-only mode
-    ``coherence_l1`` and ``capacity_reconciled``), takes the sets in blocks
-    of :data:`CURVE_BLOCK`, each one :func:`_numeric_pass`: the block's
-    Hamiltonians are decomposed in one eigensolver call, for their Gibbs
-    states, passive energies and state and energy forms, which give
-    ``ergotropy_numeric``, its exact tau derivative ``power_fd`` and
-    oracle-only coherence at every finite tau (:meth:`TauGrid.expansion`),
-    with no state formed. Any other request has no pass to share and takes
-    one set at a time; so only one block's columns need be alive. Overflow
-    comes from the tau-independent thermal terms, so it flags its curve
-    in-band rather than raising; the closed forms go first, so such a set is
-    left out of its block's eigensolver call.
+    the mode's closed-form states. Every request takes the sets in blocks of
+    :data:`CURVE_BLOCK`, so only one block's columns need be alive. With
+    numeric columns, named once (``ergotropy_numeric``, ``power_fd``, and in
+    oracle-only mode ``coherence_l1`` and ``capacity_reconciled``), each
+    block is one :func:`_numeric_pass`: its Hamiltonians are decomposed in
+    one eigensolver call, for their Gibbs states, passive energies and state
+    and energy forms, which give ``ergotropy_numeric``, its exact tau
+    derivative ``power_fd`` and oracle-only coherence at every finite tau
+    (:meth:`TauGrid.expansion`), with no state formed. Overflow comes from
+    the tau-independent thermal terms, so it flags its curve in-band rather
+    than raising; the closed forms go first, so such a set is left out of
+    its block's eigensolver call.
     """
     validate_mode(mode, allow_oracle_only=True)
     unknown = set(metrics) - set(ALL_METRICS)
@@ -357,10 +355,9 @@ def compute_curves(
 def _curve_blocks(params: Iterator[BatteryParams], grid: TauGrid, mode: str,
                   metrics: tuple[str, ...], tol: Tolerances,
                   numeric: tuple[str, ...]) -> Iterator[CurveColumns]:
-    """The curves of :func:`compute_curves`, a block of sets at a time:
-    :data:`CURVE_BLOCK` sets if the request has ``numeric`` columns, else
-    one. A block's columns are let go before the next block is evaluated."""
-    while block := tuple(itertools.islice(params, CURVE_BLOCK if numeric else 1)):
+    """The curves of :func:`compute_curves`, :data:`CURVE_BLOCK` sets at a
+    time. A block's columns are let go before the next block is evaluated."""
+    while block := tuple(itertools.islice(params, CURVE_BLOCK)):
         yield from _curve_block(block, grid, mode, metrics, tol, numeric)
 
 

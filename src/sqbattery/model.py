@@ -208,18 +208,18 @@ def thermal_entries(p: BatteryParams, t: ThermalTerms):
     return p11, p12, p13, p14, p22, p23
 
 
+def _thermal_state(p: BatteryParams, t: ThermalTerms) -> np.ndarray:
+    """The real 4x4 thermal state of :func:`thermal_entries`, with their symmetries."""
+    p11, p12, p13, p14, p22, p23 = thermal_entries(p, t)
+    return np.array([[p11, p12, p13, p14],
+                     [p12, p22, p23, p13],
+                     [p13, p23, p22, p12],
+                     [p14, p13, p12, p11]])
+
+
 def gibbs_state_closed_form(p: BatteryParams, tol: Tolerances | None = None) -> np.ndarray:
     """Thermal state exp(-H/T)/Z assembled from the closed-form entries."""
-    p11, p12, p13, p14, p22, p23 = thermal_entries(p, thermal_terms(p, tol))
-    return np.array(
-        [
-            [p11, p12, p13, p14],
-            [p12, p22, p23, p13],
-            [p13, p23, p22, p12],
-            [p14, p13, p12, p11],
-        ],
-        dtype=complex,
-    )
+    return _thermal_state(p, thermal_terms(p, tol)).astype(complex)
 
 
 def gibbs_state_numeric(

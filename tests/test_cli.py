@@ -582,7 +582,9 @@ def square_sweep(n: int) -> list[str]:
             "--vary", f"temperature={temps}", "--out", os.devnull]
 
 
-def test_sweep_memory_is_one_curve_however_many_curves():
+def test_sweep_memory_is_one_block_however_many_curves():
+    # a closed sweep takes CURVE_BLOCK (16) curves at a time too: 16 curves
+    # are one block, 256 are sixteen blocks
     peaks = {}
     for n in (4, 16):
         assert main(square_sweep(n)) == 0  # imports and first-use caches settle

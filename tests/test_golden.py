@@ -61,7 +61,7 @@ GOLDEN_SHA256 = {
     ("corrected", "fig1_c_capacity.csv"):
         "9624c26c97bdab897b34d33689c5320de38ff5d7ab1f866b6b85e23f9629c17c",
     ("corrected", "fig1_d_coherence_l1.csv"):
-        "e5b8d078865193716ffbbfe5dabb5e0154b543cf0d70338e595120ae59657ab5",
+        "6b35350686b918fb683145825f475612b9e2f96c6c9869cf2650f08e0b5d4bbc",
     ("corrected", "fig1_manifest.json"):
         "67eb1a1363dd7c550e9154fe7939abe9c50c5e85d24f3dcebfdb78369b8b74e5",
     ("corrected", "fig2_a_ergotropy.csv"):
@@ -71,7 +71,7 @@ GOLDEN_SHA256 = {
     ("corrected", "fig2_c_capacity.csv"):
         "db41e0fec6df72ed48fa5764a6c49c5bf54eeac2b3ea5b59d7154d16faebb098",
     ("corrected", "fig2_d_coherence_l1.csv"):
-        "b06c844669da539911d4b6e5c9d19186cade64a5eb5e22e57ffa013678b1d960",
+        "045d0ea0d9c7759048d6c000521d2f4f3e8df9931c9f30a3335dd48a85a75178",
     ("corrected", "fig2_manifest.json"):
         "498253b838ce861a2ae56823077306021b34f643e61009b38adc434a58523a45",
     ("corrected", "fig3_a_ergotropy.csv"):
@@ -81,7 +81,7 @@ GOLDEN_SHA256 = {
     ("corrected", "fig3_c_capacity.csv"):
         "53188fc1f631b3da7eeedd2bd890595a99191cfcde45993690063ad948b25511",
     ("corrected", "fig3_d_coherence_l1.csv"):
-        "350afccb22109e5bb4327bd1e13fe93c572f345e408775f325a53603ecc20393",
+        "af9297a5f8ff3e5d233343f8f5830c19de23c21f92108a47701d8994e97ad858",
     ("corrected", "fig3_manifest.json"):
         "5b6477c702e4bf09bcd3b575853b31fac0e4b9cdba8b458d3b1281aee2e38825",
     ("corrected", "fig4_a_ergotropy.csv"):
@@ -91,7 +91,7 @@ GOLDEN_SHA256 = {
     ("corrected", "fig4_c_capacity.csv"):
         "0fcc293ca5905c4f0feffe0a5cf73711fe186b4de021f18965dadf1c39c8256b",
     ("corrected", "fig4_d_coherence_l1.csv"):
-        "541c0d772e17b8fa459bf90c5e9973c1d67a7d8a30a4747be589152ec4423316",
+        "57b0c9a547930790b00f22f6edf7a80faffa84d0e3762e4285ba6748606ba9c9",
     ("corrected", "fig4_manifest.json"):
         "2631ba6973f223f8ca179ecfcd5ec411fa729710c1d5bb2e1e95a41f19a94b3d",
 }

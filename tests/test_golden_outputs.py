@@ -23,11 +23,11 @@ GOLDEN_SHA256 = {
     ("sweep", "verbatim", "json"):
         "ced4c767a206b37510da02ffb1a348550226c91f8ddbd3ff7598f970af78a31c",
     ("sweep", "corrected", "csv"):
-        "5f37a182ae832c18d64ce36acf8f623c95b055089b050206bd51832cf1ce0b9b",
+        "02023f74f1aa93a5ad03c3d6864eaae772cf544714c5a33bbfc710e9f71572e5",
     ("sweep", "corrected", "json"):
-        "adcb97ddfeb3f2a713a049a9dab082ce47e45e805897d0c44a974df3b91e92fb",
+        "b84f74de63537ab5a0bfaac9eae0b5795a12e92379a97f8e3080044fa720e92e",
     ("point", "corrected", "csv"):
-        "c8898b435a075105bdf89379e9f00f13404fa53d201dea95d593c99da9b1bfeb",
+        "3a85bfd6260afbbc6cbbc775dc3c999393ce43075e4f7f17d8879a856a0cd398",
 }
 
 
@@ -49,7 +49,7 @@ ORACLE_FIGURE_SHA256 = {
     ("corrected", "fig1_c_capacity.csv"):
         "22b70e897a24c1a7f5893d657fca2034b1adac4a6fbb6e68d01777228f74832c",
     ("corrected", "fig1_d_coherence_l1.csv"):
-        "e5b8d078865193716ffbbfe5dabb5e0154b543cf0d70338e595120ae59657ab5",
+        "6b35350686b918fb683145825f475612b9e2f96c6c9869cf2650f08e0b5d4bbc",
     ("corrected", "fig1_manifest.json"):
         "749670137cd84c214406772bfb1c276da0500c5ca88e4419436aed9badd9b886",
     ("oracle-only", "fig1_a_ergotropy.csv"):
@@ -77,8 +77,8 @@ def test_oracle_figure_matches_golden_digest(tmp_path, mode, capsys):
 # ``verify quick|full`` stdout: the cloud's parameter sets and every residual
 # the suites report, to the printed digits
 VERIFY_SHA256 = {
-    "quick": "74aba4a5e03675eebe19f3b2a706bebd6df15f652a074eec8d41d5718e939980",
-    "full": "8b3f41f65ae98a829711d774a22a2071eba9bb9362a52fa1cd2999e214385d45",
+    "quick": "dca5d2d6b9f00ba48108799fa3378a9e80c277f43c0fab66d7a81176a74b514d",
+    "full": "0c59d62d701ec99d06bca6813e31053e53b468bd72329bc3fc7f22b02b2f3a2e",
 }
 
 

@@ -1,10 +1,9 @@
 """Outputs are written curve by curve, as the curve engine yields them.
 
-The engine evaluates a request with no numeric column one curve at a time,
-and one with numeric columns (``ergotropy_numeric``, ``power_fd``, or any
-oracle-only column but ``capacity_definitional``) one block of
-``CURVE_BLOCK`` curves at a time; each is written before the next is
-evaluated. Stdout carries the bytes of an
+The engine evaluates every request one block of ``CURVE_BLOCK`` curves at
+a time, a request with numeric columns (``ergotropy_numeric``, ``power_fd``,
+or any oracle-only column but ``capacity_definitional``) in one numeric
+pass per block; each block is written before the next is evaluated. Stdout carries the bytes of an
 ``--out`` file, writing a sweep holds about one curve's rows rather than the
 document, and the closed-form columns of a curve share one evaluation of the
 thermal terms.

@@ -123,15 +123,16 @@ def test_no_lapack_eigensolver_in_src():
 
 
 def test_oracle_energies_are_fixed_order_elementwise_sums():
-    # the oracle's state and energy forms, its per-node energies and its
-    # coherence are real elementwise products summed in the order the code
-    # writes, so no BLAS kernel or reduction order decides their bits
+    # the state and energy forms, the oracle's per-node energies and the
+    # evolved entries and coherence of both routes are real elementwise
+    # products summed in the order the code writes, so no BLAS kernel or
+    # reduction order decides their bits
     tree = ast.parse((SRC / "dynamics.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     banned = {"matmul", "dot", "vdot", "inner", "einsum", "tensordot", "sum"}
     offenders = []
     for name in ("_state_forms", "_combine", "_energy_forms", "_evolved_energies",
-                 "_evolved_coherence"):
+                 "_evolved_parts", "_evolved_coherence"):
         for node in ast.walk(functions[name]):
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
                 offenders.append(f"{name}: @")

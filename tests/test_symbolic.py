@@ -8,6 +8,7 @@ far quicker than trigonometric simplification.
 
 from types import SimpleNamespace
 
+import numpy as np
 import sympy as sp
 
 from sqbattery import dynamics, metrics
@@ -48,16 +49,21 @@ def d_dtau(expr):
     return c * sp.diff(expr, s) - s * sp.diff(expr, c)
 
 
-def test_corrected_entries_are_the_evolved_state(monkeypatch):
-    # any real state with the thermal symmetries, not only a thermal one
-    monkeypatch.setattr(dynamics, "thermal_entries", lambda p, t: ENTRIES)
-    r11, r12, r13, r14, r22, r23, r24, r33, r34 = dynamics._evolved_corrected(PARAMS, TERMS, GRID)
-    closed = sp.Matrix([[r11, r12, r13, r14],
-                        [sp.conjugate(r12), r22, r23, r24],
-                        [sp.conjugate(r13), sp.conjugate(r23), r33, r34],
-                        [r14, sp.conjugate(r24), sp.conjugate(r34), r11]])
-    evolved = U * RHO * U.H
-    assert all(reduced(entry) == 0 for entry in closed - evolved)
+def test_corrected_entries_are_the_evolved_state():
+    # any real symmetric rho, not only a thermal one: the form behind the
+    # corrected closed states and coherence and behind the oracle's
+    upper = iter(sp.symbols("r0:10", real=True))
+    rho = sp.zeros(4, 4)
+    for i in range(4):
+        for j in range(i, 4):
+            rho[i, j] = rho[j, i] = next(upper)
+    state = dynamics._state_forms(np.array(rho.tolist(), dtype=object)[None])[0]
+    a, b, g = c**2, -s**2, s * c  # U = a I + b J - i g K
+    q = np.array([[a * a], [b * b], [g * g], [a * b], [a * g], [b * g]], dtype=object)
+    re, im = dynamics._evolved_parts(q, state)
+    evolved = U * rho * U.H
+    assert all(reduced(re[k, 0] + sp.I * im[k, 0] - evolved[k // 4, k % 4]) == 0
+               for k in range(16))
 
 
 def test_corrected_ergotropy_is_the_energy_the_unitary_adds():
