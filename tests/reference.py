@@ -4,10 +4,12 @@ Each builds its result another way than the program does (a spectral
 exponential, a rebuilt matrix, a passive state from sorted spectra, the
 battery Hamiltonian entry by entry, the drive Hamiltonian from Kronecker
 products, the random cloud from ``numpy.random``), checks a state's
-invariants, or reads a result cell by cell or as one string.
+invariants, reads a result cell by cell or as one string, or draws doubles
+from random bits.
 """
 
 import io
+import random
 import struct
 
 import numpy as np
@@ -110,3 +112,11 @@ def _text(write) -> str:
     stream = io.StringIO()
     write(stream)
     return stream.getvalue()
+
+
+def bit_patterns(count: int = 10 ** 5, seed: int = 2024) -> list[float]:
+    """``count`` doubles of uniformly random bits: every sign, exponent,
+    subnormal, inf and nan pattern alike, drawn without numpy."""
+    draw = random.Random(seed)
+    return [struct.unpack("<d", struct.pack("<Q", draw.getrandbits(64)))[0]
+            for _ in range(count)]

@@ -1,13 +1,17 @@
-"""One tau grid per sweep, one row template per curve.
+"""One tau grid per sweep, one array formatting per curve.
 
 Everything that depends on the taus alone (the libm factors, the terms of
 the oracle's states, energies and power, and the checked charging unitaries) is
-computed once per grid, however many curves share it, and the CSV writer's
-one-``%`` template renders exactly what formatting every cell on its own
-gives.
+computed once per grid, however many curves share it. The CSV writer formats
+the tau column once per grid and each curve's array columns in one call of
+its array formatter, which gives CPython's ``%.17g`` bytes (computed on
+arrays for 1e-4 <= |x| < 1e17, through ``format`` for the rest; see
+``test_float_cells.py``), and ``format_float`` only for per-curve cells; its
+rows are exactly what formatting every cell on its own gives.
 """
 
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -233,7 +237,7 @@ def results(draw):
     curves = []
     for _ in range(draw(st.integers(1, 3))):
         flag = draw(st.sampled_from(["", "overflow", "ill_conditioned", "100%"]))
-        label = draw(st.sampled_from(["base", "xi2=0.5", "a%sb%%c", "%.17g"]))
+        label = draw(st.sampled_from(["base", "xi2=0.5", "a%sb%%c", "%.17g", "ξ2=0.5"]))
         samples = CurveColumns(taus, draw(columns(count)), flag)
         summary = CurveSummary(None, None, None, draw(st.one_of(st.none(), CELLS)))
         curves.append(Curve(label, BASE, samples, summary))
@@ -275,11 +279,42 @@ def test_a_curve_longer_than_a_block_is_the_per_cell_formatting():
     assert _text(lambda stream: write_csv(result, columns, stream)) == per_cell_csv(result, columns)
 
 
+def per_curve_cells(result, panels):
+    """The cells :func:`format_float` is asked for: each curve's parameters
+    and the value of each of its constant columns, once per panel written."""
+    cells = []
+    for columns in panels:
+        for curve in result.curves:
+            cells += [(v,) for v in dataclasses.astuple(curve.params)[:4]]
+            for name in columns:
+                value = _column(curve, name, result.config.mode)
+                if not isinstance(value, np.ndarray):
+                    cells.append((value,))
+    return sorted(cells, key=repr)
+
+
 def test_a_figure_formats_its_tau_column_once(monkeypatch, tmp_path):
     result = run_sweep(figure_preset("fig1"))
-    calls = counted(monkeypatch, output, "format_float")
+    taus = result.curves[0].samples.taus
+    arrays = counted(monkeypatch, output, "_format_cells")
+    cells = counted(monkeypatch, output, "format_float")
     write_figure_files(result, "fig1", tmp_path)
-    taus = result.curves[0].samples.taus.tolist()
-    # the 401 taus once for all four panels, plus each curve's parameters and constants
-    assert len(calls) < 2 * len(taus)
-    assert sum(args == (taus[1],) for args in calls) == 1
+    # the 401 taus once for all four panels, by the array formatter
+    assert sum(args[0] is taus for args in arrays) == 1
+    assert all(args[0].shape != taus.shape or args[0] is taus for args in arrays)
+    # format_float only for each curve's parameters and constants, never per row
+    panels = [(metric,) for _, metric, _ in output.PANELS]
+    assert sorted(cells, key=repr) == per_curve_cells(result, panels)
+
+
+def test_a_sweep_formats_no_cell_per_row(monkeypatch):
+    values = tuple(np.linspace(0.1, 2.9, 16))
+    result = run_sweep(SweepConfig(base=BASE, varied=(("xi2", values), ("xic", values)),
+                                   tau_count=9))
+    result = dataclasses.replace(result, curves=tuple(result.curves))
+    arrays = counted(monkeypatch, output, "_format_cells")
+    cells = counted(monkeypatch, output, "format_float")
+    write_csv(result, MAIN_COLUMNS, io.StringIO())
+    # the taus once, then one call on each curve's array columns
+    assert len(arrays) == 1 + 256 and arrays[0][0] is result.curves[0].samples.taus
+    assert sorted(cells, key=repr) == per_curve_cells(result, [MAIN_COLUMNS])
